@@ -8,73 +8,11 @@ backed by an exhaustive extension search, and every verdict carries a
 certificate that can be rechecked from scratch.
 """
 
-from .checks import (
-    BothNormalWitness,
-    BudgetWitness,
-    CheckOutcome,
-    CommutingWitness,
-    ConjugacyMergeWitness,
-    ExhaustiveWitness,
-    IncompatiblePairWitness,
-    MembershipWitness,
-    NormalAsymmetryWitness,
-    OrderViolationWitness,
-    Verdict,
-    brute_force_independent,
-    check_a_inside_ncl_b,
-    check_almost_disjoint,
-    check_b_inside_ncl_a,
-    check_commuting,
-    check_conjugacy_merge,
-    check_conjugacy_merge_a,
-    check_conjugacy_merge_b,
-    check_normal_asymmetry,
-    check_order_divisibility,
-    check_separated,
-    check_union_independent_sets,
-    is_independent_set,
-    is_separated_pair,
-    noncommuting_pairs,
-    recheck_witness,
-    verify_factoring,
-)
-from .groups import (
-    DEFAULT_ENDO_BUDGET,
-    DEFAULT_ISO_BUDGET,
-    DEFAULT_MAX_GROUP_ORDER,
-    BudgetExceeded,
-    ConjClassPartition,
-    FiniteGroup,
-    GroupMap,
-    QuotientGroup,
-    SubgroupPair,
-    closure,
-    conjugacy_classes,
-    from_elements,
-    greedy_generators,
-    identity_map,
-    intersection,
-    is_isomorphic,
-    is_normal_in,
-    join,
-    normal_closure,
-    quotient,
-    symmetric_group,
-    trivial_map,
-)
-from .homs import (
-    ExtensionConflict,
-    ExtensionResult,
-    enumerate_endomorphisms,
-    extend,
-    is_compatible,
-)
-from .perm import CycleParseError, Permutation, cycle_string, parse_cycles
+from .checks import recheck_witness
 from .pipeline import (
     Config,
     Decision,
     PairSpecError,
-    Stats,
     Step,
     decide,
     decide_pair,
@@ -85,72 +23,14 @@ from .pipeline import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BothNormalWitness",
-    "BudgetExceeded",
-    "BudgetWitness",
-    "CheckOutcome",
-    "CommutingWitness",
     "Config",
-    "ConjClassPartition",
-    "ConjugacyMergeWitness",
-    "CycleParseError",
     "Decision",
-    "DEFAULT_ENDO_BUDGET",
-    "DEFAULT_ISO_BUDGET",
-    "DEFAULT_MAX_GROUP_ORDER",
-    "ExhaustiveWitness",
-    "ExtensionConflict",
-    "ExtensionResult",
-    "FiniteGroup",
-    "GroupMap",
-    "IncompatiblePairWitness",
-    "MembershipWitness",
-    "NormalAsymmetryWitness",
-    "OrderViolationWitness",
     "PairSpecError",
-    "Permutation",
-    "QuotientGroup",
-    "Stats",
     "Step",
-    "SubgroupPair",
-    "Verdict",
-    "brute_force_independent",
-    "check_a_inside_ncl_b",
-    "check_almost_disjoint",
-    "check_b_inside_ncl_a",
-    "check_commuting",
-    "check_conjugacy_merge",
-    "check_conjugacy_merge_a",
-    "check_conjugacy_merge_b",
-    "check_normal_asymmetry",
-    "check_order_divisibility",
-    "check_separated",
-    "check_union_independent_sets",
-    "closure",
-    "conjugacy_classes",
-    "cycle_string",
+    "__version__",
     "decide",
     "decide_pair",
-    "enumerate_endomorphisms",
-    "extend",
     "format_decision",
-    "from_elements",
-    "greedy_generators",
-    "identity_map",
-    "intersection",
-    "is_compatible",
-    "is_independent_set",
-    "is_isomorphic",
-    "is_normal_in",
-    "is_separated_pair",
-    "join",
-    "noncommuting_pairs",
-    "normal_closure",
-    "parse_cycles",
     "parse_pair_spec",
-    "quotient",
     "recheck_witness",
-    "symmetric_group",
-    "trivial_map",
-    "verify_factoring",
 ]

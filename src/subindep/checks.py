@@ -10,7 +10,6 @@ from scratch with recheck_witness.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Mapping
@@ -254,11 +253,11 @@ def noncommuting_pairs(pair: SubgroupPair) -> Iterator[tuple[Permutation, Permut
 def check_commuting(pair: SubgroupPair) -> CheckOutcome:
     """Independent if A and B intersect trivially and commute elementwise
     (their join is then an internal direct-ish product and every pair of
-    endomorphisms extends); inconclusive otherwise, recording the first
-    non-commuting pair for the order check."""
-    first = next(noncommuting_pairs(pair), None)
-    if first is not None:
-        return CheckOutcome(Verdict.INCONCLUSIVE, details={"first_noncommuting": first})
+    endomorphisms extends); inconclusive otherwise.  A and B commute
+    elementwise exactly when their generators do, so only generator pairs
+    are tested."""
+    if any(a * b != b * a for a in pair.a.generators for b in pair.b.generators):
+        return _INCONCLUSIVE
     if pair.intersection.order == 1:
         return CheckOutcome(Verdict.INDEPENDENT, CommutingWitness())
     return CheckOutcome(Verdict.INCONCLUSIVE,
@@ -414,94 +413,45 @@ def _shortcut_skips(endos_a: list[GroupMap], endos_b: list[GroupMap],
     return frozenset(skips)
 
 
-def _scan_chunk(args) -> int | None:
-    """Worker: scan a contiguous range of flattened endomorphism-pair
-    indices, returning the first index whose pair fails to extend."""
-    (degree, a_gens, b_gens, max_group_order, endo_budget, use_shortcuts, lo, hi) = args
-    a = closure([Permutation(t) for t in a_gens], degree, max_group_order)
-    b = closure([Permutation(t) for t in b_gens], degree, max_group_order)
-    pair = SubgroupPair(a, b, max_group_order)
-    endos_a = enumerate_endomorphisms(a, endo_budget)
-    endos_b = enumerate_endomorphisms(b, endo_budget)
-    if use_shortcuts:
-        sep_a, sep_b = _separated_flags(pair)
-        skips = _shortcut_skips(endos_a, endos_b, sep_a, sep_b)
-    else:
-        skips = frozenset()
-    nb = len(endos_b)
-    for flat in range(lo, hi):
-        i, jdx = divmod(flat, nb)
-        if (i, jdx) in skips:
-            continue
-        if not extend(endos_a[i], endos_b[jdx], pair).exists:
-            return flat
-    return None
-
-
 def brute_force_independent(pair: SubgroupPair,
                             endo_budget: int = DEFAULT_ENDO_BUDGET,
-                            use_shortcuts: bool = True,
-                            jobs: int = 1) -> CheckOutcome:
+                            use_shortcuts: bool = True) -> CheckOutcome:
     """The exhaustive decision: extend every endomorphism pair.
 
     Dependent with the first (in canonical enumeration order) pair that
     fails to extend; independent when all pairs extend.  With
     use_shortcuts, pairs already proven compatible (identity and trivial
     combinations, under the appropriate separation facts) are skipped;
-    this can never change the first failing pair.  Budget overruns
-    return an inconclusive outcome rather than raising.
+    this can never change the first failing pair.  The details count the
+    pairs actually extended and skipped before the scan stopped.  Budget
+    overruns return an inconclusive outcome rather than raising.
     """
     try:
-        j = pair.join
+        pair.join  # a join over max_group_order trips here, as a budget
         endos_a = enumerate_endomorphisms(pair.a, endo_budget)
         endos_b = enumerate_endomorphisms(pair.b, endo_budget)
     except BudgetExceeded as exc:
         return CheckOutcome(Verdict.INCONCLUSIVE, details={"budget_error": exc})
-    del j
     if use_shortcuts:
-        sep_a, sep_b = _separated_flags(pair)
-        skips = _shortcut_skips(endos_a, endos_b, sep_a, sep_b)
+        skips = _shortcut_skips(endos_a, endos_b, *_separated_flags(pair))
     else:
         skips = frozenset()
-    total = len(endos_a) * len(endos_b)
-    detail = {"endo_a": len(endos_a), "endo_b": len(endos_b),
-              "pairs_checked": total - len(skips), "pairs_skipped": len(skips)}
-
-    first_bad: int | None = None
-    if jobs > 1 and total >= 64:
-        n_chunks = min(jobs * 4, total)
-        bounds = [total * c // n_chunks for c in range(n_chunks + 1)]
-        a_gens = tuple(g.images for g in pair.a.generators)
-        b_gens = tuple(g.images for g in pair.b.generators)
-        chunk_args = [
-            (pair.degree, a_gens, b_gens, pair.max_group_order, endo_budget,
-             use_shortcuts, bounds[c], bounds[c + 1])
-            for c in range(n_chunks)
-        ]
-        with multiprocessing.Pool(processes=jobs) as pool:
-            for hit in pool.imap(_scan_chunk, chunk_args):
-                if hit is not None:
-                    first_bad = hit  # chunks are scanned in ascending order
-                    break
-    else:
-        nb = len(endos_b)
-        for flat in range(total):
-            i, jdx = divmod(flat, nb)
+    detail = {"endo_a": len(endos_a), "endo_b": len(endos_b)}
+    checked = 0
+    for i, alpha in enumerate(endos_a):
+        for jdx, beta in enumerate(endos_b):
             if (i, jdx) in skips:
                 continue
-            if not extend(endos_a[i], endos_b[jdx], pair).exists:
-                first_bad = flat
-                break
-
-    if first_bad is None:
-        return CheckOutcome(Verdict.INDEPENDENT,
-                            ExhaustiveWitness(detail["pairs_checked"], detail["pairs_skipped"]),
-                            details=detail)
-    i, jdx = divmod(first_bad, len(endos_b))
-    alpha, beta = endos_a[i], endos_b[jdx]
-    result = extend(alpha, beta, pair)
-    return CheckOutcome(Verdict.DEPENDENT,
-                        IncompatiblePairWitness(alpha, beta, result.conflict),
+            checked += 1
+            result = extend(alpha, beta, pair)
+            if not result.exists:
+                detail.update(pairs_checked=checked,
+                              pairs_skipped=i * len(endos_b) + jdx + 1 - checked)
+                return CheckOutcome(Verdict.DEPENDENT,
+                                    IncompatiblePairWitness(alpha, beta, result.conflict),
+                                    details=detail)
+    detail.update(pairs_checked=checked, pairs_skipped=len(skips))
+    return CheckOutcome(Verdict.INDEPENDENT, ExhaustiveWitness(checked, len(skips)),
                         details=detail)
 
 
@@ -559,8 +509,11 @@ def check_union_independent_sets(pair: SubgroupPair,
     return is_independent_set(set(a_els) | set(b_els), pair.join)
 
 
-def recheck_witness(pair: SubgroupPair, witness: object) -> bool:
-    """Re-establish a certificate from scratch against the pair."""
+def recheck_witness(pair: SubgroupPair, witness: object,
+                    endo_budget: int = DEFAULT_ENDO_BUDGET) -> bool:
+    """Re-establish a certificate from scratch against the pair.  An
+    exhaustive witness is re-established by a fresh scan under
+    endo_budget."""
     if isinstance(witness, MembershipWitness):
         x = witness.element
         if x.is_identity():
@@ -602,7 +555,7 @@ def recheck_witness(pair: SubgroupPair, witness: object) -> bool:
     if isinstance(witness, IncompatiblePairWitness):
         return not extend(witness.alpha, witness.beta, pair).exists
     if isinstance(witness, ExhaustiveWitness):
-        return brute_force_independent(pair).verdict is Verdict.INDEPENDENT
+        return brute_force_independent(pair, endo_budget).verdict is Verdict.INDEPENDENT
     if isinstance(witness, BudgetWitness):
         return True
     raise TypeError(f"unknown witness type {type(witness).__name__}")

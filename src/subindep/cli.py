@@ -59,10 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--iso-budget", type=int, default=DEFAULT_ISO_BUDGET)
     dec.add_argument("--diagnostics", action="store_true",
                      help="recheck the witness and audit extension laws after deciding")
-    dec.add_argument("--easier-first", action="store_true",
-                     help="run the smaller subgroup's membership stage first")
-    dec.add_argument("--jobs", type=int, default=1,
-                     help="worker processes for the exhaustive stage")
 
     atl = sub.add_parser("atlas", help="classify all subgroup pairs of a symmetric group")
     atl.add_argument("--degree", type=int, required=True,
@@ -100,10 +96,7 @@ def _cmd_decide(args) -> int:
         config = Config(max_group_order=args.max_group_order,
                         endo_budget=args.endo_budget,
                         iso_budget=args.iso_budget,
-                        run_diagnostics=args.diagnostics,
-                        output_format=args.format,
-                        parallelism=args.jobs,
-                        easier_first=args.easier_first)
+                        run_diagnostics=args.diagnostics)
         spec = _load_pair_spec(args)
         decision = decide(spec, config)
     except (PairSpecError, ValueError, OSError) as exc:

@@ -28,7 +28,7 @@ from subindep.groups import (
 )
 from subindep.perm import parse_cycles
 from subindep.homs import identity_map, is_compatible, trivial_map
-from subindep.pipeline import Config
+from subindep.pipeline import Config, Step
 
 
 class TestSubgroupEnumeration:
@@ -119,7 +119,22 @@ class TestDegree4Atlas:
         _, summary = s4_atlas
         assert set(summary["deciding_steps"]) == {"Step1", "Step2i", "Step2ii",
                                                   "NormalAsym", "Step4"}
+        assert set(summary["deciding_steps"]) <= {s.value for s in Step}
         assert sum(summary["deciding_steps"].values()) == 900
+
+    def test_merge_checks_are_subsumed_by_separation(self, s4_atlas):
+        # Why the conjugacy-merge checks are atlas columns, not stages: a
+        # merge inside A means A is not B-separated (and mirror for B).
+        rows, _ = s4_atlas
+        merged = 0
+        for r in rows:
+            if r.merge_a == "dependent":
+                merged += 1
+                assert r.a_in_ncl_b == "dependent", r.pair_id
+            if r.merge_b == "dependent":
+                merged += 1
+                assert r.b_in_ncl_a == "dependent", r.pair_id
+        assert merged > 0
 
     def test_gap_region_counted(self, s4_atlas):
         rows, summary = s4_atlas

