@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Sweep every subgroup pair of one small symmetric group.
 
-Degrees 2-4 finish in seconds. Degree 5 enumerates pairs over S5 and
-takes a few minutes single-threaded; pass --jobs to spread the pair
-classification over processes (output is identical regardless).
-The summary printed at the end is the same JSON the atlas CLI emits;
-nonempty oracle_disagreements or symmetry_violations means a bug.
+Degrees 2-4 finish in about a second. Degree 5 classifies the 24,336
+ordered pairs of S5's enumerated subgroups in about 45 s
+single-threaded; pass --jobs to spread the pair classification over
+processes (output is identical regardless). The summary printed at the
+end is the same JSON the atlas CLI emits, with the gap-region ids left in
+the report; nonempty oracle_disagreements or symmetry_violations means a
+bug.
 """
 
 import argparse
@@ -37,7 +39,8 @@ def main() -> None:
                                        jobs=args.jobs)
     elapsed = time.perf_counter() - started
     emit_report(rows, summary, out, args.format)
-    print(json.dumps(summary, indent=2))
+    print(json.dumps({k: v for k, v in summary.items() if k != "gap_region_ids"},
+                     indent=2))
     print(f"wrote {len(rows)} rows to {out} in {elapsed:.1f}s")
 
 

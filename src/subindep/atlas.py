@@ -13,7 +13,8 @@ import csv
 import io
 import json
 import multiprocessing
-from dataclasses import dataclass, fields
+import os
+from dataclasses import dataclass, fields, replace
 from itertools import combinations
 
 from .checks import (
@@ -35,6 +36,8 @@ from .groups import (
     closure,
     intersection,
     is_normal_in,
+    join,
+    normal_closure,
     symmetric_group,
 )
 from .perm import Permutation, cycle_string
@@ -142,13 +145,63 @@ def _gens_string(sub: FiniteGroup) -> str:
     return ";".join(cycle_string(g) for g in sub.generators)
 
 
-def _classify_one(args: tuple) -> AtlasRow:
-    """Worker: build one pair from generator images and run everything."""
-    (pair_id, a_index, b_index, degree, a_gens, b_gens,
-     max_group_order, endo_budget, iso_budget) = args
-    a = closure([Permutation(t) for t in a_gens], degree, max_group_order)
-    b = closure([Permutation(t) for t in b_gens], degree, max_group_order)
-    pair = SubgroupPair(a, b, max_group_order)
+class _AtlasRun:
+    """What one atlas run shares across its rows: the enumerated
+    subgroups, and memos of their joins, intersections and normal
+    closures.
+
+    Joins are memoized per unordered index pair and canonicalised by
+    element tuple, so every pair with the same join shares one group and
+    its cached conjugacy classes and multiplication columns.  A shared
+    join carries the generators of whichever pair built it first; the
+    rows record verdicts only, and no verdict depends on that choice.
+    """
+
+    def __init__(self, subs: list[FiniteGroup], config: Config):
+        self.subs = subs
+        # The rows record verdicts only, so the audit never runs.
+        self.config = replace(config, run_diagnostics=False)
+        self._joins: dict[tuple[int, int], tuple[int, FiniteGroup]] = {}
+        self._canonical_joins: dict[tuple[Permutation, ...], tuple[int, FiniteGroup]] = {}
+        self._meets: dict[tuple[int, int], FiniteGroup] = {}
+        self._ncls: dict[tuple[int, int], FiniteGroup] = {}
+
+    def _join(self, key: tuple[int, int]) -> tuple[int, FiniteGroup]:
+        """(join id, join) of an unordered index pair; raises
+        BudgetExceeded, and memoizes nothing, when the join is too large."""
+        entry = self._joins.get(key)
+        if entry is None:
+            j = join(self.subs[key[0]], self.subs[key[1]], self.config.max_group_order)
+            entry = self._canonical_joins.setdefault(
+                j.elements, (len(self._canonical_joins), j))
+            self._joins[key] = entry
+        return entry
+
+    def _normal_closure(self, i: int, join_id: int, j: FiniteGroup) -> FiniteGroup:
+        ncl = self._ncls.get((i, join_id))
+        if ncl is None:
+            ncl = self._ncls[(i, join_id)] = normal_closure(self.subs[i], j)
+        return ncl
+
+    def fill(self, pair: SubgroupPair, i: int, j: int) -> None:
+        """Set the lazy join, normal closures and intersection of the pair
+        (subs[i], subs[j]) from the memos."""
+        key = (i, j) if i <= j else (j, i)
+        join_id, pair._join = self._join(key)
+        pair._ncl_a = self._normal_closure(i, join_id, pair._join)
+        pair._ncl_b = self._normal_closure(j, join_id, pair._join)
+        meet = self._meets.get(key)
+        if meet is None:
+            meet = self._meets[key] = intersection(self.subs[key[0]], self.subs[key[1]])
+        pair._intersection = meet
+
+
+def _classify_one(run: _AtlasRun, task: tuple[str, int, int]) -> AtlasRow:
+    """Run every check, the pipeline and the oracle on one ordered pair."""
+    pair_id, a_index, b_index = task
+    a, b = run.subs[a_index], run.subs[b_index]
+    cfg = run.config
+    pair = SubgroupPair(a, b, cfg.max_group_order)
     row = {name: "" for name, _ in _STANDALONE_CHECKS}
     row.update(pair_id=pair_id, a_index=a_index, b_index=b_index,
                a_gens=_gens_string(a), b_gens=_gens_string(b),
@@ -157,32 +210,48 @@ def _classify_one(args: tuple) -> AtlasRow:
                separated_both=False, ncl_intersection_trivial=False,
                both_normal=False, gap_region=False, budget="")
     try:
+        run.fill(pair, a_index, b_index)
         j = pair.join
         row["order_join"] = j.order
         for name, chk in _STANDALONE_CHECKS:
             row[name] = chk(pair).verdict.value
-        oracle = brute_force_independent(pair, endo_budget, use_shortcuts=True)
+        # Without shortcuts, so the oracle shares no skip logic with Step4.
+        oracle = brute_force_independent(pair, cfg.endo_budget, use_shortcuts=False)
         if oracle.details and "budget_error" in oracle.details:
             raise oracle.details["budget_error"]
         row["oracle"] = oracle.verdict.value
-        cfg = Config(max_group_order=max_group_order, endo_budget=endo_budget,
-                     iso_budget=iso_budget)
         decision = decide_pair(pair, cfg)
         row["pipeline_status"] = decision.status
         row["pipeline_step"] = decision.step.value
         sep_both = (not check_a_inside_ncl_b(pair).decided
                     and not check_b_inside_ncl_a(pair).decided)
-        ncl_meet = intersection(pair.ncl_a, pair.ncl_b)
+        ncl_b = pair.ncl_b
+        ncl_meet = any(x in ncl_b for x in pair.ncl_a.elements[1:])
         row["separated_both"] = sep_both
-        row["ncl_intersection_trivial"] = ncl_meet.order == 1
+        row["ncl_intersection_trivial"] = not ncl_meet
         row["both_normal"] = is_normal_in(a, j) and is_normal_in(b, j)
-        row["gap_region"] = sep_both and ncl_meet.order > 1
+        row["gap_region"] = sep_both and ncl_meet
     except BudgetExceeded as exc:
         row["budget"] = exc.budget
         if not row["pipeline_status"]:
             row["pipeline_status"] = "Inconclusive"
             row["pipeline_step"] = Step.BUDGET.value
     return AtlasRow(**row)
+
+
+# The per-process run of a pool worker, set by _init_worker.
+_worker_run: _AtlasRun | None = None
+
+
+def _init_worker(degree: int, sub_gens: list[tuple[tuple[int, ...], ...]],
+                 config: Config) -> None:
+    global _worker_run
+    subs = [closure([Permutation(t) for t in gens], degree) for gens in sub_gens]
+    _worker_run = _AtlasRun(subs, config)
+
+
+def _classify_in_worker(task: tuple[str, int, int]) -> AtlasRow:
+    return _classify_one(_worker_run, task)
 
 
 def classify_all_pairs(degree: int,
@@ -195,10 +264,15 @@ def classify_all_pairs(degree: int,
 
     Returns (rows, summary).  Rows come back in a fixed canonical order
     regardless of jobs, and carry no timing, so emitted reports are
-    reproducible byte for byte.
+    reproducible byte for byte.  jobs above the CPU count is clamped to
+    it; each worker process rebuilds the subgroups and keeps its own
+    memos for the run.
     """
     if not 2 <= degree <= MAX_ATLAS_DEGREE:
         raise ValueError(f"degree must be between 2 and {MAX_ATLAS_DEGREE}")
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
+    jobs = min(jobs, os.cpu_count() or 1)
     group = symmetric_group(degree)
     subs = enumerate_subgroups(group, max_gens)
     if full_lattice:
@@ -208,21 +282,16 @@ def classify_all_pairs(degree: int,
             raise AssertionError(
                 f"{len(missing)} subgroups are not reachable with {max_gens} generators; "
                 f"first missing has order {missing[0].order}")
-    tasks = []
-    idx = 0
-    for i, a in enumerate(subs):
-        for jdx, b in enumerate(subs):
-            tasks.append((f"s{degree}-{idx:04d}", i, jdx, degree,
-                          tuple(g.images for g in a.generators),
-                          tuple(g.images for g in b.generators),
-                          config.max_group_order, config.endo_budget,
-                          config.iso_budget))
-            idx += 1
+    n = len(subs)
+    tasks = [(f"s{degree}-{i * n + j:04d}", i, j) for i in range(n) for j in range(n)]
     if jobs > 1:
-        with multiprocessing.Pool(processes=jobs) as pool:
-            rows = list(pool.imap(_classify_one, tasks, chunksize=8))
+        sub_gens = [tuple(g.images for g in s.generators) for s in subs]
+        with multiprocessing.Pool(processes=jobs, initializer=_init_worker,
+                                  initargs=(degree, sub_gens, config)) as pool:
+            rows = list(pool.imap(_classify_in_worker, tasks, chunksize=8))
     else:
-        rows = [_classify_one(t) for t in tasks]
+        run = _AtlasRun(subs, config)
+        rows = [_classify_one(run, t) for t in tasks]
     return rows, _summarize(degree, group, subs, rows)
 
 

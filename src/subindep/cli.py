@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     atl.add_argument("--format", choices=("csv", "json"), default="csv")
     atl.add_argument("--max-group-order", type=int, default=DEFAULT_MAX_GROUP_ORDER)
     atl.add_argument("--endo-budget", type=int, default=DEFAULT_ENDO_BUDGET)
-    atl.add_argument("--jobs", type=int, default=1, help="worker processes, one row each")
+    atl.add_argument("--jobs", type=int, default=1, help="worker processes, one row each; at most the CPU count")
     return parser
 
 
@@ -120,7 +120,9 @@ def _cmd_atlas(args) -> int:
     except (ValueError, OSError) as exc:
         print(f"subindep: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    print(json.dumps(summary, indent=2))
+    # The gap-region ids stay in the report; stdout keeps only their count.
+    shown = {k: v for k, v in summary.items() if k != "gap_region_ids"}
+    print(json.dumps(shown, indent=2))
     print(f"wrote {len(rows)} rows to {args.out} in {elapsed:.1f}s", file=sys.stderr)
     return EXIT_DECIDED
 

@@ -3,20 +3,22 @@
 Composition is right-to-left throughout: (p * q)(x) = p(q(x)), so in a
 product the rightmost factor acts first.  Points are 1-based in all text
 forms and 0-based in the internal image arrays.
+
+Validation happens only where outside input enters: the Permutation
+constructor checks for a bijection, while products and inverses, which
+are bijections by construction, are built without a check.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 
 
 class CycleParseError(ValueError):
     """Raised when a cycle-notation string cannot be parsed."""
 
 
-@dataclass(frozen=True, order=True)
 class Permutation:
     """An element of the symmetric group on len(images) points.
 
@@ -25,14 +27,53 @@ class Permutation:
     makes the identity the minimum of every symmetric group.
     """
 
-    images: tuple[int, ...]
+    __slots__ = ("images",)
 
-    def __post_init__(self) -> None:
-        n = len(self.images)
+    def __init__(self, images) -> None:
+        images = tuple(images)
+        n = len(images)
         if n < 1:
             raise ValueError("degree must be at least 1")
-        if sorted(self.images) != list(range(n)):
-            raise ValueError(f"not a permutation of 0..{n - 1}: {self.images}")
+        if sorted(images) != list(range(n)):
+            raise ValueError(f"not a permutation of 0..{n - 1}: {images}")
+        _set_images(self, images)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Permutation is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Permutation is immutable")
+
+    def __reduce__(self):
+        return (Permutation, (self.images,))
+
+    def __eq__(self, other):
+        if isinstance(other, Permutation):
+            return self.images == other.images
+        return NotImplemented
+
+    def __lt__(self, other):
+        if isinstance(other, Permutation):
+            return self.images < other.images
+        return NotImplemented
+
+    def __le__(self, other):
+        if isinstance(other, Permutation):
+            return self.images <= other.images
+        return NotImplemented
+
+    def __gt__(self, other):
+        if isinstance(other, Permutation):
+            return self.images > other.images
+        return NotImplemented
+
+    def __ge__(self, other):
+        if isinstance(other, Permutation):
+            return self.images >= other.images
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.images)
 
     @staticmethod
     def identity(degree: int) -> "Permutation":
@@ -44,16 +85,17 @@ class Permutation:
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         # self * other applies other first.
-        if self.degree != other.degree:
-            raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
         img = self.images
-        return Permutation(tuple(img[j] for j in other.images))
+        other_img = other.images
+        if len(img) != len(other_img):
+            raise ValueError(f"degree mismatch: {len(img)} vs {len(other_img)}")
+        return _trusted(tuple([img[j] for j in other_img]))
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.degree
         for i, j in enumerate(self.images):
             inv[j] = i
-        return Permutation(tuple(inv))
+        return _trusted(tuple(inv))
 
     def __pow__(self, k: int) -> "Permutation":
         if k < 0:
@@ -105,6 +147,16 @@ class Permutation:
         return f"Perm({cycle_string(self)!r}, deg={self.degree})"
 
 
+_set_images = Permutation.images.__set__
+
+
+def _trusted(images: tuple[int, ...]) -> Permutation:
+    """A Permutation from images already known to be a bijection."""
+    p = object.__new__(Permutation)
+    _set_images(p, images)
+    return p
+
+
 def cycle_string(p: Permutation) -> str:
     """Canonical cycle notation: cycles sorted by least point, each cycle
     starting at its least point, points space-separated, fixed points
@@ -144,7 +196,7 @@ def parse_cycles(text: str, degree: int) -> Permutation:
     Points may be separated by whitespace or commas; juxtaposed single
     digits like "(12)" are allowed only for degree <= 9.
     """
-    if not isinstance(degree, int) or degree < 1:
+    if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
         raise CycleParseError(f"invalid degree {degree!r}")
     s = text.strip()
     if s in ("e", "()"):

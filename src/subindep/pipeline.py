@@ -108,7 +108,7 @@ def parse_pair_spec(obj: dict, max_group_order: int = DEFAULT_MAX_GROUP_ORDER) -
     if missing:
         raise PairSpecError(f"pair spec is missing {sorted(missing)}")
     degree = obj["degree"]
-    if not isinstance(degree, int) or degree < 1:
+    if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
         raise PairSpecError("degree must be a positive integer")
     gens: dict[str, list[Permutation]] = {}
     for side in ("A", "B"):

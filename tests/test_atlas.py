@@ -6,6 +6,7 @@ import pytest
 
 from conftest import pair_from_row
 from oracles import independent_by_global_search
+from subindep import atlas
 from subindep.atlas import (
     ATLAS_FIELDS,
     MAX_BRUTEFORCE_LATTICE_ORDER,
@@ -358,6 +359,57 @@ class TestDeterminismAndBudgets:
         for r in rows:
             if r.budget:
                 assert r.pipeline_status == "Inconclusive"
+
+    def test_join_budget_trips_recorded_without_aborting(self):
+        rows, summary = classify_all_pairs(3, Config(max_group_order=2))
+        tripped = [r for r in rows if r.budget]
+        assert len(rows) == 36 and len(tripped) == len(summary["budget_trips"]) > 0
+        assert all(r.budget == "max_group_order" and r.pipeline_status == "Inconclusive"
+                   for r in tripped)
+
+    def test_oracle_never_uses_the_step4_shortcuts(self, monkeypatch):
+        calls = []
+        real = atlas.brute_force_independent
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs.get("use_shortcuts", True))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(atlas, "brute_force_independent", spy)
+        rows, _ = classify_all_pairs(3, Config())
+        assert len(calls) == len(rows) == 36
+        assert not any(calls)
+
+    def test_jobs_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            classify_all_pairs(3, Config(), jobs=0)
+
+    def test_jobs_clamped_to_cpu_count(self, monkeypatch):
+        # A fake pool records the worker count and runs the tasks in-process,
+        # so no process is ever started.
+        seen = []
+
+        class FakePool:
+            def __init__(self, processes, initializer, initargs):
+                seen.append(processes)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, func, tasks, chunksize=1):
+                return map(func, tasks)
+
+        monkeypatch.setattr(atlas.multiprocessing, "Pool", FakePool)
+        monkeypatch.setattr(atlas.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(atlas, "_worker_run", None)
+        rows, summary = classify_all_pairs(3, Config(), jobs=100000)
+        assert seen == [2]
+        serial_rows, serial_summary = classify_all_pairs(3, Config())
+        assert render_report(rows, summary) == render_report(serial_rows, serial_summary)
 
     def test_full_lattice_guard_for_degree_5(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from itertools import permutations
 
 import pytest
@@ -145,6 +147,7 @@ class TestParsing:
         ("(1 2)()", 4),
         ("e e", 3),
         ("(1 2", 3),
+        ("(1 2)", True),
     ])
     def test_rejects(self, text, degree):
         with pytest.raises(CycleParseError):
@@ -157,6 +160,8 @@ class TestParsing:
 class TestValidation:
     def test_rejects_non_bijections(self):
         with pytest.raises(ValueError):
+            Permutation(())
+        with pytest.raises(ValueError):
             Permutation((0, 0, 1))
         with pytest.raises(ValueError):
             Permutation((0, 3, 1))
@@ -166,3 +171,40 @@ class TestValidation:
         b = Permutation((0, 1, 2))
         assert len({a, b, a}) == 2
         assert b < a
+
+    def test_degree_mismatch_in_product(self):
+        with pytest.raises(ValueError):
+            Permutation((1, 0)) * Permutation((0, 1, 2))
+
+    def test_immutable(self):
+        p = Permutation((1, 0, 2))
+        with pytest.raises(AttributeError):
+            p.images = (0, 1, 2)
+        with pytest.raises(AttributeError):
+            p.other = 1
+        with pytest.raises(AttributeError):
+            del p.images
+        assert p.images == (1, 0, 2)
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        p = parse_cycles("(1 3 2)(4 5)", 5)
+        for q in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p), copy.copy(p)):
+            assert q == p and hash(q) == hash(p) and q.images == p.images
+            assert type(q) is Permutation
+        assert pickle.loads(pickle.dumps([p, p.inverse()])) == [p, p.inverse()]
+
+    @given(perms(6).flatmap(lambda p: st.tuples(
+        st.just(p), st.permutations(range(p.degree)).map(lambda im: Permutation(tuple(im))))))
+    def test_unchecked_products_are_valid_and_compare_by_images(self, pq):
+        p, q = pq
+        # Re-validating a product or an inverse through the public
+        # constructor accepts it and gives an equal permutation.
+        assert Permutation((p * q).images) == p * q
+        assert Permutation(p.inverse().images) == p.inverse()
+        assert (p == q) == (p.images == q.images)
+        assert (p < q) == (p.images < q.images)
+        assert (p <= q) == (p.images <= q.images)
+        assert (p > q) == (p.images > q.images)
+        assert (p >= q) == (p.images >= q.images)
+        assert (hash(p) == hash(q)) == (hash(p.images) == hash(q.images))
+        assert hash(p * q) == hash((p * q).images)

@@ -18,7 +18,7 @@ from subindep.checks import (
     check_order_divisibility,
     recheck_witness,
 )
-from subindep import pipeline
+from subindep import cli, pipeline
 from subindep.groups import is_isomorphic
 from subindep.perm import Permutation, parse_cycles
 from subindep.pipeline import (
@@ -59,6 +59,7 @@ class TestParsePairSpec:
         {"degree": 3, "A": [12], "B": []},
         {"degree": 3, "A": ["(1 4)"], "B": []},
         {"degree": 3, "A": ["(1 2"], "B": []},
+        {"degree": True, "A": ["e"], "B": ["e"]},
     ])
     def test_rejects_malformed_specs(self, bad):
         with pytest.raises(PairSpecError):
@@ -343,6 +344,22 @@ class TestCli:
         assert summary["pairs"] == 36 and summary["oracle_disagreements"] == []
         header = out.read_text().splitlines()[0]
         assert header.startswith("pair_id,a_index,b_index,a_gens,b_gens,")
+
+    def test_atlas_stdout_summary_omits_gap_region_ids(self, tmp_path, capsys):
+        out = tmp_path / "s3.json"
+        assert cli.main(["atlas", "--degree", "3", "--format", "json",
+                         "--out", str(out)]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert "gap_region_ids" not in summary
+        assert summary["gap_region_count"] == 0 and summary["pairs"] == 36
+        report = json.loads(out.read_text())["summary"]
+        assert report["gap_region_ids"] == []
+        assert {k: v for k, v in report.items() if k != "gap_region_ids"} == summary
+
+    def test_atlas_rejects_jobs_below_one(self, tmp_path, capsys):
+        assert cli.main(["atlas", "--degree", "3", "--jobs", "0",
+                         "--out", str(tmp_path / "s3.csv")]) == 1
+        assert "jobs" in capsys.readouterr().err
 
     def test_atlas_rejects_large_degree(self):
         r = run_cli("atlas", "--degree", "6", "--out", "/tmp/nope.csv")
