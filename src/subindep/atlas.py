@@ -34,7 +34,6 @@ from .groups import (
     FiniteGroup,
     SubgroupPair,
     closure,
-    intersection,
     is_normal_in,
     join,
     normal_closure,
@@ -147,8 +146,7 @@ def _gens_string(sub: FiniteGroup) -> str:
 
 class _AtlasRun:
     """What one atlas run shares across its rows: the enumerated
-    subgroups, and memos of their joins, intersections and normal
-    closures.
+    subgroups, and memos of their joins and normal closures.
 
     Joins are memoized per unordered index pair and canonicalised by
     element tuple, so every pair with the same join shares one group and
@@ -163,7 +161,6 @@ class _AtlasRun:
         self.config = replace(config, run_diagnostics=False)
         self._joins: dict[tuple[int, int], tuple[int, FiniteGroup]] = {}
         self._canonical_joins: dict[tuple[Permutation, ...], tuple[int, FiniteGroup]] = {}
-        self._meets: dict[tuple[int, int], FiniteGroup] = {}
         self._ncls: dict[tuple[int, int], FiniteGroup] = {}
 
     def _join(self, key: tuple[int, int]) -> tuple[int, FiniteGroup]:
@@ -184,16 +181,12 @@ class _AtlasRun:
         return ncl
 
     def fill(self, pair: SubgroupPair, i: int, j: int) -> None:
-        """Set the lazy join, normal closures and intersection of the pair
+        """Set the lazy join and normal closures of the pair
         (subs[i], subs[j]) from the memos."""
         key = (i, j) if i <= j else (j, i)
         join_id, pair._join = self._join(key)
         pair._ncl_a = self._normal_closure(i, join_id, pair._join)
         pair._ncl_b = self._normal_closure(j, join_id, pair._join)
-        meet = self._meets.get(key)
-        if meet is None:
-            meet = self._meets[key] = intersection(self.subs[key[0]], self.subs[key[1]])
-        pair._intersection = meet
 
 
 def _classify_one(run: _AtlasRun, task: tuple[str, int, int]) -> AtlasRow:
@@ -217,14 +210,12 @@ def _classify_one(run: _AtlasRun, task: tuple[str, int, int]) -> AtlasRow:
             row[name] = chk(pair).verdict.value
         # Without shortcuts, so the oracle shares no skip logic with Step4.
         oracle = brute_force_independent(pair, cfg.endo_budget, use_shortcuts=False)
-        if oracle.details and "budget_error" in oracle.details:
-            raise oracle.details["budget_error"]
         row["oracle"] = oracle.verdict.value
         decision = decide_pair(pair, cfg)
         row["pipeline_status"] = decision.status
         row["pipeline_step"] = decision.step.value
-        sep_both = (not check_a_inside_ncl_b(pair).decided
-                    and not check_b_inside_ncl_a(pair).decided)
+        sep_both = (row["a_in_ncl_b"] == Verdict.INCONCLUSIVE.value
+                    and row["b_in_ncl_a"] == Verdict.INCONCLUSIVE.value)
         ncl_b = pair.ncl_b
         ncl_meet = any(x in ncl_b for x in pair.ncl_a.elements[1:])
         row["separated_both"] = sep_both

@@ -25,7 +25,6 @@ from .groups import (
     conjugacy_classes,
     is_isomorphic,
     is_normal_in,
-    normal_closure,
     quotient,
 )
 from .homs import ExtensionConflict, enumerate_endomorphisms, extend
@@ -215,7 +214,7 @@ class BudgetWitness:
 @dataclass(frozen=True)
 class CheckOutcome:
     """Result of one check: a verdict, a witness when the verdict is not
-    inconclusive, and optional side information for later checks."""
+    inconclusive, and the Step4 counts from brute_force_independent."""
 
     verdict: Verdict
     witness: object | None = None
@@ -235,10 +234,9 @@ def check_almost_disjoint(pair: SubgroupPair) -> CheckOutcome:
     Such an element x admits incompatible pairs outright (send x one way
     in A and another in B), so a nontrivial intersection is conclusive.
     """
-    inter = pair.intersection
-    if inter.order > 1:
-        return CheckOutcome(Verdict.DEPENDENT,
-                            MembershipWitness(inter.elements[1], REGION_A_AND_B))
+    x = pair.shared_element
+    if x is not None:
+        return CheckOutcome(Verdict.DEPENDENT, MembershipWitness(x, REGION_A_AND_B))
     return _INCONCLUSIVE
 
 
@@ -256,12 +254,10 @@ def check_commuting(pair: SubgroupPair) -> CheckOutcome:
     endomorphisms extends); inconclusive otherwise.  A and B commute
     elementwise exactly when their generators do, so only generator pairs
     are tested."""
-    if any(a * b != b * a for a in pair.a.generators for b in pair.b.generators):
-        return _INCONCLUSIVE
-    if pair.intersection.order == 1:
+    if (all(a * b == b * a for a in pair.a.generators for b in pair.b.generators)
+            and pair.shared_element is None):
         return CheckOutcome(Verdict.INDEPENDENT, CommutingWitness())
-    return CheckOutcome(Verdict.INCONCLUSIVE,
-                        details={"reason": "commuting but intersection nontrivial"})
+    return _INCONCLUSIVE
 
 
 def check_order_divisibility(pair: SubgroupPair,
@@ -299,17 +295,6 @@ def check_a_inside_ncl_b(pair: SubgroupPair) -> CheckOutcome:
     return _membership_check(pair.a, pair.ncl_b, REGION_A_IN_NCL_B)
 
 
-def check_separated(pair: SubgroupPair) -> CheckOutcome:
-    """Dependent if either subgroup meets the other's normal closure in
-    the join beyond the identity.  Separation in both directions is
-    necessary for independence but never sufficient on its own, so this
-    check cannot prove independence."""
-    out = check_a_inside_ncl_b(pair)
-    if out.decided:
-        return out
-    return check_b_inside_ncl_a(pair)
-
-
 def _merge_on_side(sub: FiniteGroup, join_group: FiniteGroup, side: str) -> CheckOutcome:
     sub_classes = conjugacy_classes(sub)
     join_classes = conjugacy_classes(join_group)
@@ -336,27 +321,14 @@ def check_conjugacy_merge_b(pair: SubgroupPair) -> CheckOutcome:
     return _merge_on_side(pair.b, pair.join, "B")
 
 
-def check_conjugacy_merge(pair: SubgroupPair) -> CheckOutcome:
-    """Dependent if conjugacy classes of A or of B merge inside the join;
-    reports the lexicographically least offending pair on the first side
-    that exhibits one."""
-    out = check_conjugacy_merge_a(pair)
-    if out.decided:
-        return out
-    return check_conjugacy_merge_b(pair)
-
-
 def check_normal_asymmetry(pair: SubgroupPair) -> CheckOutcome:
     """Exactly one of A, B normal in the join proves dependence; both
     normal with trivial intersection proves independence."""
     j = pair.join
     na = is_normal_in(pair.a, j)
     nb = is_normal_in(pair.b, j)
-    if na and nb:
-        if pair.intersection.order == 1:
-            return CheckOutcome(Verdict.INDEPENDENT, BothNormalWitness())
-        return CheckOutcome(Verdict.INCONCLUSIVE,
-                            details={"reason": "both normal but intersection nontrivial"})
+    if na and nb and pair.shared_element is None:
+        return CheckOutcome(Verdict.INDEPENDENT, BothNormalWitness())
     if na != nb:
         normal_side = "A" if na else "B"
         loose = pair.b if na else pair.a
@@ -369,20 +341,6 @@ def check_normal_asymmetry(pair: SubgroupPair) -> CheckOutcome:
                         NormalAsymmetryWitness(normal_side, x, t, c))
         raise AssertionError("non-normal subgroup with no moved generator conjugate")
     return _INCONCLUSIVE
-
-
-def is_separated_pair(a: Permutation, b: Permutation, join: FiniteGroup) -> bool:
-    """True iff a avoids the normal closure of <b> in join and b avoids
-    the normal closure of <a>, identities excepted."""
-    if a not in join or b not in join:
-        raise ValueError("elements must belong to the given group")
-    sub_a = closure([a], join.degree, max_order=join.order)
-    sub_b = closure([b], join.degree, max_order=join.order)
-    ncl_a = normal_closure(sub_a, join)
-    ncl_b = normal_closure(sub_b, join)
-    ok_a = a.is_identity() or a not in ncl_b
-    ok_b = b.is_identity() or b not in ncl_a
-    return ok_a and ok_b
 
 
 def _separated_flags(pair: SubgroupPair) -> tuple[bool, bool]:
@@ -423,15 +381,13 @@ def brute_force_independent(pair: SubgroupPair,
     use_shortcuts, pairs already proven compatible (identity and trivial
     combinations, under the appropriate separation facts) are skipped;
     this can never change the first failing pair.  The details count the
-    pairs actually extended and skipped before the scan stopped.  Budget
-    overruns return an inconclusive outcome rather than raising.
+    endomorphisms, and the pairs actually extended and skipped before the
+    scan stopped.  Raises BudgetExceeded when the join or either
+    endomorphism set is over its budget.
     """
-    try:
-        pair.join  # a join over max_group_order trips here, as a budget
-        endos_a = enumerate_endomorphisms(pair.a, endo_budget)
-        endos_b = enumerate_endomorphisms(pair.b, endo_budget)
-    except BudgetExceeded as exc:
-        return CheckOutcome(Verdict.INCONCLUSIVE, details={"budget_error": exc})
+    pair.join  # a join over max_group_order trips first
+    endos_a = enumerate_endomorphisms(pair.a, endo_budget)
+    endos_b = enumerate_endomorphisms(pair.b, endo_budget)
     if use_shortcuts:
         skips = _shortcut_skips(endos_a, endos_b, *_separated_flags(pair))
     else:
@@ -513,7 +469,7 @@ def recheck_witness(pair: SubgroupPair, witness: object,
                     endo_budget: int = DEFAULT_ENDO_BUDGET) -> bool:
     """Re-establish a certificate from scratch against the pair.  An
     exhaustive witness is re-established by a fresh scan under
-    endo_budget."""
+    endo_budget, and fails when that scan trips the budget."""
     if isinstance(witness, MembershipWitness):
         x = witness.element
         if x.is_identity():
@@ -526,8 +482,8 @@ def recheck_witness(pair: SubgroupPair, witness: object,
             return x in pair.a and x in pair.ncl_b
         return False
     if isinstance(witness, CommutingWitness):
-        return (pair.intersection.order == 1
-                and next(noncommuting_pairs(pair), None) is None)
+        return (pair.shared_element is None
+                and all(a * b == b * a for a in pair.a.generators for b in pair.b.generators))
     if isinstance(witness, OrderViolationWitness):
         a, b = witness.a, witness.b
         if a not in pair.a or b not in pair.b or a * b == b * a:
@@ -551,11 +507,14 @@ def recheck_witness(pair: SubgroupPair, witness: object,
     if isinstance(witness, BothNormalWitness):
         j = pair.join
         return (is_normal_in(pair.a, j) and is_normal_in(pair.b, j)
-                and pair.intersection.order == 1)
+                and pair.shared_element is None)
     if isinstance(witness, IncompatiblePairWitness):
         return not extend(witness.alpha, witness.beta, pair).exists
     if isinstance(witness, ExhaustiveWitness):
-        return brute_force_independent(pair, endo_budget).verdict is Verdict.INDEPENDENT
+        try:
+            return brute_force_independent(pair, endo_budget).verdict is Verdict.INDEPENDENT
+        except BudgetExceeded:
+            return False
     if isinstance(witness, BudgetWitness):
         return True
     raise TypeError(f"unknown witness type {type(witness).__name__}")

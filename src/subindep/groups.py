@@ -14,6 +14,7 @@ import itertools
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .perm import Permutation, cycle_string
@@ -39,11 +40,11 @@ class FiniteGroup:
     elements is sorted lexicographically by image arrays; generators is a
     (possibly empty) tuple of non-identity elements whose closure is the
     element set.  Instances are immutable in intent; the only mutable
-    state is a lazy right-multiplication cache used by the homomorphism
-    machinery.
+    state is lazy caches: right-multiplication columns, conjugacy classes
+    and endomorphisms.
     """
 
-    __slots__ = ("degree", "elements", "generators", "_mul_cols", "_classes")
+    __slots__ = ("degree", "elements", "generators", "_mul_cols", "_classes", "_endos")
 
     def __init__(self, elements: tuple[Permutation, ...], generators: tuple[Permutation, ...], degree: int):
         self.degree = degree
@@ -51,6 +52,7 @@ class FiniteGroup:
         self.generators = generators
         self._mul_cols: dict[int, tuple[int, ...]] = {}
         self._classes: "ConjClassPartition | None" = None
+        self._endos: "tuple[GroupMap, ...] | None" = None
 
     @property
     def order(self) -> int:
@@ -144,32 +146,6 @@ def closure(generators: Iterable[Permutation], degree: int,
     return FiniteGroup(tuple(sorted(seen)), tuple(gens), degree)
 
 
-def from_elements(elements: Iterable[Permutation], degree: int) -> FiniteGroup:
-    """Wrap an already closed element set as a FiniteGroup.
-
-    A small generating set is rebuilt by a single ascending pass: an
-    element is kept as a generator exactly when the previous generators
-    do not already produce it.  Raises ValueError if the set is not
-    closed under the group operations.
-    """
-    els = tuple(sorted(set(elements)))
-    if not els:
-        raise ValueError("element set is empty")
-    gens: list[Permutation] = []
-    produced = {Permutation.identity(degree)}
-    try:
-        for x in els:
-            if x not in produced:
-                gens.append(x)
-                produced = set(closure(gens, degree, max_order=len(els)).elements)
-    except BudgetExceeded:
-        raise ValueError("element set is not a group") from None
-    group = FiniteGroup(els, tuple(gens), degree)
-    if len(produced) != len(els) or group.identity != Permutation.identity(degree):
-        raise ValueError("element set is not a group")
-    return group
-
-
 def symmetric_group(n: int, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> FiniteGroup:
     if n < 1:
         raise ValueError("degree must be at least 1")
@@ -211,13 +187,6 @@ def normal_closure(s: FiniteGroup, g: FiniteGroup) -> FiniteGroup:
             if c not in seen:
                 pending.append(c)
     return closure(conj_gens, g.degree, max_order=g.order)
-
-
-def intersection(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
-    if a.degree != b.degree:
-        raise ValueError("degree mismatch")
-    common = [x for x in a.elements if x in b]
-    return from_elements(common, a.degree)
 
 
 def is_normal_in(h: FiniteGroup, g: FiniteGroup) -> bool:
@@ -476,7 +445,7 @@ def is_isomorphic(g: FiniteGroup, h: FiniteGroup,
 
 class SubgroupPair:
     """Two subgroups of a common symmetric group, with lazily cached join,
-    normal closures in the join, and intersection."""
+    normal closures in the join, and least shared non-identity element."""
 
     def __init__(self, a: FiniteGroup, b: FiniteGroup,
                  max_group_order: int = DEFAULT_MAX_GROUP_ORDER):
@@ -488,7 +457,6 @@ class SubgroupPair:
         self._join: FiniteGroup | None = None
         self._ncl_a: FiniteGroup | None = None
         self._ncl_b: FiniteGroup | None = None
-        self._intersection: FiniteGroup | None = None
 
     @property
     def degree(self) -> int:
@@ -513,11 +481,11 @@ class SubgroupPair:
             self._ncl_b = normal_closure(self.b, self.join)
         return self._ncl_b
 
-    @property
-    def intersection(self) -> FiniteGroup:
-        if self._intersection is None:
-            self._intersection = intersection(self.a, self.b)
-        return self._intersection
+    @cached_property
+    def shared_element(self) -> Permutation | None:
+        """The least non-identity element of A ∩ B, or None when A and B
+        meet trivially."""
+        return next((x for x in self.a.elements[1:] if x in self.b), None)
 
     def computed_orders(self) -> dict[str, int | None]:
         """Orders of the cached join and normal closures, None where the

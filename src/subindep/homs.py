@@ -10,7 +10,6 @@ and report the exact element where the forcing first clashes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 
 from .groups import (
@@ -27,24 +26,6 @@ from .groups import (
 from .perm import Permutation
 
 
-@lru_cache(maxsize=None)
-def _endomorphisms(g: FiniteGroup) -> tuple[GroupMap, ...]:
-    gens = greedy_generators(g)
-    gen_idx = [g.index_of(x) for x in gens]
-    gen_orders = [x.order() for x in gens]
-    # The image of an element must have order dividing the element's order.
-    candidates = [
-        [j for j, y in enumerate(g.elements) if o % y.order() == 0]
-        for o in gen_orders
-    ]
-    tables = set()
-    for combo in product(*candidates):
-        table, conflict = propagate_images(g, g, gen_idx, combo)
-        if conflict is None:
-            tables.add(table)
-    return tuple(GroupMap(g, g, t) for t in sorted(tables))
-
-
 def enumerate_endomorphisms(g: FiniteGroup, endo_budget: int = DEFAULT_ENDO_BUDGET) -> list[GroupMap]:
     """All endomorphisms of g, deduplicated and sorted by their full image
     tables in canonical element order.
@@ -52,11 +33,26 @@ def enumerate_endomorphisms(g: FiniteGroup, endo_budget: int = DEFAULT_ENDO_BUDG
     Candidate generator images are pruned by order divisibility and each
     surviving choice is validated by propagation over the whole
     multiplication table, so every returned map is a genuine
-    homomorphism and none is missed.
+    homomorphism and none is missed.  The maps are cached on g.
     """
     if g.order > endo_budget:
         raise BudgetExceeded("endo_budget", endo_budget, "enumerating endomorphisms")
-    return list(_endomorphisms(g))
+    if g._endos is None:
+        gens = greedy_generators(g)
+        gen_idx = [g.index_of(x) for x in gens]
+        gen_orders = [x.order() for x in gens]
+        # The image of an element must have order dividing the element's order.
+        candidates = [
+            [j for j, y in enumerate(g.elements) if o % y.order() == 0]
+            for o in gen_orders
+        ]
+        tables = set()
+        for combo in product(*candidates):
+            table, conflict = propagate_images(g, g, gen_idx, combo)
+            if conflict is None:
+                tables.add(table)
+        g._endos = tuple(GroupMap(g, g, t) for t in sorted(tables))
+    return list(g._endos)
 
 
 @dataclass(frozen=True)
@@ -123,17 +119,11 @@ def extend(alpha: GroupMap, beta: GroupMap, pair: SubgroupPair) -> ExtensionResu
     return ExtensionResult(GroupMap(j, j, table), None)
 
 
-def is_compatible(alpha: GroupMap, beta: GroupMap, pair: SubgroupPair) -> bool:
-    """True iff the pair (alpha, beta) has a common extension to the join."""
-    return extend(alpha, beta, pair).exists
-
-
 __all__ = [
     "ExtensionConflict",
     "ExtensionResult",
     "enumerate_endomorphisms",
     "extend",
     "identity_map",
-    "is_compatible",
     "trivial_map",
 ]

@@ -15,8 +15,6 @@ from enum import Enum
 
 from .checks import (
     BudgetWitness,
-    CheckOutcome,
-    Verdict,
     brute_force_independent,
     check_a_inside_ncl_b,
     check_almost_disjoint,
@@ -70,8 +68,10 @@ class Config:
 class Stats:
     """Orders and counts actually computed during the run.
 
-    A field is None when the run decided before that quantity was ever
-    needed; nothing is computed just to fill in a stat.
+    The orders are those the pair holds once the ladder stops, before any
+    diagnostics run; the counts come from Step4.  A field is None when
+    the run decided before that quantity was ever needed; nothing is
+    computed just to fill in a stat.
     """
 
     join_order: int | None = None
@@ -99,9 +99,16 @@ class PairSpecError(ValueError):
     """The input object does not describe a valid subgroup pair."""
 
 
+# Input limits, checked before any permutation is built.
+MAX_SPEC_DEGREE = 1024
+MAX_SPEC_GENERATORS = 64
+
+
 def parse_pair_spec(obj: dict, max_group_order: int = DEFAULT_MAX_GROUP_ORDER) -> SubgroupPair:
     """Build a SubgroupPair from {"degree": n, "A": [...], "B": [...]}
-    where the lists hold permutations in cycle notation."""
+    where the lists hold permutations in cycle notation.  The degree is
+    at most MAX_SPEC_DEGREE and each side has at most MAX_SPEC_GENERATORS
+    generators."""
     if not isinstance(obj, dict):
         raise PairSpecError("pair spec must be a JSON object")
     missing = {"degree", "A", "B"} - obj.keys()
@@ -110,13 +117,18 @@ def parse_pair_spec(obj: dict, max_group_order: int = DEFAULT_MAX_GROUP_ORDER) -
     degree = obj["degree"]
     if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
         raise PairSpecError("degree must be a positive integer")
-    gens: dict[str, list[Permutation]] = {}
+    if degree > MAX_SPEC_DEGREE:
+        raise PairSpecError(f"degree must be at most {MAX_SPEC_DEGREE}")
     for side in ("A", "B"):
         raw = obj[side]
         if not isinstance(raw, list) or not all(isinstance(s, str) for s in raw):
             raise PairSpecError(f"{side} must be a list of cycle strings")
+        if len(raw) > MAX_SPEC_GENERATORS:
+            raise PairSpecError(f"{side} has more than {MAX_SPEC_GENERATORS} generators")
+    gens: dict[str, list[Permutation]] = {}
+    for side in ("A", "B"):
         try:
-            gens[side] = [parse_cycles(s, degree) for s in raw]
+            gens[side] = [parse_cycles(s, degree) for s in obj[side]]
         except CycleParseError as exc:
             raise PairSpecError(f"bad generator in {side}: {exc}") from exc
     try:
@@ -127,15 +139,19 @@ def parse_pair_spec(obj: dict, max_group_order: int = DEFAULT_MAX_GROUP_ORDER) -
     return SubgroupPair(a, b, max_group_order)
 
 
-def _outcome_to_decision(outcome: CheckOutcome, step: Step, stats: Stats) -> Decision:
-    status = {Verdict.DEPENDENT: "Dependent",
-              Verdict.INDEPENDENT: "Independent",
-              Verdict.INCONCLUSIVE: "Inconclusive"}[outcome.verdict]
-    return Decision(status, step, outcome.witness, stats)
+# The cheap stages, in the order they run; Step4 follows them.
+LADDER = (
+    (Step.INTERSECTION, check_almost_disjoint),
+    (Step.COMMUTING, check_commuting),
+    (Step.ORDER, check_order_divisibility),
+    (Step.NORMAL_ASYM, check_normal_asymmetry),
+    (Step.B_IN_NCL_A, check_b_inside_ncl_a),
+    (Step.A_IN_NCL_B, check_a_inside_ncl_b),
+)
 
 
 def decide_pair(pair: SubgroupPair, config: Config = Config()) -> Decision:
-    """Run the staged checks on an already-built pair.
+    """Run the LADDER stages on an already-built pair, then Step4.
 
     The conjugacy-merge checks (check_conjugacy_merge_a/_b) are not
     stages: once Step3i and Step3ii have passed they can never fire.
@@ -149,53 +165,27 @@ def decide_pair(pair: SubgroupPair, config: Config = Config()) -> Decision:
     tests assert the subsumption row by row.
     """
     t0 = time.perf_counter()
-    stats = Stats()
 
-    def finish(decision: Decision) -> Decision:
-        decision.stats.elapsed_ms = (time.perf_counter() - t0) * 1000.0
-        if config.run_diagnostics and decision.status != "Inconclusive":
+    def finish(status: str, step: Step, witness: object,
+               counts: dict | None = None) -> Decision:
+        stats = Stats(**pair.computed_orders(), **(counts or {}),
+                      elapsed_ms=(time.perf_counter() - t0) * 1000.0)
+        decision = Decision(status, step, witness, stats)
+        if config.run_diagnostics and status != "Inconclusive":
             decision.diagnostics = _run_diagnostics(pair, decision, config)
         return decision
 
     try:
-        out = check_almost_disjoint(pair)
-        if out.decided:
-            return finish(_outcome_to_decision(out, Step.INTERSECTION, stats))
-
-        out = check_commuting(pair)
-        if out.decided:
-            return finish(_outcome_to_decision(out, Step.COMMUTING, stats))
-
-        out = check_order_divisibility(pair)
-        if out.decided:
-            return finish(_outcome_to_decision(out, Step.ORDER, stats))
-
-        stats.join_order = pair.join.order
-        out = check_normal_asymmetry(pair)
-        if out.decided:
-            return finish(_outcome_to_decision(out, Step.NORMAL_ASYM, stats))
-
-        out = check_b_inside_ncl_a(pair)
-        stats.ncl_a_order = pair.ncl_a.order
-        if out.decided:
-            return finish(_outcome_to_decision(out, Step.B_IN_NCL_A, stats))
-
-        out = check_a_inside_ncl_b(pair)
-        stats.ncl_b_order = pair.ncl_b.order
-        if out.decided:
-            return finish(_outcome_to_decision(out, Step.A_IN_NCL_B, stats))
-
+        for step, check in LADDER:
+            out = check(pair)
+            if out.decided:
+                return finish(out.verdict.value.capitalize(), step, out.witness)
         out = brute_force_independent(pair, config.endo_budget)
-        if "budget_error" in out.details:
-            raise out.details["budget_error"]
-        stats.endo_a = out.details["endo_a"]
-        stats.endo_b = out.details["endo_b"]
-        stats.pairs_checked = out.details["pairs_checked"]
-        stats.pairs_skipped = out.details["pairs_skipped"]
-        return finish(_outcome_to_decision(out, Step.BRUTE_FORCE, stats))
+        return finish(out.verdict.value.capitalize(), Step.BRUTE_FORCE, out.witness,
+                      out.details)
     except BudgetExceeded as exc:
-        witness = BudgetWitness(exc.budget, exc.limit, exc.context)
-        return finish(Decision("Inconclusive", Step.BUDGET, witness, stats))
+        return finish("Inconclusive", Step.BUDGET,
+                      BudgetWitness(exc.budget, exc.limit, exc.context))
 
 
 def decide(pair_spec: dict, config: Config = Config()) -> Decision:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -28,7 +29,7 @@ from subindep.groups import (
     symmetric_group,
 )
 from subindep.perm import parse_cycles
-from subindep.homs import identity_map, is_compatible, trivial_map
+from subindep.homs import extend, identity_map, trivial_map
 from subindep.pipeline import Config, Step
 
 
@@ -165,10 +166,8 @@ class TestTheoremSuite:
         rows, _ = s4_atlas
         for r in rows:
             pair = pair_from_row(r, 4)
-            sep_a = is_compatible(identity_map(pair.a), trivial_map(pair.b),
-                                  pair)
-            sep_b = is_compatible(trivial_map(pair.a), identity_map(pair.b),
-                                  pair)
+            sep_a = extend(identity_map(pair.a), trivial_map(pair.b), pair).exists
+            sep_b = extend(trivial_map(pair.a), identity_map(pair.b), pair).exists
             assert (sep_a and sep_b) == r.separated_both, r.pair_id
 
     def test_both_normal_disjoint_rows_independent(self, s4_atlas):
@@ -349,6 +348,21 @@ class TestDeterminismAndBudgets:
         r2, s2 = classify_all_pairs(3, Config(), jobs=2)
         assert render_report(r1, s1, "csv") == render_report(r2, s2, "csv")
         assert render_report(r1, s1, "json") == render_report(r2, s2, "json")
+
+    REPORT_SHA256 = {
+        (3, "csv"): "acf091e7242f0d06ca35fcefdf65a16477b4d536d51c4aa25228a3efde5fa64d",
+        (3, "json"): "bd5981b899d2de42e4ae849deeccd78b5bb3b2ea8bc8c8b857928217a905c6af",
+        (4, "csv"): "1e739695c3e8fd685667f6d208f0220793ed4954e7539b338dc00543e7eb89e9",
+        (4, "json"): "568d6368996166fa09f94afed555c3f6e523bb343308e21f0345dfb0a4c1015b",
+    }
+
+    def test_report_bytes_are_pinned(self, s3_atlas, s4_atlas):
+        # Any change to a verdict, a column or the rendering moves a digest.
+        for degree, (rows, summary) in ((3, s3_atlas), (4, s4_atlas)):
+            for fmt in ("csv", "json"):
+                text = render_report(rows, summary, fmt)
+                digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+                assert digest == self.REPORT_SHA256[(degree, fmt)], (degree, fmt)
 
     def test_budget_trips_recorded_without_aborting(self):
         rows, summary = classify_all_pairs(3, Config(endo_budget=1))

@@ -17,7 +17,8 @@ from subindep.groups import (
     symmetric_group,
     trivial_map,
 )
-from subindep.homs import enumerate_endomorphisms, extend, is_compatible
+from subindep import homs
+from subindep.homs import enumerate_endomorphisms, extend
 from subindep.perm import Permutation, cycle_string, parse_cycles
 
 
@@ -96,6 +97,23 @@ class TestEnumerationAgainstOracles:
         with pytest.raises(BudgetExceeded):
             enumerate_endomorphisms(symmetric_group(4), endo_budget=10)
 
+    def test_second_call_on_the_same_group_is_cached(self, monkeypatch):
+        g = closure([P("(1 2)", 4), P("(1 3)(2 4)", 4)], 4)
+        first = enumerate_endomorphisms(g)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return propagate_images(*args)
+
+        monkeypatch.setattr(homs, "propagate_images", counting)
+        assert enumerate_endomorphisms(g) == first
+        assert calls == []
+        # The cache lives on the instance: an equal group built anew
+        # enumerates again, and finds the same maps.
+        assert enumerate_endomorphisms(closure(list(g.generators), 4)) == first
+        assert calls
+
 
 class TestExtend:
     def test_identity_pair_extends_to_identity(self):
@@ -172,7 +190,7 @@ class TestExtendOnWorkedExamples:
         assert (len(endos_a), len(endos_b)) == (16, 2)
         bad = [(alpha, beta)
                for alpha in endos_a for beta in endos_b
-               if not is_compatible(alpha, beta, pair)]
+               if not extend(alpha, beta, pair).exists]
         assert len(bad) == 8
         assert all(beta.is_identity() for _, beta in bad)
         # Exactly the maps sending (5 6) across to the other factor fail.
@@ -189,7 +207,7 @@ class TestExtendOnWorkedExamples:
                     [alpha(x) for x in pair.a.elements],
                     [beta(x) for x in pair.b.elements],
                     pair.a, pair.b, pair.join)
-                got = is_compatible(alpha, beta, pair)
+                got = extend(alpha, beta, pair).exists
                 assert got == (expected > 0)
                 if got:
                     assert expected == 1  # extensions are unique
@@ -204,6 +222,6 @@ class TestExtendOnWorkedExamples:
             pair = make_pair(degree, a_gens, b_gens)
             endos_a = enumerate_endomorphisms(pair.a)
             endos_b = enumerate_endomorphisms(pair.b)
-            ours = all(is_compatible(al, be, pair)
+            ours = all(extend(al, be, pair).exists
                        for al in endos_a for be in endos_b)
             assert ours == independent_by_global_search(pair.a, pair.b, pair.join)

@@ -17,18 +17,17 @@ from subindep.checks import (
     check_almost_disjoint,
     check_b_inside_ncl_a,
     check_commuting,
-    check_conjugacy_merge,
+    check_conjugacy_merge_a,
+    check_conjugacy_merge_b,
     check_normal_asymmetry,
     check_order_divisibility,
-    check_separated,
     check_union_independent_sets,
     is_independent_set,
-    is_separated_pair,
     noncommuting_pairs,
     recheck_witness,
     verify_factoring,
 )
-from subindep.groups import SubgroupPair, closure, join, symmetric_group
+from subindep.groups import BudgetExceeded, SubgroupPair, closure, join, symmetric_group
 from subindep.perm import Permutation, cycle_string, parse_cycles
 
 
@@ -105,7 +104,7 @@ class TestOrderDivisibility:
 
 class TestSeparated:
     def test_e1_a_side_fires_first(self):
-        out = check_separated(make_pair(*SHARED_POINT))
+        out = check_a_inside_ncl_b(make_pair(*SHARED_POINT))
         assert out.verdict is Verdict.DEPENDENT
         assert out.witness == MembershipWitness(P("(1 2)", 3), "a_in_ncl_b")
 
@@ -117,17 +116,20 @@ class TestSeparated:
         assert b_side.witness.element == P("(1 3)", 3)
 
     def test_main_example_is_separated_both_ways(self):
-        assert check_separated(make_pair(*SWAP_VS_DOUBLE)).verdict is Verdict.INCONCLUSIVE
+        pair = make_pair(*SWAP_VS_DOUBLE)
+        assert check_a_inside_ncl_b(pair).verdict is Verdict.INCONCLUSIVE
+        assert check_b_inside_ncl_a(pair).verdict is Verdict.INCONCLUSIVE
 
     def test_gap_example_is_separated_yet_dependent(self):
         pair = make_pair(*FAR_SWAPS)
-        assert check_separated(pair).verdict is Verdict.INCONCLUSIVE
+        assert check_a_inside_ncl_b(pair).verdict is Verdict.INCONCLUSIVE
+        assert check_b_inside_ncl_a(pair).verdict is Verdict.INCONCLUSIVE
         assert brute_force_independent(pair).verdict is Verdict.DEPENDENT
 
 
 class TestConjugacyMerge:
     def test_merge_example_on_side_a(self):
-        out = check_conjugacy_merge(make_pair(*MERGE_PAIR))
+        out = check_conjugacy_merge_a(make_pair(*MERGE_PAIR))
         assert out.verdict is Verdict.DEPENDENT
         w = out.witness
         assert isinstance(w, ConjugacyMergeWitness)
@@ -135,11 +137,14 @@ class TestConjugacyMerge:
         assert {w.x1, w.x2} == {P("(1 2)", 4), P("(3 4)", 4)}
 
     def test_main_example_has_no_merge(self):
-        assert check_conjugacy_merge(make_pair(*SWAP_VS_DOUBLE)).verdict is Verdict.INCONCLUSIVE
+        pair = make_pair(*SWAP_VS_DOUBLE)
+        assert check_conjugacy_merge_a(pair).verdict is Verdict.INCONCLUSIVE
+        assert check_conjugacy_merge_b(pair).verdict is Verdict.INCONCLUSIVE
 
     def test_trivial_side_is_vacuous(self):
         pair = make_pair(3, [], ["(1 2 3)"])
-        assert check_conjugacy_merge(pair).verdict is Verdict.INCONCLUSIVE
+        assert check_conjugacy_merge_a(pair).verdict is Verdict.INCONCLUSIVE
+        assert check_conjugacy_merge_b(pair).verdict is Verdict.INCONCLUSIVE
 
 
 class TestNormalAsymmetry:
@@ -197,34 +202,15 @@ class TestBruteForce:
                 assert fast.witness == slow.witness  # same first failing pair
 
     def test_budget_trips_to_inconclusive(self):
-        out = brute_force_independent(make_pair(*SWAP_VS_DOUBLE), endo_budget=1)
-        assert out.verdict is Verdict.INCONCLUSIVE
-        assert out.details["budget_error"].budget == "endo_budget"
+        with pytest.raises(BudgetExceeded) as exc:
+            brute_force_independent(make_pair(*SWAP_VS_DOUBLE), endo_budget=1)
+        assert exc.value.budget == "endo_budget"
 
     def test_matches_global_search_oracle_on_small_pairs(self):
         for spec in (SHARED_POINT, ORDER_CLASH, SWAP_VS_DOUBLE, (3, [], ["(1 2 3)"]), (4, ["(1 2)"], ["(3 4)"])):
             pair = make_pair(*spec)
             ours = brute_force_independent(pair).verdict is Verdict.INDEPENDENT
             assert ours == independent_by_global_search(pair.a, pair.b, pair.join)
-
-
-class TestSeparatedElementPairs:
-    def test_e1_element_pair_is_not_separated(self):
-        assert not is_separated_pair(P("(1 2)", 3), P("(1 3)", 3), symmetric_group(3))
-
-    def test_identity_pairs_are_separated(self):
-        s3 = symmetric_group(3)
-        e = Permutation.identity(3)
-        assert is_separated_pair(e, e, s3)
-        assert is_separated_pair(e, P("(1 2)", 3), s3)
-
-    def test_main_example_generators_are_separated_in_their_join(self):
-        pair = make_pair(*SWAP_VS_DOUBLE)
-        assert is_separated_pair(P("(1 2)", 4), P("(1 3)(2 4)", 4), pair.join)
-
-    def test_membership_required(self):
-        with pytest.raises(ValueError):
-            is_separated_pair(P("(1 4)", 4), P("(1 2)", 4), symmetric_group(3))
 
 
 class TestFactoring:
@@ -287,9 +273,9 @@ class TestUnionOfIndependentSets:
 class TestWitnessRecheck:
     def test_every_example_witness_rechecks(self):
         for spec, check in [
-            (SHARED_POINT, check_separated),
+            (SHARED_POINT, check_a_inside_ncl_b),
             (ORDER_CLASH, check_order_divisibility),
-            (MERGE_PAIR, check_conjugacy_merge),
+            (MERGE_PAIR, check_conjugacy_merge_a),
             ((3, ["(1 2 3)"], ["(1 2)"]), check_normal_asymmetry),
             ((4, ["(1 2)"], ["(3 4)"]), check_commuting),
             ((4, ["(1 2)"], ["(3 4)"]), check_normal_asymmetry),

@@ -23,6 +23,8 @@ from subindep.groups import is_isomorphic
 from subindep.perm import Permutation, parse_cycles
 from subindep.pipeline import (
     Config,
+    MAX_SPEC_DEGREE,
+    MAX_SPEC_GENERATORS,
     PairSpecError,
     Step,
     decide,
@@ -50,6 +52,12 @@ class TestParsePairSpec:
         pair = parse_pair_spec({"degree": 3, "A": ["e"], "B": ["(1 2 3)"]})
         assert pair.a.order == 1 and pair.b.order == 3
 
+    def test_input_limits_are_inclusive(self):
+        pair = parse_pair_spec({"degree": MAX_SPEC_DEGREE,
+                                "A": ["(1 2)"] * MAX_SPEC_GENERATORS,
+                                "B": ["(3 4)"] * MAX_SPEC_GENERATORS})
+        assert (pair.degree, pair.a.order, pair.b.order) == (1024, 2, 2)
+
     @pytest.mark.parametrize("bad", [
         42,
         {"degree": 3, "A": ["(1 2)"]},
@@ -60,6 +68,10 @@ class TestParsePairSpec:
         {"degree": 3, "A": ["(1 4)"], "B": []},
         {"degree": 3, "A": ["(1 2"], "B": []},
         {"degree": True, "A": ["e"], "B": ["e"]},
+        {"degree": 1025, "A": ["(1 2)"], "B": ["(3 4)"]},
+        {"degree": 10**9, "A": ["(1 2)"], "B": ["(3 4)"]},
+        {"degree": 4, "A": ["(1 2)"] * 65, "B": ["(3 4)"]},
+        {"degree": 4, "A": ["(1 2)"], "B": ["(3 4)"] * 65},
     ])
     def test_rejects_malformed_specs(self, bad):
         with pytest.raises(PairSpecError):
@@ -147,6 +159,7 @@ class TestDecisions:
                     "B": ["(1 2)(3 4)", "(1 3)(2 4)"]})
         assert d.status == "Dependent" and d.step is Step.B_IN_NCL_A
         assert d.witness.region == "b_in_ncl_a"
+        assert d.stats.ncl_b_order is None  # Step3ii never ran
         mirror = decide({"degree": 5, "A": ["(1 2)(3 4)", "(1 3)(2 4)"],
                          "B": ["(4 5)"]})
         assert mirror.status == "Dependent" and mirror.step is Step.A_IN_NCL_B
@@ -163,10 +176,15 @@ class TestDecisions:
         d = decide(spec_dict(SWAP_VS_DOUBLE), Config(max_group_order=7))
         assert d.status == "Inconclusive" and d.step is Step.BUDGET
         assert d.witness.budget == "max_group_order" and d.witness.limit == 7
+        assert d.stats.join_order is None  # the join never finished
 
         d2 = decide(spec_dict(SWAP_VS_DOUBLE), Config(endo_budget=1))
         assert d2.status == "Inconclusive" and d2.step is Step.BUDGET
         assert d2.witness.budget == "endo_budget"
+        # The ladder's orders survive the trip; Step4's counts do not.
+        assert d2.stats.join_order == 8
+        assert d2.stats.ncl_a_order == 4 and d2.stats.ncl_b_order == 4
+        assert d2.stats.endo_a is None
 
 
 class TestStepAttributionHonesty:
