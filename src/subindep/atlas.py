@@ -34,7 +34,6 @@ from .groups import (
     FiniteGroup,
     SubgroupPair,
     closure,
-    is_normal_in,
     join,
     normal_closure,
     symmetric_group,
@@ -204,8 +203,7 @@ def _classify_one(run: _AtlasRun, task: tuple[str, int, int]) -> AtlasRow:
                both_normal=False, gap_region=False, budget="")
     try:
         run.fill(pair, a_index, b_index)
-        j = pair.join
-        row["order_join"] = j.order
+        row["order_join"] = pair.join.order
         for name, chk in _STANDALONE_CHECKS:
             row[name] = chk(pair).verdict.value
         # Without shortcuts, so the oracle shares no skip logic with Step4.
@@ -220,7 +218,7 @@ def _classify_one(run: _AtlasRun, task: tuple[str, int, int]) -> AtlasRow:
         ncl_meet = any(x in ncl_b for x in pair.ncl_a.elements[1:])
         row["separated_both"] = sep_both
         row["ncl_intersection_trivial"] = not ncl_meet
-        row["both_normal"] = is_normal_in(a, j) and is_normal_in(b, j)
+        row["both_normal"] = pair.a_normal and pair.b_normal
         row["gap_region"] = sep_both and ncl_meet
     except BudgetExceeded as exc:
         row["budget"] = exc.budget

@@ -325,8 +325,7 @@ def check_normal_asymmetry(pair: SubgroupPair) -> CheckOutcome:
     """Exactly one of A, B normal in the join proves dependence; both
     normal with trivial intersection proves independence."""
     j = pair.join
-    na = is_normal_in(pair.a, j)
-    nb = is_normal_in(pair.b, j)
+    na, nb = pair.a_normal, pair.b_normal
     if na and nb and pair.shared_element is None:
         return CheckOutcome(Verdict.INDEPENDENT, BothNormalWitness())
     if na != nb:

@@ -2,22 +2,23 @@
 
 Everything here is exhaustive and deterministic: groups are closures of
 generator lists, element tuples are sorted lexicographically by image
-array (so the identity sits at index 0), and membership uses binary
-search on that order.  Budgets guard against accidentally materializing
-a group that is too large; callers see BudgetExceeded and report an
-inconclusive outcome instead of thrashing.
+array (so the identity sits at index 0), and membership and index
+lookups go through a dict keyed by each element's image tuple.  Closure
+works on bare image tuples and wraps each element as a Permutation once.
+Budgets guard against accidentally materializing a group that is too
+large; callers see BudgetExceeded and report an inconclusive outcome
+instead of thrashing.
 """
 
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .perm import Permutation, cycle_string
+from .perm import Permutation, _trusted, cycle_string
 
 DEFAULT_MAX_GROUP_ORDER = 5040
 DEFAULT_ENDO_BUDGET = 256
@@ -40,16 +41,17 @@ class FiniteGroup:
     elements is sorted lexicographically by image arrays; generators is a
     (possibly empty) tuple of non-identity elements whose closure is the
     element set.  Instances are immutable in intent; the only mutable
-    state is lazy caches: right-multiplication columns, conjugacy classes
-    and endomorphisms.
+    state is lazy caches: the element index (image tuple to position),
+    right-multiplication columns, conjugacy classes and endomorphisms.
     """
 
-    __slots__ = ("degree", "elements", "generators", "_mul_cols", "_classes", "_endos")
+    __slots__ = ("degree", "elements", "generators", "_index", "_mul_cols", "_classes", "_endos")
 
     def __init__(self, elements: tuple[Permutation, ...], generators: tuple[Permutation, ...], degree: int):
         self.degree = degree
         self.elements = elements
         self.generators = generators
+        self._index: dict[tuple[int, ...], int] | None = None
         self._mul_cols: dict[int, tuple[int, ...]] = {}
         self._classes: "ConjClassPartition | None" = None
         self._endos: "tuple[GroupMap, ...] | None" = None
@@ -62,15 +64,21 @@ class FiniteGroup:
     def identity(self) -> Permutation:
         return self.elements[0]
 
+    def _image_index(self) -> dict[tuple[int, ...], int]:
+        """The position of each element, keyed by its image tuple."""
+        index = self._index
+        if index is None:
+            index = self._index = {p.images: i for i, p in enumerate(self.elements)}
+        return index
+
     def index_of(self, p: Permutation) -> int:
-        i = bisect_left(self.elements, p)
-        if i < len(self.elements) and self.elements[i] == p:
-            return i
-        raise KeyError(f"{p!r} is not an element")
+        try:
+            return self._image_index()[p.images]
+        except KeyError:
+            raise KeyError(f"{p!r} is not an element") from None
 
     def __contains__(self, p: Permutation) -> bool:
-        i = bisect_left(self.elements, p)
-        return i < len(self.elements) and self.elements[i] == p
+        return p.images in self._image_index()
 
     def __iter__(self):
         return iter(self.elements)
@@ -104,8 +112,10 @@ class FiniteGroup:
         """Right multiplication by elements[c], as an index array."""
         col = self._mul_cols.get(c)
         if col is None:
-            pc = self.elements[c]
-            col = tuple(self.index_of(x * pc) for x in self.elements)
+            index = self._image_index()
+            pc = self.elements[c].images
+            # The index's keys are the elements' image tuples, in order.
+            col = tuple([index[tuple([x[j] for j in pc])] for x in index])
             self._mul_cols[c] = col
         return col
 
@@ -125,25 +135,28 @@ def closure(generators: Iterable[Permutation], degree: int,
     """The subgroup generated by the given permutations.
 
     Breadth-first closure under right multiplication by the generators;
-    in a finite group this also yields all inverses.  Raises
-    BudgetExceeded as soon as the element count would pass max_order.
+    in a finite group this also yields all inverses.  The search runs on
+    image tuples (x * g has images x[g[i]]), and each element is wrapped
+    as a Permutation once, after sorting.  Raises BudgetExceeded as soon
+    as the element count would pass max_order.
     """
     gens = _clean_generators(generators, degree)
-    e = Permutation.identity(degree)
+    gen_images = [g.images for g in gens]
+    e = tuple(range(degree))
     seen = {e}
     frontier = [e]
     while frontier:
         nxt = []
         for x in frontier:
-            for g in gens:
-                y = x * g
+            for g in gen_images:
+                y = tuple([x[j] for j in g])
                 if y not in seen:
                     if len(seen) >= max_order:
                         raise BudgetExceeded("max_group_order", max_order, "closing a generator set")
                     seen.add(y)
                     nxt.append(y)
         frontier = nxt
-    return FiniteGroup(tuple(sorted(seen)), tuple(gens), degree)
+    return FiniteGroup(tuple([_trusted(t) for t in sorted(seen)]), tuple(gens), degree)
 
 
 def symmetric_group(n: int, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> FiniteGroup:
@@ -213,12 +226,16 @@ class ConjClassPartition:
     group: FiniteGroup
     classes: tuple[tuple[Permutation, ...], ...]
 
+    @cached_property
+    def _class_of(self) -> dict[tuple[int, ...], int]:
+        """The class index of each element, keyed by its image tuple."""
+        return {p.images: i for i, cls in enumerate(self.classes) for p in cls}
+
     def class_index_of(self, p: Permutation) -> int:
-        for i, cls in enumerate(self.classes):
-            j = bisect_left(cls, p)
-            if j < len(cls) and cls[j] == p:
-                return i
-        raise KeyError(f"{p!r} is not an element")
+        try:
+            return self._class_of[p.images]
+        except KeyError:
+            raise KeyError(f"{p!r} is not an element") from None
 
     def same_class(self, x: Permutation, y: Permutation) -> bool:
         return self.class_index_of(x) == self.class_index_of(y)
@@ -445,7 +462,8 @@ def is_isomorphic(g: FiniteGroup, h: FiniteGroup,
 
 class SubgroupPair:
     """Two subgroups of a common symmetric group, with lazily cached join,
-    normal closures in the join, and least shared non-identity element."""
+    normal closures in the join, normality of each side in the join, and
+    least shared non-identity element."""
 
     def __init__(self, a: FiniteGroup, b: FiniteGroup,
                  max_group_order: int = DEFAULT_MAX_GROUP_ORDER):
@@ -480,6 +498,16 @@ class SubgroupPair:
         if self._ncl_b is None:
             self._ncl_b = normal_closure(self.b, self.join)
         return self._ncl_b
+
+    @cached_property
+    def a_normal(self) -> bool:
+        """Whether A is normal in the join."""
+        return is_normal_in(self.a, self.join)
+
+    @cached_property
+    def b_normal(self) -> bool:
+        """Whether B is normal in the join."""
+        return is_normal_in(self.b, self.join)
 
     @cached_property
     def shared_element(self) -> Permutation | None:

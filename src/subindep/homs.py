@@ -94,28 +94,26 @@ def extend(alpha: GroupMap, beta: GroupMap, pair: SubgroupPair) -> ExtensionResu
     _require_endomorphism(alpha, pair.a, "alpha")
     _require_endomorphism(beta, pair.b, "beta")
     j = pair.join
+    # Each side with its map and its embedding (side index -> join index).
+    sides = [(sub, m, [j.index_of(x) for x in sub.elements])
+             for sub, m in ((pair.a, alpha), (pair.b, beta))]
     gen_idx = []
     image_idx = []
-    for g in pair.a.generators:
-        gen_idx.append(j.index_of(g))
-        image_idx.append(j.index_of(alpha(g)))
-    for g in pair.b.generators:
-        gen_idx.append(j.index_of(g))
-        image_idx.append(j.index_of(beta(g)))
+    for sub, m, emb in sides:
+        for g in sub.generators:
+            i = sub.index_of(g)
+            gen_idx.append(emb[i])
+            image_idx.append(emb[m.images[i]])
     table, conflict = propagate_images(j, j, gen_idx, image_idx)
     if conflict is not None:
         y, c1, c2 = conflict
         return ExtensionResult(None, ExtensionConflict(j.elements[y], j.elements[c1], j.elements[c2]))
-    for x in pair.a.elements:
-        got = j.elements[table[j.index_of(x)]]
-        want = alpha(x)
-        if got != want:
-            return ExtensionResult(None, ExtensionConflict(x, got, want))
-    for x in pair.b.elements:
-        got = j.elements[table[j.index_of(x)]]
-        want = beta(x)
-        if got != want:
-            return ExtensionResult(None, ExtensionConflict(x, got, want))
+    for sub, m, emb in sides:
+        for i, x in enumerate(sub.elements):
+            got = table[emb[i]]
+            if got != emb[m.images[i]]:
+                return ExtensionResult(
+                    None, ExtensionConflict(x, j.elements[got], sub.elements[m.images[i]]))
     return ExtensionResult(GroupMap(j, j, table), None)
 
 

@@ -165,27 +165,30 @@ def decide_pair(pair: SubgroupPair, config: Config = Config()) -> Decision:
     tests assert the subsumption row by row.
     """
     t0 = time.perf_counter()
-
-    def finish(status: str, step: Step, witness: object,
-               counts: dict | None = None) -> Decision:
-        stats = Stats(**pair.computed_orders(), **(counts or {}),
-                      elapsed_ms=(time.perf_counter() - t0) * 1000.0)
-        decision = Decision(status, step, witness, stats)
-        if config.run_diagnostics and status != "Inconclusive":
-            decision.diagnostics = _run_diagnostics(pair, decision, config)
-        return decision
-
     try:
-        for step, check in LADDER:
-            out = check(pair)
-            if out.decided:
-                return finish(out.verdict.value.capitalize(), step, out.witness)
-        out = brute_force_independent(pair, config.endo_budget)
-        return finish(out.verdict.value.capitalize(), Step.BRUTE_FORCE, out.witness,
-                      out.details)
+        status, step, witness, counts = _run_ladder(pair, config)
     except BudgetExceeded as exc:
-        return finish("Inconclusive", Step.BUDGET,
-                      BudgetWitness(exc.budget, exc.limit, exc.context))
+        status, step, counts = "Inconclusive", Step.BUDGET, None
+        witness = BudgetWitness(exc.budget, exc.limit, exc.context)
+    stats = Stats(**pair.computed_orders(), **(counts or {}),
+                  elapsed_ms=(time.perf_counter() - t0) * 1000.0)
+    decision = Decision(status, step, witness, stats)
+    # Outside the budget handler: an audit that trips a budget reports
+    # None for its key and never turns the verdict Inconclusive.
+    if config.run_diagnostics and status != "Inconclusive":
+        decision.diagnostics = _run_diagnostics(pair, decision, config)
+    return decision
+
+
+def _run_ladder(pair: SubgroupPair, config: Config) -> tuple[str, Step, object, dict | None]:
+    """(status, step, witness, Step4 counts) of the first stage that
+    decides; raises BudgetExceeded when a stage trips a budget."""
+    for step, check in LADDER:
+        out = check(pair)
+        if out.decided:
+            return out.verdict.value.capitalize(), step, out.witness, None
+    out = brute_force_independent(pair, config.endo_budget)
+    return out.verdict.value.capitalize(), Step.BRUTE_FORCE, out.witness, out.details
 
 
 def decide(pair_spec: dict, config: Config = Config()) -> Decision:
@@ -197,31 +200,34 @@ def decide(pair_spec: dict, config: Config = Config()) -> Decision:
 def _run_diagnostics(pair: SubgroupPair, decision: Decision, config: Config) -> dict:
     """Optional post-decision audits: recheck the witness, and for
     independent verdicts exercise the factoring isomorphisms plus a
-    sampled associativity-style law on random extension triples."""
+    sampled associativity-style law on random extension triples.  An
+    audit that trips a budget (the join, the isomorphism test or the
+    endomorphisms) reports None."""
     diag: dict = {}
     if decision.witness is not None:
-        diag["witness_rechecked"] = recheck_witness(pair, decision.witness,
-                                                    config.endo_budget)
+        diag["witness_rechecked"] = _unless_budget(
+            recheck_witness, pair, decision.witness, config.endo_budget)
     if decision.status == "Independent":
-        try:
-            diag["factoring_isomorphisms"] = verify_factoring(pair, config.iso_budget)
-        except BudgetExceeded:
-            diag["factoring_isomorphisms"] = None
-        diag["extension_law_sampled"] = _sample_extension_law(pair, config)
+        diag["factoring_isomorphisms"] = _unless_budget(verify_factoring, pair, config.iso_budget)
+        diag["extension_law_sampled"] = _unless_budget(_sample_extension_law, pair, config)
     return diag
 
 
-def _sample_extension_law(pair: SubgroupPair, config: Config,
-                          samples: int = 25, seed: int = 0) -> bool | None:
-    """For random endomorphism pairs of an independent pair, confirm the
-    extension restricts correctly and respects products on sampled words.
-    None when the endomorphisms exceed the budget and nothing was sampled."""
-    rng = random.Random(seed)
+def _unless_budget(audit, *args):
+    """audit(*args), or None when it raises BudgetExceeded."""
     try:
-        endos_a = enumerate_endomorphisms(pair.a, config.endo_budget)
-        endos_b = enumerate_endomorphisms(pair.b, config.endo_budget)
+        return audit(*args)
     except BudgetExceeded:
         return None
+
+
+def _sample_extension_law(pair: SubgroupPair, config: Config,
+                          samples: int = 25, seed: int = 0) -> bool:
+    """For random endomorphism pairs of an independent pair, confirm the
+    extension restricts correctly and respects products on sampled words."""
+    endos_a = enumerate_endomorphisms(pair.a, config.endo_budget)
+    endos_b = enumerate_endomorphisms(pair.b, config.endo_budget)
+    rng = random.Random(seed)
     j = pair.join
     for _ in range(samples):
         alpha = rng.choice(endos_a)

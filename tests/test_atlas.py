@@ -2,12 +2,13 @@ import csv
 import hashlib
 import io
 import json
+import sys
 
 import pytest
 
 from conftest import pair_from_row
 from oracles import independent_by_global_search
-from subindep import atlas
+from subindep import atlas, groups
 from subindep.atlas import (
     ATLAS_FIELDS,
     MAX_BRUTEFORCE_LATTICE_ORDER,
@@ -123,6 +124,23 @@ class TestDegree4Atlas:
                                                   "NormalAsym", "Step4"}
         assert set(summary["deciding_steps"]) <= {s.value for s in Step}
         assert sum(summary["deciding_steps"].values()) == 900
+
+    def test_normality_tested_at_most_twice_per_row(self, monkeypatch):
+        real = groups.is_normal_in
+        calls = []
+
+        def counting(h, g):
+            calls.append(1)
+            return real(h, g)
+
+        # Every module that binds the name, so a direct call is counted too.
+        for mod in list(sys.modules.values()):
+            if mod is not None and mod.__name__.startswith("subindep") \
+                    and getattr(mod, "is_normal_in", None) is real:
+                monkeypatch.setattr(mod, "is_normal_in", counting)
+        rows, _ = classify_all_pairs(4, Config())
+        assert len(rows) == 900
+        assert 0 < len(calls) <= 2 * len(rows)
 
     def test_merge_checks_are_subsumed_by_separation(self, s4_atlas):
         # Why the conjugacy-merge checks are atlas columns, not stages: a

@@ -371,3 +371,29 @@ class TestEngineProperties:
         ncl = normal_closure(sub, ambient)
         assert sub.is_subgroup_of(ncl)
         assert is_normal_in(ncl, ambient)
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_generator_sets())
+    def test_element_index_matches_linear_scans(self, case):
+        degree, gens = case
+        g = closure(gens, degree)
+        assert list(g.elements) == sorted(semigroup_closure(gens, degree))
+        for i, x in enumerate(g.elements):
+            assert g.index_of(x) == i
+        for x in symmetric_group(degree).elements:
+            member = any(x == y for y in g.elements)
+            assert (x in g) == member
+            if not member:
+                with pytest.raises(KeyError):
+                    g.index_of(x)
+        other = Permutation.identity(degree + 1)
+        assert other not in g
+        with pytest.raises(KeyError):
+            g.index_of(other)
+        part = conjugacy_classes(g)
+        for x in g.elements:
+            expected = next(i for i, cls in enumerate(part.classes)
+                            if any(x == y for y in cls))
+            assert part.class_index_of(x) == expected
+        with pytest.raises(KeyError):
+            part.class_index_of(other)

@@ -235,6 +235,17 @@ class TestDiagnostics:
         assert d.status == "Independent" and d.step is Step.COMMUTING
         assert d.diagnostics["extension_law_sampled"] is None
 
+    def test_audit_tripping_the_join_budget_keeps_the_verdict(self):
+        # The join has order 9; Step2i decides without it, the audits need it.
+        spec = {"degree": 6, "A": ["(1 2 3)"], "B": ["(4 5 6)"]}
+        plain = decide(spec, Config(max_group_order=5))
+        d = decide(spec, Config(max_group_order=5, run_diagnostics=True))
+        for out in (plain, d):
+            assert out.status == "Independent" and out.step is Step.COMMUTING
+        assert d.diagnostics == {"witness_rechecked": True,
+                                 "factoring_isomorphisms": None,
+                                 "extension_law_sampled": None}
+
     def test_exhaustive_recheck_runs_under_the_given_budget(self):
         pair = make_pair(*SWAP_VS_DOUBLE)
         witness = decide(spec_dict(SWAP_VS_DOUBLE)).witness
