@@ -206,7 +206,7 @@ def _classify_one(run: _AtlasRun, task: tuple[str, int, int]) -> AtlasRow:
         row["order_join"] = pair.join.order
         for name, chk in _STANDALONE_CHECKS:
             row[name] = chk(pair).verdict.value
-        # Without shortcuts, so the oracle shares no skip logic with Step4.
+        # The definitional product scan, not Step4's sum scan.
         oracle = brute_force_independent(pair, cfg.endo_budget, use_shortcuts=False)
         row["oracle"] = oracle.verdict.value
         decision = decide_pair(pair, cfg)

@@ -462,8 +462,9 @@ def is_isomorphic(g: FiniteGroup, h: FiniteGroup,
 
 class SubgroupPair:
     """Two subgroups of a common symmetric group, with lazily cached join,
-    normal closures in the join, normality of each side in the join, and
-    least shared non-identity element."""
+    normal closures in the join, normality of each side in the join,
+    embeddings of each side's indices into the join, and least shared
+    non-identity element."""
 
     def __init__(self, a: FiniteGroup, b: FiniteGroup,
                  max_group_order: int = DEFAULT_MAX_GROUP_ORDER):
@@ -508,6 +509,12 @@ class SubgroupPair:
     def b_normal(self) -> bool:
         """Whether B is normal in the join."""
         return is_normal_in(self.b, self.join)
+
+    @cached_property
+    def embeddings(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """For A and for B, the join index of each element, by position."""
+        j = self.join
+        return tuple(tuple(j.index_of(x) for x in sub.elements) for sub in (self.a, self.b))
 
     @cached_property
     def shared_element(self) -> Permutation | None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 
 from .groups import (
     DEFAULT_ENDO_BUDGET,
@@ -33,7 +34,10 @@ def enumerate_endomorphisms(g: FiniteGroup, endo_budget: int = DEFAULT_ENDO_BUDG
     Candidate generator images are pruned by order divisibility and each
     surviving choice is validated by propagation over the whole
     multiplication table, so every returned map is a genuine
-    homomorphism and none is missed.  The maps are cached on g.
+    homomorphism and none is missed.  Raises BudgetExceeded when the
+    order of g exceeds endo_budget, or when the search, one propagation
+    per choice, would exceed endo_budget ** 2 choices.  The maps are
+    cached on g, and a cached list is returned without a search.
     """
     if g.order > endo_budget:
         raise BudgetExceeded("endo_budget", endo_budget, "enumerating endomorphisms")
@@ -46,6 +50,9 @@ def enumerate_endomorphisms(g: FiniteGroup, endo_budget: int = DEFAULT_ENDO_BUDG
             [j for j, y in enumerate(g.elements) if o % y.order() == 0]
             for o in gen_orders
         ]
+        search = prod(map(len, candidates))
+        if search > endo_budget ** 2:
+            raise BudgetExceeded("endo_budget", endo_budget, f"searching {search} candidate maps")
         tables = set()
         for combo in product(*candidates):
             table, conflict = propagate_images(g, g, gen_idx, combo)
@@ -94,9 +101,7 @@ def extend(alpha: GroupMap, beta: GroupMap, pair: SubgroupPair) -> ExtensionResu
     _require_endomorphism(alpha, pair.a, "alpha")
     _require_endomorphism(beta, pair.b, "beta")
     j = pair.join
-    # Each side with its map and its embedding (side index -> join index).
-    sides = [(sub, m, [j.index_of(x) for x in sub.elements])
-             for sub, m in ((pair.a, alpha), (pair.b, beta))]
+    sides = list(zip((pair.a, pair.b), (alpha, beta), pair.embeddings))
     gen_idx = []
     image_idx = []
     for sub, m, emb in sides:

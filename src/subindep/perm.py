@@ -5,8 +5,9 @@ product the rightmost factor acts first.  Points are 1-based in all text
 forms and 0-based in the internal image arrays.
 
 Validation happens only where outside input enters: the Permutation
-constructor checks for a bijection, while products and inverses, which
-are bijections by construction, are built without a check.
+constructor checks for a bijection and parse_cycles checks the points of
+each cycle, while products and inverses, which are bijections by
+construction, are built without a check.
 """
 
 from __future__ import annotations
@@ -199,8 +200,9 @@ def parse_cycles(text: str, degree: int) -> Permutation:
     if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
         raise CycleParseError(f"invalid degree {degree!r}")
     s = text.strip()
+    identity = _trusted(tuple(range(degree)))
     if s in ("e", "()"):
-        return Permutation.identity(degree)
+        return identity
     if not s:
         raise CycleParseError("empty permutation string")
     matches = list(_CYCLE_RE.finditer(s))
@@ -214,7 +216,9 @@ def parse_cycles(text: str, degree: int) -> Permutation:
     if s[cursor:].strip():
         raise CycleParseError(f"unexpected trailing text in {text!r}")
 
-    result = Permutation.identity(degree)
+    # Points are range-checked and distinct within a cycle, so each cycle
+    # is a bijection and needs no further check.
+    result = identity
     for m in matches:
         pts = _parse_points(m.group(1), degree)
         if not pts:
@@ -224,5 +228,5 @@ def parse_cycles(text: str, degree: int) -> Permutation:
         img = list(range(degree))
         for a, b in zip(pts, pts[1:] + pts[:1]):
             img[a - 1] = b - 1
-        result = result * Permutation(tuple(img))
+        result = result * _trusted(tuple(img))
     return result

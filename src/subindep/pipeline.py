@@ -80,7 +80,6 @@ class Stats:
     endo_a: int | None = None
     endo_b: int | None = None
     pairs_checked: int | None = None
-    pairs_skipped: int | None = None
     elapsed_ms: float = 0.0
 
 
@@ -159,10 +158,12 @@ def decide_pair(pair: SubgroupPair, config: Config = Config()) -> Decision:
     conjugate in A.  A common extension gamma of (id_A, triv_B) would fix
     A pointwise and kill B, so gamma(t) lies in A, and conjugation by
     gamma(t) would carry x1 to x2 inside A.  Hence (id_A, triv_B) cannot
-    extend, so A is not B-separated (the biconditional _shortcut_skips
-    relies on), and Step3ii has already fired.  The mirror argument for B
-    gives Step3i.  The atlas records both checks as columns, and its
-    tests assert the subsumption row by row.
+    extend.  But if A were B-separated, A would map isomorphically onto
+    join/<Conj(B)>, and the quotient map followed by that inverse would
+    extend (id_A, triv_B).  So A is not B-separated, and Step3ii has
+    already fired.  The mirror argument for B gives Step3i.  The atlas
+    records both checks as columns, and its tests assert the subsumption
+    row by row.
     """
     t0 = time.perf_counter()
     try:
@@ -276,7 +277,6 @@ def format_decision(decision: Decision, fmt: str = "json") -> str:
                 "endo_a": decision.stats.endo_a,
                 "endo_b": decision.stats.endo_b,
                 "pairs_checked": decision.stats.pairs_checked,
-                "pairs_skipped": decision.stats.pairs_skipped,
                 "elapsed_ms": round(decision.stats.elapsed_ms, 3),
             },
             "diagnostics": decision.diagnostics,
@@ -293,8 +293,7 @@ def format_decision(decision: Decision, fmt: str = "json") -> str:
              ("|<Conj(B)>|", st.ncl_b_order),
              ("endomorphisms of A", st.endo_a),
              ("endomorphisms of B", st.endo_b),
-             ("pairs checked", st.pairs_checked),
-             ("pairs skipped", st.pairs_skipped)]
+             ("pairs checked", st.pairs_checked)]
     parts = [f"{name}: {val}" for name, val in shown if val is not None]
     if parts:
         lines.append("; ".join(parts))

@@ -9,6 +9,7 @@ from oracles import (
 )
 from subindep.groups import (
     BudgetExceeded,
+    FiniteGroup,
     GroupMap,
     SubgroupPair,
     closure,
@@ -97,6 +98,22 @@ class TestEnumerationAgainstOracles:
         with pytest.raises(BudgetExceeded):
             enumerate_endomorphisms(symmetric_group(4), endo_budget=10)
 
+    def test_candidate_search_is_budgeted(self, monkeypatch):
+        # C2^3: three generators with 8 candidate images each, 512 in all.
+        g = closure([P("(1 2)", 6), P("(3 4)", 6), P("(5 6)", 6)], 6)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return propagate_images(*args)
+
+        monkeypatch.setattr(homs, "propagate_images", counting)
+        with pytest.raises(BudgetExceeded) as exc:
+            enumerate_endomorphisms(g, endo_budget=22)  # 22 ** 2 = 484
+        assert exc.value.budget == "endo_budget" and calls == []
+        assert len(enumerate_endomorphisms(g, endo_budget=23)) == 512  # 23 ** 2 = 529
+        assert len(calls) == 512
+
     def test_second_call_on_the_same_group_is_cached(self, monkeypatch):
         g = closure([P("(1 2)", 4), P("(1 3)(2 4)", 4)], 4)
         first = enumerate_endomorphisms(g)
@@ -146,6 +163,24 @@ class TestExtend:
         c = res.conflict
         assert c.image_a != c.image_b
         assert c.element in pair.join
+
+    def test_join_embeddings_are_built_once_per_pair(self, monkeypatch):
+        pair = make_pair(*FAR_SWAPS)
+        j = pair.join
+        for sub, emb in zip((pair.a, pair.b), pair.embeddings):
+            assert [j.elements[k] for k in emb] == list(sub.elements)
+        looked_up = []
+        real = FiniteGroup.index_of
+
+        def counting(self, x):
+            if self is j:
+                looked_up.append(x)
+            return real(self, x)
+
+        monkeypatch.setattr(FiniteGroup, "index_of", counting)
+        for alpha in enumerate_endomorphisms(pair.a):
+            extend(alpha, identity_map(pair.b), pair)
+        assert looked_up == []
 
     def test_requires_endomorphisms_of_the_right_groups(self):
         pair = make_pair(*SWAP_VS_DOUBLE)

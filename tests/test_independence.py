@@ -2,6 +2,7 @@ import pytest
 
 from conftest import SHARED_POINT, ORDER_CLASH, SWAP_VS_DOUBLE, FAR_SWAPS, MERGE_PAIR, make_pair
 from oracles import independent_by_global_search
+from subindep.atlas import all_subgroups_bruteforce
 from subindep.checks import (
     BothNormalWitness,
     CommutingWitness,
@@ -177,10 +178,11 @@ class TestBruteForce:
         assert out.verdict is Verdict.DEPENDENT
         assert isinstance(out.witness, IncompatiblePairWitness)
 
-    def test_main_example_all_pairs_skipped(self):
+    def test_main_example_extends_two_pairs(self):
+        # (triv, id_B) and (id_A, triv): one non-identity map a side.
         out = brute_force_independent(make_pair(*SWAP_VS_DOUBLE))
         assert out.verdict is Verdict.INDEPENDENT
-        assert out.witness == ExhaustiveWitness(pairs_checked=0, pairs_skipped=4)
+        assert out.witness == ExhaustiveWitness(pairs_checked=2)
         assert out.details["endo_a"] == 2 and out.details["endo_b"] == 2
 
     def test_gap_example_first_witness_is_canonical(self):
@@ -193,13 +195,23 @@ class TestBruteForce:
         assert cycle_string(w.conflict.element) == "(1 3)(2 4)(5 6)"
 
     def test_shortcuts_never_change_the_answer(self):
-        for spec in (SHARED_POINT, ORDER_CLASH, SWAP_VS_DOUBLE, FAR_SWAPS, MERGE_PAIR):
-            pair = make_pair(*spec)
+        # The sum scan against the product scan: the worked examples and
+        # every ordered pair of subgroups of S4.
+        subs = all_subgroups_bruteforce(symmetric_group(4))
+        assert len(subs) == 30
+        pairs = [make_pair(*spec) for spec in
+                 (SHARED_POINT, ORDER_CLASH, SWAP_VS_DOUBLE, FAR_SWAPS, MERGE_PAIR)]
+        pairs += [SubgroupPair(a, b) for a in subs for b in subs]
+        for pair in pairs:
             fast = brute_force_independent(pair, use_shortcuts=True)
             slow = brute_force_independent(pair, use_shortcuts=False)
             assert fast.verdict == slow.verdict
+            d = fast.details
+            assert d["pairs_checked"] <= d["endo_a"] + d["endo_b"] - 2
             if fast.verdict is Verdict.DEPENDENT:
-                assert fast.witness == slow.witness  # same first failing pair
+                assert recheck_witness(pair, fast.witness)
+                assert recheck_witness(pair, slow.witness)
+                assert fast.witness.alpha.is_identity() or fast.witness.beta.is_identity()
 
     def test_budget_trips_to_inconclusive(self):
         with pytest.raises(BudgetExceeded) as exc:

@@ -153,6 +153,23 @@ class TestParsing:
         with pytest.raises(CycleParseError):
             parse_cycles(text, degree)
 
+    @given(st.integers(min_value=1, max_value=7).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.lists(st.integers(1, n), min_size=1, unique=True), max_size=4))))
+    def test_overlapping_cycles_compose_into_a_valid_permutation(self, case):
+        # Cycles are built unchecked; the result must still be a bijection
+        # and equal the product of the checked cycles.
+        n, cycles = case
+        text = "".join("(" + " ".join(map(str, c)) + ")" for c in cycles) or "e"
+        want = Permutation(range(n))
+        for c in cycles:
+            img = list(range(n))
+            for a, b in zip(c, c[1:] + c[:1]):
+                img[a - 1] = b - 1
+            want = want * Permutation(img)
+        got = parse_cycles(text, n)
+        assert Permutation(got.images) == got == want
+
     def test_parse_error_is_value_error(self):
         assert issubclass(CycleParseError, ValueError)
 

@@ -1,5 +1,6 @@
 import json
 import re
+import signal
 import subprocess
 import sys
 
@@ -20,7 +21,7 @@ from subindep.checks import (
 )
 from subindep import cli, pipeline
 from subindep.groups import is_isomorphic
-from subindep.perm import Permutation, parse_cycles
+from subindep.perm import Permutation, cycle_string, parse_cycles
 from subindep.pipeline import (
     Config,
     MAX_SPEC_DEGREE,
@@ -115,7 +116,7 @@ class TestDecisions:
         assert d.stats.join_order == 8
         assert d.stats.ncl_a_order == 4 and d.stats.ncl_b_order == 4
         assert d.stats.endo_a == 2 and d.stats.endo_b == 2
-        assert (d.stats.pairs_checked, d.stats.pairs_skipped) == (0, 4)
+        assert d.stats.pairs_checked == 2
 
     def test_gap_example_dependent_at_exhaustion(self):
         d = decide(spec_dict(FAR_SWAPS))
@@ -123,9 +124,10 @@ class TestDecisions:
         # Both separatedness stages ran (and passed) before step 4.
         assert d.stats.ncl_a_order == 8 and d.stats.ncl_b_order == 4
         assert d.witness.beta.is_identity()
-        # The scan stops at the first failing pair: 18 of the 32 pairs are
-        # visited, 4 of them skipped as proven compatible.
-        assert (d.stats.pairs_checked, d.stats.pairs_skipped) == (14, 4)
+        # The scan extends (alpha, id_B) in End(A) order and stops at the
+        # first failing pair, the eighth.
+        assert d.stats.pairs_checked == 8
+        assert cycle_string(d.witness.conflict.element) == "(1 3)(2 4)(5 6)"
 
     def test_merge_example_decided_by_the_earlier_order_check(self):
         # The order check fires before the conjugacy stages ever run;
@@ -246,6 +248,27 @@ class TestDiagnostics:
                                  "factoring_isomorphisms": None,
                                  "extension_law_sampled": None}
 
+    def test_audit_of_c2_to_the_fifth_finishes_within_a_wall_clock_bound(self):
+        # End(C2^5) has 2^25 maps and its search 32^5 candidates, over the
+        # default endo_budget ** 2, so the sampled law trips its budget
+        # instead of searching.  The alarm turns a hang into a failure.
+        spec = {"degree": 12, "A": ["(1 2)", "(3 4)", "(5 6)", "(7 8)", "(9 10)"],
+                "B": ["(11 12)"]}
+
+        def overran(signum, frame):
+            raise TimeoutError("decide overran its wall-clock bound")
+
+        old = signal.signal(signal.SIGALRM, overran)
+        signal.setitimer(signal.ITIMER_REAL, 10)
+        try:
+            d = decide(spec, Config(run_diagnostics=True))
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, old)
+        assert d.status == "Independent" and d.step is Step.COMMUTING
+        assert d.diagnostics["witness_rechecked"] is True
+        assert d.diagnostics["extension_law_sampled"] is None
+
     def test_exhaustive_recheck_runs_under_the_given_budget(self):
         pair = make_pair(*SWAP_VS_DOUBLE)
         witness = decide(spec_dict(SWAP_VS_DOUBLE)).witness
@@ -277,8 +300,8 @@ class TestFormatting:
         assert doc["step"] == "Step4"
         assert list(doc["stats"]) == ["join_order", "ncl_a_order", "ncl_b_order",
                                       "endo_a", "endo_b", "pairs_checked",
-                                      "pairs_skipped", "elapsed_ms"]
-        assert (doc["stats"]["pairs_checked"], doc["stats"]["pairs_skipped"]) == (0, 4)
+                                      "elapsed_ms"]
+        assert doc["stats"]["pairs_checked"] == 2
         assert doc["witness"]["kind"] == "exhaustive"
         assert doc["diagnostics"] is None
 
