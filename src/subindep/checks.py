@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .groups import (
     DEFAULT_ENDO_BUDGET,
@@ -22,7 +22,6 @@ from .groups import (
     FiniteGroup,
     GroupMap,
     SubgroupPair,
-    closure,
     conjugacy_classes,
     is_isomorphic,
     is_normal_in,
@@ -260,14 +259,11 @@ def check_commuting(pair: SubgroupPair) -> CheckOutcome:
     return _INCONCLUSIVE
 
 
-def check_order_divisibility(pair: SubgroupPair,
-                             pairs: Iterable[tuple[Permutation, Permutation]] | None = None) -> CheckOutcome:
+def check_order_divisibility(pair: SubgroupPair) -> CheckOutcome:
     """Dependent on the first non-commuting (a, b) where |a| or |b| fails
     to divide |ab|; any common extension would have to map ab to a power
     of itself compatible with both orders, which is impossible then."""
-    if pairs is None:
-        pairs = noncommuting_pairs(pair)
-    for a, b in pairs:
+    for a, b in noncommuting_pairs(pair):
         ab = a * b
         oa, ob, oab = a.order(), b.order(), ab.order()
         if oab % oa or oab % ob:
@@ -396,43 +392,6 @@ def verify_factoring(pair: SubgroupPair, iso_budget: int = DEFAULT_ISO_BUDGET) -
     qb = quotient(j, pair.ncl_a)
     ok_b, _ = is_isomorphic(qb, pair.b, iso_budget)
     return ok_b
-
-
-def is_independent_set(elements: Iterable[Permutation], ambient: FiniteGroup) -> bool:
-    """True iff no member is generated by the others.
-
-    The identity is the empty product, so any set containing it fails.
-    The empty set is vacuously independent.
-    """
-    els = sorted(set(elements))
-    for x in els:
-        if x not in ambient:
-            raise ValueError(f"{x!r} is not in the ambient group")
-    for x in els:
-        rest = [y for y in els if y != x]
-        if x in closure(rest, ambient.degree, max_order=ambient.order):
-            return False
-    return True
-
-
-def check_union_independent_sets(pair: SubgroupPair,
-                                 a_subset: Iterable[Permutation],
-                                 b_subset: Iterable[Permutation]) -> bool:
-    """Harness for the union law: for an independent pair (A, B) and
-    independent subsets A' of A and B' of B, report whether A' u B' is
-    independent in the join.  The law says it always is; a False return
-    from a valid input flags a bug."""
-    a_els = sorted(set(a_subset))
-    b_els = sorted(set(b_subset))
-    if any(x not in pair.a for x in a_els):
-        raise ValueError("a_subset is not contained in A")
-    if any(x not in pair.b for x in b_els):
-        raise ValueError("b_subset is not contained in B")
-    if not is_independent_set(a_els, pair.a):
-        raise ValueError("a_subset is not an independent set")
-    if not is_independent_set(b_els, pair.b):
-        raise ValueError("b_subset is not an independent set")
-    return is_independent_set(set(a_els) | set(b_els), pair.join)
 
 
 def recheck_witness(pair: SubgroupPair, witness: object,

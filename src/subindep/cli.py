@@ -63,8 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     atl = sub.add_parser("atlas", help="classify all subgroup pairs of a symmetric group")
     atl.add_argument("--degree", type=int, required=True,
                      help=f"symmetric group degree, 2..{MAX_ATLAS_DEGREE}")
-    atl.add_argument("--max-gens", type=int, default=2,
-                     help="generators per enumerated subgroup")
     atl.add_argument("--full-lattice", action="store_true",
                      help="verify the enumeration reaches every subgroup (small groups only)")
     atl.add_argument("--out", metavar="FILE", required=True, help="report file to write")
@@ -112,7 +110,6 @@ def _cmd_atlas(args) -> int:
                         endo_budget=args.endo_budget)
         t0 = time.perf_counter()
         rows, summary = classify_all_pairs(args.degree, config,
-                                           max_gens=args.max_gens,
                                            full_lattice=args.full_lattice,
                                            jobs=args.jobs)
         emit_report(rows, summary, args.out, args.format)

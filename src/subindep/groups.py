@@ -2,9 +2,9 @@
 
 Everything here is exhaustive and deterministic: groups are closures of
 generator lists, element tuples are sorted lexicographically by image
-array (so the identity sits at index 0), and membership and index
-lookups go through a dict keyed by each element's image tuple.  Closure
-works on bare image tuples and wraps each element as a Permutation once.
+tuple (so the identity sits at index 0), and membership and index
+lookups go through a dict keyed by element.  Closure works on plain
+image tuples and wraps each element as a Permutation once.
 Budgets guard against accidentally materializing a group that is too
 large; callers see BudgetExceeded and report an inconclusive outcome
 instead of thrashing.
@@ -13,6 +13,7 @@ instead of thrashing.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -41,7 +42,7 @@ class FiniteGroup:
     elements is sorted lexicographically by image arrays; generators is a
     (possibly empty) tuple of non-identity elements whose closure is the
     element set.  Instances are immutable in intent; the only mutable
-    state is lazy caches: the element index (image tuple to position),
+    state is lazy caches: the element index (element to position),
     right-multiplication columns, conjugacy classes and endomorphisms.
     """
 
@@ -51,7 +52,7 @@ class FiniteGroup:
         self.degree = degree
         self.elements = elements
         self.generators = generators
-        self._index: dict[tuple[int, ...], int] | None = None
+        self._index: dict[Permutation, int] | None = None
         self._mul_cols: dict[int, tuple[int, ...]] = {}
         self._classes: "ConjClassPartition | None" = None
         self._endos: "tuple[GroupMap, ...] | None" = None
@@ -64,21 +65,21 @@ class FiniteGroup:
     def identity(self) -> Permutation:
         return self.elements[0]
 
-    def _image_index(self) -> dict[tuple[int, ...], int]:
-        """The position of each element, keyed by its image tuple."""
+    def _image_index(self) -> dict[Permutation, int]:
+        """The position of each element."""
         index = self._index
         if index is None:
-            index = self._index = {p.images: i for i, p in enumerate(self.elements)}
+            index = self._index = {p: i for i, p in enumerate(self.elements)}
         return index
 
     def index_of(self, p: Permutation) -> int:
         try:
-            return self._image_index()[p.images]
+            return self._image_index()[p]
         except KeyError:
             raise KeyError(f"{p!r} is not an element") from None
 
     def __contains__(self, p: Permutation) -> bool:
-        return p.images in self._image_index()
+        return p in self._image_index()
 
     def __iter__(self):
         return iter(self.elements)
@@ -113,8 +114,9 @@ class FiniteGroup:
         col = self._mul_cols.get(c)
         if col is None:
             index = self._image_index()
-            pc = self.elements[c].images
-            # The index's keys are the elements' image tuples, in order.
+            pc = self.elements[c]
+            # The index's keys are the elements, in order; a plain tuple
+            # looks up the Permutation equal to it.
             col = tuple([index[tuple([x[j] for j in pc])] for x in index])
             self._mul_cols[c] = col
         return col
@@ -141,14 +143,13 @@ def closure(generators: Iterable[Permutation], degree: int,
     as the element count would pass max_order.
     """
     gens = _clean_generators(generators, degree)
-    gen_images = [g.images for g in gens]
     e = tuple(range(degree))
     seen = {e}
     frontier = [e]
     while frontier:
         nxt = []
         for x in frontier:
-            for g in gen_images:
+            for g in gens:
                 y = tuple([x[j] for j in g])
                 if y not in seen:
                     if len(seen) >= max_order:
@@ -227,13 +228,13 @@ class ConjClassPartition:
     classes: tuple[tuple[Permutation, ...], ...]
 
     @cached_property
-    def _class_of(self) -> dict[tuple[int, ...], int]:
-        """The class index of each element, keyed by its image tuple."""
-        return {p.images: i for i, cls in enumerate(self.classes) for p in cls}
+    def _class_of(self) -> dict[Permutation, int]:
+        """The class index of each element."""
+        return {p: i for i, cls in enumerate(self.classes) for p in cls}
 
     def class_index_of(self, p: Permutation) -> int:
         try:
-            return self._class_of[p.images]
+            return self._class_of[p]
         except KeyError:
             raise KeyError(f"{p!r} is not an element") from None
 
@@ -379,6 +380,34 @@ def propagate_images(domain: FiniteGroup, codomain: FiniteGroup,
     return tuple(table), None
 
 
+def homomorphism_tables(g: FiniteGroup, h: FiniteGroup, budget_name: str, budget: int,
+                        same_order: bool = False):
+    """Yield the image table of every homomorphism g -> h that sends a
+    greedy generating set of g to candidate images, in search order.
+
+    A generator's candidates are the elements of h whose order divides
+    its order (equals it, when same_order), and each choice of
+    candidates is propagated through the full multiplication table.
+    Raises BudgetExceeded, before searching, when the number of choices
+    exceeds budget ** 2.
+    """
+    gens = greedy_generators(g)
+    gen_idx = [g.index_of(x) for x in gens]
+    h_orders = [y.order() for y in h.elements]
+    candidates = []
+    for x in gens:
+        ox = x.order()
+        candidates.append([j for j, oy in enumerate(h_orders)
+                           if (oy == ox if same_order else ox % oy == 0)])
+    search = math.prod(map(len, candidates))
+    if search > budget ** 2:
+        raise BudgetExceeded(budget_name, budget, f"searching {search} candidate maps")
+    for combo in itertools.product(*candidates):
+        table, conflict = propagate_images(g, h, gen_idx, combo)
+        if conflict is None:
+            yield table
+
+
 @dataclass(frozen=True)
 class GroupMap:
     """A homomorphism between finite groups, stored as the tuple of
@@ -397,23 +426,9 @@ class GroupMap:
     def is_trivial(self) -> bool:
         return all(i == 0 for i in self.images)
 
-    def is_bijective(self) -> bool:
-        return len(set(self.images)) == self.domain.order == self.codomain.order
-
     def table_strings(self) -> dict[str, str]:
         return {cycle_string(x): cycle_string(self.codomain.elements[i])
                 for x, i in zip(self.domain.elements, self.images)}
-
-    def check_homomorphism(self) -> bool:
-        """Full |G|^2 verification of f(xy) = f(x)f(y); test support."""
-        dom, cod = self.domain, self.codomain
-        for i, x in enumerate(dom.elements):
-            for j, y in enumerate(dom.elements):
-                lhs = self.images[dom.index_of(x * y)]
-                rhs = cod.index_of(cod.elements[self.images[i]] * cod.elements[self.images[j]])
-                if lhs != rhs:
-                    return False
-        return True
 
     def __repr__(self) -> str:
         kind = "id" if self.is_identity() else ("triv" if self.is_trivial() else "map")
@@ -433,9 +448,11 @@ def is_isomorphic(g: FiniteGroup, h: FiniteGroup,
     """Decide isomorphism and produce a witness map when one exists.
 
     Cheap invariants (order, element-order multiset, abelianness,
-    conjugacy class sizes) prune first; the remaining search maps a
-    greedy generating set of g to order-matched candidates in h and
-    propagates each choice through the full multiplication table.
+    conjugacy class sizes) prune first; the remaining search runs
+    homomorphism_tables with each generator sent to an element of the
+    same order, and stops at the first bijective table.  Raises
+    BudgetExceeded when either order exceeds iso_budget, or when that
+    search would exceed iso_budget ** 2 choices.
     """
     if max(g.order, h.order) > iso_budget:
         raise BudgetExceeded("iso_budget", iso_budget, "testing isomorphism")
@@ -447,15 +464,8 @@ def is_isomorphic(g: FiniteGroup, h: FiniteGroup,
         return False, None
     if conjugacy_classes(g).sizes() != conjugacy_classes(h).sizes():
         return False, None
-    gens = greedy_generators(g)
-    gen_idx = [g.index_of(x) for x in gens]
-    candidates = []
-    for x in gens:
-        ox = x.order()
-        candidates.append([j for j, y in enumerate(h.elements) if y.order() == ox])
-    for combo in itertools.product(*candidates):
-        table, conflict = propagate_images(g, h, gen_idx, combo)
-        if conflict is None and len(set(table)) == g.order:
+    for table in homomorphism_tables(g, h, "iso_budget", iso_budget, same_order=True):
+        if len(set(table)) == g.order:
             return True, GroupMap(g, h, table)
     return False, None
 

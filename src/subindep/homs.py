@@ -10,8 +10,6 @@ and report the exact element where the forcing first clashes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from math import prod
 
 from .groups import (
     DEFAULT_ENDO_BUDGET,
@@ -19,7 +17,7 @@ from .groups import (
     FiniteGroup,
     GroupMap,
     SubgroupPair,
-    greedy_generators,
+    homomorphism_tables,
     identity_map,
     propagate_images,
     trivial_map,
@@ -31,33 +29,18 @@ def enumerate_endomorphisms(g: FiniteGroup, endo_budget: int = DEFAULT_ENDO_BUDG
     """All endomorphisms of g, deduplicated and sorted by their full image
     tables in canonical element order.
 
-    Candidate generator images are pruned by order divisibility and each
-    surviving choice is validated by propagation over the whole
-    multiplication table, so every returned map is a genuine
-    homomorphism and none is missed.  Raises BudgetExceeded when the
-    order of g exceeds endo_budget, or when the search, one propagation
-    per choice, would exceed endo_budget ** 2 choices.  The maps are
+    The search is homomorphism_tables from g to itself: the image of a
+    generator must have order dividing the generator's, and each choice
+    is validated by propagation over the whole multiplication table, so
+    every returned map is a genuine homomorphism and none is missed.
+    Raises BudgetExceeded when the order of g exceeds endo_budget, or
+    when the search would exceed endo_budget ** 2 choices.  The maps are
     cached on g, and a cached list is returned without a search.
     """
     if g.order > endo_budget:
         raise BudgetExceeded("endo_budget", endo_budget, "enumerating endomorphisms")
     if g._endos is None:
-        gens = greedy_generators(g)
-        gen_idx = [g.index_of(x) for x in gens]
-        gen_orders = [x.order() for x in gens]
-        # The image of an element must have order dividing the element's order.
-        candidates = [
-            [j for j, y in enumerate(g.elements) if o % y.order() == 0]
-            for o in gen_orders
-        ]
-        search = prod(map(len, candidates))
-        if search > endo_budget ** 2:
-            raise BudgetExceeded("endo_budget", endo_budget, f"searching {search} candidate maps")
-        tables = set()
-        for combo in product(*candidates):
-            table, conflict = propagate_images(g, g, gen_idx, combo)
-            if conflict is None:
-                tables.add(table)
+        tables = set(homomorphism_tables(g, g, "endo_budget", endo_budget))
         g._endos = tuple(GroupMap(g, g, t) for t in sorted(tables))
     return list(g._endos)
 

@@ -2,7 +2,7 @@
 
 Composition is right-to-left throughout: (p * q)(x) = p(q(x)), so in a
 product the rightmost factor acts first.  Points are 1-based in all text
-forms and 0-based in the internal image arrays.
+forms and 0-based in a Permutation, which is the tuple of its images.
 
 Validation happens only where outside input enters: the Permutation
 constructor checks for a bijection and parse_cycles checks the points of
@@ -20,83 +20,45 @@ class CycleParseError(ValueError):
     """Raised when a cycle-notation string cannot be parsed."""
 
 
-class Permutation:
-    """An element of the symmetric group on len(images) points.
+class Permutation(tuple):
+    """An element of the symmetric group on len(self) points.
 
-    images[i] is the 0-based image of the 0-based point i.  Instances are
-    immutable, hashable, and totally ordered by their image arrays, which
-    makes the identity the minimum of every symmetric group.
+    A Permutation is the tuple of its images: self[i] is the 0-based image
+    of the 0-based point i.  It is therefore immutable, hashable, and
+    totally ordered by its images, which makes the identity the minimum of
+    every symmetric group, and it equals the plain tuple of its images.
     """
 
-    __slots__ = ("images",)
+    __slots__ = ()
 
-    def __init__(self, images) -> None:
-        images = tuple(images)
-        n = len(images)
+    def __new__(cls, images) -> "Permutation":
+        p = tuple.__new__(cls, images)
+        n = len(p)
         if n < 1:
             raise ValueError("degree must be at least 1")
-        if sorted(images) != list(range(n)):
-            raise ValueError(f"not a permutation of 0..{n - 1}: {images}")
-        _set_images(self, images)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Permutation is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Permutation is immutable")
-
-    def __reduce__(self):
-        return (Permutation, (self.images,))
-
-    def __eq__(self, other):
-        if isinstance(other, Permutation):
-            return self.images == other.images
-        return NotImplemented
-
-    def __lt__(self, other):
-        if isinstance(other, Permutation):
-            return self.images < other.images
-        return NotImplemented
-
-    def __le__(self, other):
-        if isinstance(other, Permutation):
-            return self.images <= other.images
-        return NotImplemented
-
-    def __gt__(self, other):
-        if isinstance(other, Permutation):
-            return self.images > other.images
-        return NotImplemented
-
-    def __ge__(self, other):
-        if isinstance(other, Permutation):
-            return self.images >= other.images
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.images)
+        if sorted(p) != list(range(n)):
+            raise ValueError(f"not a permutation of 0..{n - 1}: {tuple(p)}")
+        return p
 
     @staticmethod
     def identity(degree: int) -> "Permutation":
-        return Permutation(tuple(range(degree)))
+        return Permutation(range(degree))
 
     @property
     def degree(self) -> int:
-        return len(self.images)
+        return len(self)
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         # self * other applies other first.
-        img = self.images
-        other_img = other.images
-        if len(img) != len(other_img):
-            raise ValueError(f"degree mismatch: {len(img)} vs {len(other_img)}")
-        return _trusted(tuple([img[j] for j in other_img]))
+        if len(self) != len(other):
+            raise ValueError(f"degree mismatch: {len(self)} vs {len(other)}")
+        return _trusted([self[j] for j in other])
 
     def inverse(self) -> "Permutation":
-        inv = [0] * self.degree
-        for i, j in enumerate(self.images):
+        inv = [0] * len(self)
+        for i, j in enumerate(self):
             inv[j] = i
-        return _trusted(tuple(inv))
+        return _trusted(inv)
 
     def __pow__(self, k: int) -> "Permutation":
         if k < 0:
@@ -111,7 +73,7 @@ class Permutation:
         return out
 
     def is_identity(self) -> bool:
-        return all(j == i for i, j in enumerate(self.images))
+        return all(j == i for i, j in enumerate(self))
 
     def order(self) -> int:
         """Multiplicative order, the lcm of the cycle lengths."""
@@ -121,19 +83,19 @@ class Permutation:
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles as 0-based tuples, each starting at its least
         point, listed in order of least point."""
-        seen = [False] * self.degree
+        seen = [False] * len(self)
         out = []
-        for i in range(self.degree):
-            if seen[i] or self.images[i] == i:
+        for i in range(len(self)):
+            if seen[i] or self[i] == i:
                 seen[i] = True
                 continue
             cyc = [i]
             seen[i] = True
-            j = self.images[i]
+            j = self[i]
             while j != i:
                 cyc.append(j)
                 seen[j] = True
-                j = self.images[j]
+                j = self[j]
             out.append(tuple(cyc))
         return out
 
@@ -148,14 +110,9 @@ class Permutation:
         return f"Perm({cycle_string(self)!r}, deg={self.degree})"
 
 
-_set_images = Permutation.images.__set__
-
-
-def _trusted(images: tuple[int, ...]) -> Permutation:
+def _trusted(images) -> Permutation:
     """A Permutation from images already known to be a bijection."""
-    p = object.__new__(Permutation)
-    _set_images(p, images)
-    return p
+    return tuple.__new__(Permutation, images)
 
 
 def cycle_string(p: Permutation) -> str:
@@ -200,7 +157,7 @@ def parse_cycles(text: str, degree: int) -> Permutation:
     if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
         raise CycleParseError(f"invalid degree {degree!r}")
     s = text.strip()
-    identity = _trusted(tuple(range(degree)))
+    identity = _trusted(range(degree))
     if s in ("e", "()"):
         return identity
     if not s:
@@ -228,5 +185,5 @@ def parse_cycles(text: str, degree: int) -> Permutation:
         img = list(range(degree))
         for a, b in zip(pts, pts[1:] + pts[:1]):
             img[a - 1] = b - 1
-        result = result * _trusted(tuple(img))
+        result = result * _trusted(img)
     return result

@@ -5,14 +5,16 @@ Endomorphisms are recovered by expressing every element as a word in a
 minimal generating tuple (found by exhaustive combination search) and
 filtering all |G|^k image assignments through a full multiplication
 table check.  A literal |G|^|G| filter validates that oracle in turn on
-groups small enough to afford it.
+groups small enough to afford it.  The map checks and the union-law
+harness at the end are the full-table checks the tests hold results to.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
+from typing import Iterable
 
-from subindep.groups import FiniteGroup
+from subindep.groups import FiniteGroup, GroupMap, SubgroupPair, closure
 from subindep.perm import Permutation
 
 
@@ -213,3 +215,56 @@ def endomorphism_tables_pruned(group: FiniteGroup) -> list[tuple[int, ...]]:
 
     descend(0)
     return sorted(tables)
+
+
+def check_homomorphism(m: GroupMap) -> bool:
+    """Full |G|^2 verification of f(xy) = f(x)f(y)."""
+    dom, cod = m.domain, m.codomain
+    for i, x in enumerate(dom.elements):
+        for j, y in enumerate(dom.elements):
+            lhs = m.images[dom.index_of(x * y)]
+            rhs = cod.index_of(cod.elements[m.images[i]] * cod.elements[m.images[j]])
+            if lhs != rhs:
+                return False
+    return True
+
+
+def is_bijective(m: GroupMap) -> bool:
+    return len(set(m.images)) == m.domain.order == m.codomain.order
+
+
+def is_independent_set(elements: Iterable[Permutation], ambient: FiniteGroup) -> bool:
+    """True iff no member is generated by the others.
+
+    The identity is the empty product, so any set containing it fails.
+    The empty set is vacuously independent.
+    """
+    els = sorted(set(elements))
+    for x in els:
+        if x not in ambient:
+            raise ValueError(f"{x!r} is not in the ambient group")
+    for x in els:
+        rest = [y for y in els if y != x]
+        if x in closure(rest, ambient.degree, max_order=ambient.order):
+            return False
+    return True
+
+
+def check_union_independent_sets(pair: SubgroupPair,
+                                 a_subset: Iterable[Permutation],
+                                 b_subset: Iterable[Permutation]) -> bool:
+    """Harness for the union law: for an independent pair (A, B) and
+    independent subsets A' of A and B' of B, report whether A' u B' is
+    independent in the join.  The law says it always is; a False return
+    from a valid input flags a bug."""
+    a_els = sorted(set(a_subset))
+    b_els = sorted(set(b_subset))
+    if any(x not in pair.a for x in a_els):
+        raise ValueError("a_subset is not contained in A")
+    if any(x not in pair.b for x in b_els):
+        raise ValueError("b_subset is not contained in B")
+    if not is_independent_set(a_els, pair.a):
+        raise ValueError("a_subset is not an independent set")
+    if not is_independent_set(b_els, pair.b):
+        raise ValueError("b_subset is not an independent set")
+    return is_independent_set(set(a_els) | set(b_els), pair.join)

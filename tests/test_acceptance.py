@@ -9,6 +9,7 @@ import time
 
 from conftest import SHARED_POINT, ORDER_CLASH, SWAP_VS_DOUBLE, FAR_SWAPS, MERGE_PAIR, make_pair, pair_from_row
 from oracles import (
+    check_union_independent_sets,
     endomorphism_tables_by_words,
     endomorphism_tables_literal,
     endomorphism_tables_pruned,
@@ -19,7 +20,6 @@ from subindep.checks import (
     check_a_inside_ncl_b,
     check_b_inside_ncl_a,
     check_conjugacy_merge_a,
-    check_union_independent_sets,
     recheck_witness,
 )
 from subindep.groups import (

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from conftest import pair_from_row
-from oracles import independent_by_global_search
+from oracles import check_union_independent_sets, independent_by_global_search
 from subindep import atlas, groups
 from subindep.atlas import (
     ATLAS_FIELDS,
@@ -20,7 +20,6 @@ from subindep.atlas import (
 from subindep.checks import (
     check_a_inside_ncl_b,
     check_b_inside_ncl_a,
-    check_union_independent_sets,
 )
 from subindep.groups import (
     SubgroupPair,
@@ -48,6 +47,17 @@ class TestSubgroupEnumeration:
         assert len(subs) == 30
         brute = all_subgroups_bruteforce(s4)
         assert [h.elements for h in subs] == [h.elements for h in brute]
+
+    def test_s5_has_156_subgroups(self):
+        # Past the brute-force lattice's reach, so pin the count (OEIS
+        # A005432) and the number of subgroups of each order.
+        subs = enumerate_subgroups(symmetric_group(5))
+        assert len(subs) == 156
+        counts = {}
+        for h in subs:
+            counts[h.order] = counts.get(h.order, 0) + 1
+        assert counts == {1: 1, 2: 25, 3: 10, 4: 35, 5: 6, 6: 30, 8: 15, 10: 6,
+                          12: 15, 20: 6, 24: 5, 60: 1, 120: 1}
 
     def test_trivial_group(self):
         s1 = symmetric_group(1)

@@ -4,7 +4,8 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import normal_subgroups_containing, semigroup_closure
+from oracles import check_homomorphism, is_bijective, normal_subgroups_containing, semigroup_closure
+from subindep import groups
 from subindep.atlas import all_subgroups_bruteforce
 from subindep.groups import (
     BudgetExceeded,
@@ -210,7 +211,7 @@ class TestQuotient:
         g = symmetric_group(4)
         v = closure([P("(1 2)(3 4)", 4), P("(1 3)(2 4)", 4)], 4)
         ok, iso = is_isomorphic(quotient(g, v), symmetric_group(3))
-        assert ok and iso.is_bijective() and iso.check_homomorphism()
+        assert ok and is_bijective(iso) and check_homomorphism(iso)
 
     def test_rejects_non_normal_kernel(self):
         s3 = symmetric_group(3)
@@ -272,8 +273,8 @@ class TestGroupMap:
         triv = trivial_map(g)
         assert ident.is_identity() and not ident.is_trivial()
         assert triv.is_trivial() and not triv.is_identity()
-        assert ident.check_homomorphism() and triv.check_homomorphism()
-        assert ident.is_bijective() and not triv.is_bijective()
+        assert check_homomorphism(ident) and check_homomorphism(triv)
+        assert is_bijective(ident) and not is_bijective(triv)
 
     def test_call_and_table_strings(self):
         g = closure([P("(1 2)", 3)], 3)
@@ -297,7 +298,7 @@ class TestIsomorphism:
         a = closure([P("(1 2)", 4)], 4)
         b = closure([P("(3 4)", 4)], 4)
         ok, iso = is_isomorphic(a, b)
-        assert ok and iso.is_bijective() and iso.check_homomorphism()
+        assert ok and is_bijective(iso) and check_homomorphism(iso)
 
     def test_dihedral_vs_abelian_of_order_8(self):
         d4 = join(closure([P("(1 2)", 4)], 4), closure([P("(1 3)(2 4)", 4)], 4))
@@ -309,7 +310,24 @@ class TestIsomorphism:
     def test_self_isomorphism(self):
         g = symmetric_group(3)
         ok, iso = is_isomorphic(g, g)
-        assert ok and iso.check_homomorphism()
+        assert ok and check_homomorphism(iso)
+
+    def test_candidate_search_is_budgeted(self, monkeypatch):
+        # C2^3: three generators with 7 involutions each as candidates, 343
+        # in all, against iso_budget ** 2.
+        g = closure([P("(1 2)", 6), P("(3 4)", 6), P("(5 6)", 6)], 6)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return propagate_images(*args)
+
+        monkeypatch.setattr(groups, "propagate_images", counting)
+        with pytest.raises(BudgetExceeded) as exc:
+            is_isomorphic(g, g, iso_budget=18)  # 18 ** 2 = 324
+        assert exc.value.budget == "iso_budget" and calls == []
+        ok, iso = is_isomorphic(g, g, iso_budget=19)  # 19 ** 2 = 361
+        assert ok and is_bijective(iso) and calls
 
 
 class TestSubgroupPair:

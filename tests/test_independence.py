@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import SHARED_POINT, ORDER_CLASH, SWAP_VS_DOUBLE, FAR_SWAPS, MERGE_PAIR, make_pair
-from oracles import independent_by_global_search
+from oracles import check_union_independent_sets, independent_by_global_search, is_independent_set
 from subindep.atlas import all_subgroups_bruteforce
 from subindep.checks import (
     BothNormalWitness,
@@ -22,8 +22,6 @@ from subindep.checks import (
     check_conjugacy_merge_b,
     check_normal_asymmetry,
     check_order_divisibility,
-    check_union_independent_sets,
-    is_independent_set,
     noncommuting_pairs,
     recheck_witness,
     verify_factoring,
@@ -95,12 +93,6 @@ class TestOrderDivisibility:
         out = check_order_divisibility(make_pair(4, ["(1 3)"], ["(3 4)"]))
         assert out.verdict is Verdict.DEPENDENT
         assert out.witness.order_ab == 3
-
-    def test_accepts_precomputed_pair_iterable(self):
-        pair = make_pair(*ORDER_CLASH)
-        pairs = [(P("(1 2)", 3), P("(1 2 3)", 3))]
-        out = check_order_divisibility(pair, pairs=pairs)
-        assert out.verdict is Verdict.DEPENDENT
 
 
 class TestSeparated:

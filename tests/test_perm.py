@@ -32,9 +32,10 @@ class TestCompositionConvention:
 
     def test_images_indexing(self):
         p = Permutation((1, 0, 2))
-        assert p.images[0] == 1  # point 0 maps to 1
+        assert p[0] == 1  # point 0 maps to 1
+        assert p == (1, 0, 2) and len(p) == p.degree == 3
         q = Permutation((1, 2, 0))
-        assert (p * q).images == tuple(p.images[j] for j in q.images)
+        assert p * q == tuple(p[j] for j in q)
 
     def test_conjugation_relabels_points(self):
         g = parse_cycles("(1 2)", 3)
@@ -134,7 +135,7 @@ class TestParsing:
 
     def test_multi_digit_points(self):
         p = parse_cycles("(1 12)", 12)
-        assert p.images[0] == 11 and p.images[11] == 0
+        assert p[0] == 11 and p[11] == 0
 
     @pytest.mark.parametrize("text,degree", [
         ("(1 1)", 3),
@@ -168,7 +169,7 @@ class TestParsing:
                 img[a - 1] = b - 1
             want = want * Permutation(img)
         got = parse_cycles(text, n)
-        assert Permutation(got.images) == got == want
+        assert Permutation(got) == got == want
 
     def test_parse_error_is_value_error(self):
         assert issubclass(CycleParseError, ValueError)
@@ -195,18 +196,20 @@ class TestValidation:
 
     def test_immutable(self):
         p = Permutation((1, 0, 2))
-        with pytest.raises(AttributeError):
-            p.images = (0, 1, 2)
+        with pytest.raises(TypeError):
+            p[0] = 0
         with pytest.raises(AttributeError):
             p.other = 1
-        with pytest.raises(AttributeError):
-            del p.images
-        assert p.images == (1, 0, 2)
+        with pytest.raises(TypeError):
+            del p[0]
+        assert p == (1, 0, 2)
 
     def test_pickle_and_deepcopy_round_trip(self):
         p = parse_cycles("(1 3 2)(4 5)", 5)
-        for q in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p), copy.copy(p)):
-            assert q == p and hash(q) == hash(p) and q.images == p.images
+        copies = [pickle.loads(pickle.dumps(p, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for q in copies + [copy.deepcopy(p), copy.copy(p)]:
+            assert q == p and hash(q) == hash(p) and tuple(q) == tuple(p)
             assert type(q) is Permutation
         assert pickle.loads(pickle.dumps([p, p.inverse()])) == [p, p.inverse()]
 
@@ -216,12 +219,12 @@ class TestValidation:
         p, q = pq
         # Re-validating a product or an inverse through the public
         # constructor accepts it and gives an equal permutation.
-        assert Permutation((p * q).images) == p * q
-        assert Permutation(p.inverse().images) == p.inverse()
-        assert (p == q) == (p.images == q.images)
-        assert (p < q) == (p.images < q.images)
-        assert (p <= q) == (p.images <= q.images)
-        assert (p > q) == (p.images > q.images)
-        assert (p >= q) == (p.images >= q.images)
-        assert (hash(p) == hash(q)) == (hash(p.images) == hash(q.images))
-        assert hash(p * q) == hash((p * q).images)
+        assert Permutation(p * q) == p * q
+        assert Permutation(p.inverse()) == p.inverse()
+        tp, tq = tuple(p), tuple(q)
+        assert (p == q) == (tp == tq)
+        assert (p < q) == (tp < tq)
+        assert (p <= q) == (tp <= tq)
+        assert (p > q) == (tp > tq)
+        assert (p >= q) == (tp >= tq)
+        assert hash(p) == hash(tp) and hash(p * q) == hash(tuple(p * q))

@@ -269,6 +269,27 @@ class TestDiagnostics:
         assert d.diagnostics["witness_rechecked"] is True
         assert d.diagnostics["extension_law_sampled"] is None
 
+    def test_factoring_audit_of_c2_to_the_sixth_finishes_within_a_wall_clock_bound(self):
+        # join/<Conj(B)> is isomorphic to C2^6, whose generators have 63^6
+        # candidate images each way, over the default iso_budget ** 2, so
+        # the factoring audit trips its budget instead of searching.
+        spec = {"degree": 14, "A": ["(1 2)", "(3 4)", "(5 6)", "(7 8)", "(9 10)", "(11 12)"],
+                "B": ["(13 14)"]}
+
+        def overran(signum, frame):
+            raise TimeoutError("decide overran its wall-clock bound")
+
+        old = signal.signal(signal.SIGALRM, overran)
+        signal.setitimer(signal.ITIMER_REAL, 10)
+        try:
+            d = decide(spec, Config(run_diagnostics=True))
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, old)
+        assert d.status == "Independent" and d.step is Step.COMMUTING
+        assert d.diagnostics["witness_rechecked"] is True
+        assert d.diagnostics["factoring_isomorphisms"] is None
+
     def test_exhaustive_recheck_runs_under_the_given_budget(self):
         pair = make_pair(*SWAP_VS_DOUBLE)
         witness = decide(spec_dict(SWAP_VS_DOUBLE)).witness
