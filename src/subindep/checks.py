@@ -17,15 +17,12 @@ from typing import Iterator, Mapping
 
 from .groups import (
     DEFAULT_ENDO_BUDGET,
-    DEFAULT_ISO_BUDGET,
     BudgetExceeded,
     FiniteGroup,
     GroupMap,
     SubgroupPair,
     conjugacy_classes,
-    is_isomorphic,
     is_normal_in,
-    quotient,
 )
 from .homs import ExtensionConflict, enumerate_endomorphisms, extend
 from .perm import Permutation, cycle_string
@@ -377,21 +374,16 @@ def brute_force_independent(pair: SubgroupPair,
     return CheckOutcome(Verdict.INDEPENDENT, ExhaustiveWitness(counts["pairs_checked"]), counts)
 
 
-def verify_factoring(pair: SubgroupPair, iso_budget: int = DEFAULT_ISO_BUDGET) -> bool:
+def verify_factoring(pair: SubgroupPair) -> bool:
     """True iff join/<Conj(B)> is isomorphic to A and join/<Conj(A)> to B.
 
-    For a separated pair the quotient by one side's normal closure
-    recovers the other side exactly; this recomputes both isomorphisms
-    from scratch as a structural cross-check.
+    B dies in join/<Conj(B)>, so that quotient is generated by the image
+    of A: the projection maps A onto it, with kernel A ∩ <Conj(B)>.  The
+    quotient is therefore isomorphic to A exactly when that kernel is
+    trivial, that is when |join| = |A| * |<Conj(B)>|.  Likewise for B.
     """
-    j = pair.join
-    qa = quotient(j, pair.ncl_b)
-    ok_a, _ = is_isomorphic(qa, pair.a, iso_budget)
-    if not ok_a:
-        return False
-    qb = quotient(j, pair.ncl_a)
-    ok_b, _ = is_isomorphic(qb, pair.b, iso_budget)
-    return ok_b
+    j = pair.join.order
+    return j == pair.a.order * pair.ncl_b.order and j == pair.b.order * pair.ncl_a.order
 
 
 def recheck_witness(pair: SubgroupPair, witness: object,

@@ -15,11 +15,7 @@ import sys
 import time
 
 from .atlas import MAX_ATLAS_DEGREE, classify_all_pairs, emit_report
-from .groups import (
-    DEFAULT_ENDO_BUDGET,
-    DEFAULT_ISO_BUDGET,
-    DEFAULT_MAX_GROUP_ORDER,
-)
+from .groups import DEFAULT_ENDO_BUDGET, DEFAULT_MAX_GROUP_ORDER
 from .pipeline import Config, PairSpecError, decide, format_decision
 
 EXIT_DECIDED = 0
@@ -56,7 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--format", choices=("json", "text"), default="json")
     dec.add_argument("--max-group-order", type=int, default=DEFAULT_MAX_GROUP_ORDER)
     dec.add_argument("--endo-budget", type=int, default=DEFAULT_ENDO_BUDGET)
-    dec.add_argument("--iso-budget", type=int, default=DEFAULT_ISO_BUDGET)
     dec.add_argument("--diagnostics", action="store_true",
                      help="recheck the witness and audit extension laws after deciding")
 
@@ -93,7 +88,6 @@ def _cmd_decide(args) -> int:
     try:
         config = Config(max_group_order=args.max_group_order,
                         endo_budget=args.endo_budget,
-                        iso_budget=args.iso_budget,
                         run_diagnostics=args.diagnostics)
         spec = _load_pair_spec(args)
         decision = decide(spec, config)

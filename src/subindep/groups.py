@@ -12,9 +12,6 @@ instead of thrashing.
 
 from __future__ import annotations
 
-import itertools
-import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -23,7 +20,6 @@ from .perm import Permutation, _trusted, cycle_string
 
 DEFAULT_MAX_GROUP_ORDER = 5040
 DEFAULT_ENDO_BUDGET = 256
-DEFAULT_ISO_BUDGET = 512
 
 
 class BudgetExceeded(RuntimeError):
@@ -102,13 +98,6 @@ class FiniteGroup:
     def is_subgroup_of(self, other: "FiniteGroup") -> bool:
         return self.degree == other.degree and all(x in other for x in self.elements)
 
-    def is_abelian(self) -> bool:
-        gens = self.generators
-        return all(g * h == h * g for g, h in itertools.combinations(gens, 2))
-
-    def element_order_counts(self) -> Counter:
-        return Counter(p.order() for p in self.elements)
-
     def _col(self, c: int) -> tuple[int, ...]:
         """Right multiplication by elements[c], as an index array."""
         col = self._mul_cols.get(c)
@@ -181,26 +170,25 @@ def join(a: FiniteGroup, b: FiniteGroup, max_order: int = DEFAULT_MAX_GROUP_ORDE
 def normal_closure(s: FiniteGroup, g: FiniteGroup) -> FiniteGroup:
     """Smallest normal subgroup of g containing s.
 
-    Closes the generator set of s under conjugation by the generators of
-    g (reaching conjugates by every element of g), then closes the result
-    multiplicatively.  Bounded by |g|, so no budget applies.
+    Starts from s and conjugates each generator by the generators of g;
+    a conjugate outside the current group joins the generators and the
+    group is closed again.  Once every generator's conjugates lie inside,
+    the group is normal, and it is generated by conjugates of elements of
+    s, so it lies in every normal subgroup containing s.  Each re-closure
+    at least doubles the order, so there are at most log2|g| of them.
+    Bounded by |g|, so no budget applies.
     """
     if not s.is_subgroup_of(g):
         raise ValueError("s is not a subgroup of g")
-    conj_gens: list[Permutation] = []
-    seen: set[Permutation] = set()
-    pending = list(s.generators)
-    while pending:
-        x = pending.pop(0)
-        if x in seen:
-            continue
-        seen.add(x)
-        conj_gens.append(x)
+    gens = list(s.generators)
+    n = s
+    for x in gens:  # gens grows as conjugates join it
         for t in g.generators:
             c = x.conjugated_by(t)
-            if c not in seen:
-                pending.append(c)
-    return closure(conj_gens, g.degree, max_order=g.order)
+            if c not in n:
+                gens.append(c)
+                n = closure(gens, g.degree, max_order=g.order)
+    return n
 
 
 def is_normal_in(h: FiniteGroup, g: FiniteGroup) -> bool:
@@ -241,9 +229,6 @@ class ConjClassPartition:
     def same_class(self, x: Permutation, y: Permutation) -> bool:
         return self.class_index_of(x) == self.class_index_of(y)
 
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(sorted(len(c) for c in self.classes))
-
 
 def conjugacy_classes(g: FiniteGroup) -> ConjClassPartition:
     if g._classes is not None:
@@ -268,56 +253,6 @@ def conjugacy_classes(g: FiniteGroup) -> ConjClassPartition:
     part = ConjClassPartition(g, tuple(classes))
     g._classes = part
     return part
-
-
-class QuotientGroup(FiniteGroup):
-    """g/n realized as the permutation action of g on the cosets of n.
-
-    Cosets are numbered by their least representative in ascending order,
-    so coset 0 is n itself; each element of the quotient is the
-    permutation of coset indices induced by left multiplication, and the
-    correspondence coset <-> permutation is bijective because n is the
-    kernel of the action.  Coset products then coincide with permutation
-    products.
-    """
-
-    __slots__ = ("source", "kernel", "cosets", "coset_reps", "_coset_index")
-
-    def __init__(self, base: FiniteGroup, source: FiniteGroup, kernel: FiniteGroup,
-                 cosets: tuple[tuple[Permutation, ...], ...], coset_index: dict[Permutation, int]):
-        super().__init__(base.elements, base.generators, base.degree)
-        self.source = source
-        self.kernel = kernel
-        self.cosets = cosets
-        self.coset_reps = tuple(c[0] for c in cosets)
-        self._coset_index = coset_index
-
-    def project(self, x: Permutation) -> Permutation:
-        """The quotient element (coset-index permutation) of x in source."""
-        if x not in self.source:
-            raise KeyError(f"{x!r} is not in the source group")
-        return Permutation(tuple(self._coset_index[x * r] for r in self.coset_reps))
-
-
-def quotient(g: FiniteGroup, n: FiniteGroup) -> QuotientGroup:
-    """The quotient group g/n for n normal in g."""
-    if not is_normal_in(n, g):
-        raise ValueError("subgroup is not normal")
-    coset_index: dict[Permutation, int] = {}
-    cosets: list[tuple[Permutation, ...]] = []
-    for x in g.elements:
-        if x in coset_index:
-            continue
-        members = tuple(sorted(x * m for m in n.elements))
-        idx = len(cosets)
-        for m in members:
-            coset_index[m] = idx
-        cosets.append(members)
-    k = len(cosets)
-    reps = [c[0] for c in cosets]
-    gen_perms = [Permutation(tuple(coset_index[t * r] for r in reps)) for t in g.generators]
-    base = closure(gen_perms, k, max_order=k)
-    return QuotientGroup(base, g, n, tuple(cosets), coset_index)
 
 
 def greedy_generators(g: FiniteGroup) -> tuple[Permutation, ...]:
@@ -380,34 +315,6 @@ def propagate_images(domain: FiniteGroup, codomain: FiniteGroup,
     return tuple(table), None
 
 
-def homomorphism_tables(g: FiniteGroup, h: FiniteGroup, budget_name: str, budget: int,
-                        same_order: bool = False):
-    """Yield the image table of every homomorphism g -> h that sends a
-    greedy generating set of g to candidate images, in search order.
-
-    A generator's candidates are the elements of h whose order divides
-    its order (equals it, when same_order), and each choice of
-    candidates is propagated through the full multiplication table.
-    Raises BudgetExceeded, before searching, when the number of choices
-    exceeds budget ** 2.
-    """
-    gens = greedy_generators(g)
-    gen_idx = [g.index_of(x) for x in gens]
-    h_orders = [y.order() for y in h.elements]
-    candidates = []
-    for x in gens:
-        ox = x.order()
-        candidates.append([j for j, oy in enumerate(h_orders)
-                           if (oy == ox if same_order else ox % oy == 0)])
-    search = math.prod(map(len, candidates))
-    if search > budget ** 2:
-        raise BudgetExceeded(budget_name, budget, f"searching {search} candidate maps")
-    for combo in itertools.product(*candidates):
-        table, conflict = propagate_images(g, h, gen_idx, combo)
-        if conflict is None:
-            yield table
-
-
 @dataclass(frozen=True)
 class GroupMap:
     """A homomorphism between finite groups, stored as the tuple of
@@ -441,33 +348,6 @@ def identity_map(g: FiniteGroup) -> GroupMap:
 
 def trivial_map(g: FiniteGroup) -> GroupMap:
     return GroupMap(g, g, (0,) * g.order)
-
-
-def is_isomorphic(g: FiniteGroup, h: FiniteGroup,
-                  iso_budget: int = DEFAULT_ISO_BUDGET) -> tuple[bool, GroupMap | None]:
-    """Decide isomorphism and produce a witness map when one exists.
-
-    Cheap invariants (order, element-order multiset, abelianness,
-    conjugacy class sizes) prune first; the remaining search runs
-    homomorphism_tables with each generator sent to an element of the
-    same order, and stops at the first bijective table.  Raises
-    BudgetExceeded when either order exceeds iso_budget, or when that
-    search would exceed iso_budget ** 2 choices.
-    """
-    if max(g.order, h.order) > iso_budget:
-        raise BudgetExceeded("iso_budget", iso_budget, "testing isomorphism")
-    if g.order != h.order:
-        return False, None
-    if g.element_order_counts() != h.element_order_counts():
-        return False, None
-    if g.is_abelian() != h.is_abelian():
-        return False, None
-    if conjugacy_classes(g).sizes() != conjugacy_classes(h).sizes():
-        return False, None
-    for table in homomorphism_tables(g, h, "iso_budget", iso_budget, same_order=True):
-        if len(set(table)) == g.order:
-            return True, GroupMap(g, h, table)
-    return False, None
 
 
 class SubgroupPair:

@@ -9,6 +9,8 @@ and report the exact element where the forcing first clashes.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 from .groups import (
@@ -17,7 +19,7 @@ from .groups import (
     FiniteGroup,
     GroupMap,
     SubgroupPair,
-    homomorphism_tables,
+    greedy_generators,
     identity_map,
     propagate_images,
     trivial_map,
@@ -29,18 +31,29 @@ def enumerate_endomorphisms(g: FiniteGroup, endo_budget: int = DEFAULT_ENDO_BUDG
     """All endomorphisms of g, deduplicated and sorted by their full image
     tables in canonical element order.
 
-    The search is homomorphism_tables from g to itself: the image of a
-    generator must have order dividing the generator's, and each choice
-    is validated by propagation over the whole multiplication table, so
-    every returned map is a genuine homomorphism and none is missed.
-    Raises BudgetExceeded when the order of g exceeds endo_budget, or
-    when the search would exceed endo_budget ** 2 choices.  The maps are
-    cached on g, and a cached list is returned without a search.
+    Each element of a greedy generating set of g is sent to every element
+    whose order divides its own, and each choice is validated by
+    propagation over the whole multiplication table, so every returned
+    map is a genuine homomorphism and none is missed.  Raises
+    BudgetExceeded when the order of g exceeds endo_budget, or, before
+    searching, when the number of choices exceeds endo_budget ** 2.  The
+    maps are cached on g, and a cached list is returned without a search.
     """
     if g.order > endo_budget:
         raise BudgetExceeded("endo_budget", endo_budget, "enumerating endomorphisms")
     if g._endos is None:
-        tables = set(homomorphism_tables(g, g, "endo_budget", endo_budget))
+        gens = greedy_generators(g)
+        orders = [y.order() for y in g.elements]
+        candidates = [[j for j, oy in enumerate(orders) if x.order() % oy == 0] for x in gens]
+        search = math.prod(map(len, candidates))
+        if search > endo_budget ** 2:
+            raise BudgetExceeded("endo_budget", endo_budget, f"searching {search} candidate maps")
+        gen_idx = [g.index_of(x) for x in gens]
+        tables = set()
+        for combo in itertools.product(*candidates):
+            table, conflict = propagate_images(g, g, gen_idx, combo)
+            if conflict is None:
+                tables.add(table)
         g._endos = tuple(GroupMap(g, g, t) for t in sorted(tables))
     return list(g._endos)
 

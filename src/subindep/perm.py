@@ -174,16 +174,18 @@ def parse_cycles(text: str, degree: int) -> Permutation:
         raise CycleParseError(f"unexpected trailing text in {text!r}")
 
     # Points are range-checked and distinct within a cycle, so each cycle
-    # is a bijection and needs no further check.
-    result = identity
+    # is a bijection and needs no further check.  The product is built in
+    # place: multiplying on the right by a cycle (a1 ... ak) only sets the
+    # image of each ai to the old image of the next point, so a string
+    # costs its length plus the degree, however many cycles it holds.
+    img = list(identity)
     for m in matches:
         pts = _parse_points(m.group(1), degree)
         if not pts:
             raise CycleParseError(f"empty cycle in {text!r}")
         if len(set(pts)) != len(pts):
             raise CycleParseError(f"repeated point in cycle {m.group(0)!r}")
-        img = list(range(degree))
-        for a, b in zip(pts, pts[1:] + pts[:1]):
-            img[a - 1] = b - 1
-        result = result * _trusted(img)
-    return result
+        old = [img[p - 1] for p in pts]
+        for p, v in zip(pts, old[1:] + old[:1]):
+            img[p - 1] = v
+    return _trusted(img)

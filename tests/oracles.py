@@ -5,8 +5,10 @@ Endomorphisms are recovered by expressing every element as a word in a
 minimal generating tuple (found by exhaustive combination search) and
 filtering all |G|^k image assignments through a full multiplication
 table check.  A literal |G|^|G| filter validates that oracle in turn on
-groups small enough to afford it.  The map checks and the union-law
-harness at the end are the full-table checks the tests hold results to.
+groups small enough to afford it.  Quotients are coset actions and
+isomorphisms come from the same word search.  The map checks and the
+union-law harness at the end are the full-table checks the tests hold
+results to.
 """
 
 from __future__ import annotations
@@ -147,6 +149,59 @@ def independent_by_global_search(a: FiniteGroup, b: FiniteGroup,
             if (ra, rb) not in restrictions:
                 return False
     return True
+
+
+def quotient(g: FiniteGroup, n: FiniteGroup):
+    """g/n as the action of g on the left cosets of n, and the projection.
+
+    Returns (q, project): q is the group of coset-index permutations that
+    left multiplication induces, and project(x) is the permutation x
+    induces.  Cosets are numbered by their least element, so coset 0 is n.
+    Raises ValueError unless every element of n stays in n under
+    conjugation by each generator of g, that is unless n is normal in g.
+    """
+    n_set = set(n.elements)
+    if not all(x.conjugated_by(t) in n_set for x in n.elements for t in g.generators):
+        raise ValueError("subgroup is not normal")
+    coset_of: dict[Permutation, int] = {}
+    reps: list[Permutation] = []
+    for x in g.elements:
+        if x not in coset_of:
+            for m in n.elements:
+                coset_of[x * m] = len(reps)
+            reps.append(x)
+
+    def project(x: Permutation) -> Permutation:
+        return Permutation(tuple(coset_of[x * r] for r in reps))
+
+    k = len(reps)
+    return closure([project(t) for t in g.generators], k, max_order=k), project
+
+
+def find_isomorphism(g: FiniteGroup, h: FiniteGroup) -> GroupMap | None:
+    """An isomorphism g -> h, or None when there is none.
+
+    A generating tuple of g of least size is sent to every tuple of
+    elements of h with the same orders; each assignment is spread over g
+    through the word expressions and kept if it is a bijection that
+    preserves every product.
+    """
+    if g.order != h.order:
+        return None
+    gens = minimal_generating_tuples(g)[0]
+    words = element_words(g, gens)
+    choices = [[y for y in h.elements if y.order() == x.order()] for x in gens]
+    for images in product(*choices):
+        mapping = {}
+        for x, word in words.items():
+            y = h.identity
+            for pos in word:
+                y = y * images[pos]
+            mapping[x] = y
+        if len(set(mapping.values())) == g.order and all(
+                mapping[x * y] == mapping[x] * mapping[y] for x in g.elements for y in g.elements):
+            return GroupMap(g, h, tuple(h.index_of(mapping[x]) for x in g.elements))
+    return None
 
 
 def semigroup_closure(elements, degree: int) -> frozenset[Permutation]:

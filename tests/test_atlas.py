@@ -7,7 +7,12 @@ import sys
 import pytest
 
 from conftest import pair_from_row
-from oracles import check_union_independent_sets, independent_by_global_search
+from oracles import (
+    check_union_independent_sets,
+    find_isomorphism,
+    independent_by_global_search,
+    quotient,
+)
 from subindep import atlas, groups
 from subindep.atlas import (
     ATLAS_FIELDS,
@@ -20,12 +25,11 @@ from subindep.atlas import (
 from subindep.checks import (
     check_a_inside_ncl_b,
     check_b_inside_ncl_a,
+    verify_factoring,
 )
 from subindep.groups import (
     SubgroupPair,
     closure,
-    is_isomorphic,
-    quotient,
     symmetric_group,
 )
 from subindep.perm import parse_cycles
@@ -217,16 +221,19 @@ class TestTheoremSuite:
         assert hit > 0
 
     def test_factoring_isomorphism_iff_separated(self, s4_atlas):
-        # join/ncl(B) recovers A exactly on the B-separated side.
+        # join/ncl(B) recovers A exactly on the B-separated side, and the
+        # order identity in verify_factoring agrees with an explicit
+        # quotient and isomorphism search on every ordered pair.
         rows, _ = s4_atlas
         for r in rows:
             pair = pair_from_row(r, 4)
             join = pair.join
             sep_a = not check_a_inside_ncl_b(pair).decided
             sep_b = not check_b_inside_ncl_a(pair).decided
-            iso_a, _ = is_isomorphic(quotient(join, pair.ncl_b), pair.a)
-            iso_b, _ = is_isomorphic(quotient(join, pair.ncl_a), pair.b)
+            iso_a = find_isomorphism(quotient(join, pair.ncl_b)[0], pair.a) is not None
+            iso_b = find_isomorphism(quotient(join, pair.ncl_a)[0], pair.b) is not None
             assert iso_a == sep_a and iso_b == sep_b, r.pair_id
+            assert verify_factoring(pair) == (iso_a and iso_b), r.pair_id
 
     def test_trivial_closure_meet_forces_independence(self, s4_atlas):
         rows, _ = s4_atlas
@@ -261,7 +268,7 @@ class TestTheoremSuite:
         for r in rng.sample(sampled, min(10, len(sampled))):
             pair = pair_from_row(r, 4)
             join = pair.join
-            q = quotient(join, pair.ncl_b)
+            _, project = quotient(join, pair.ncl_b)
             for _ in range(6):
                 a_word = [rng.choice(pair.a.elements) for _ in range(3)]
                 b_word = [rng.choice(pair.b.elements) for _ in range(3)]
@@ -271,7 +278,7 @@ class TestTheoremSuite:
                 a_only = join.identity
                 for x in a_word:
                     a_only = a_only * x
-                assert q.project(prod) == q.project(a_only)
+                assert project(prod) == project(a_only)
 
     def test_unions_of_independent_sets(self, s4_atlas):
         rows, _ = s4_atlas
@@ -323,7 +330,7 @@ class TestIsomorphicReplacement:
         assert bad.pipeline_status == "Dependent"
         pair_good = pair_from_row(good, 4)
         pair_bad = pair_from_row(bad, 4)
-        assert is_isomorphic(pair_good.a, pair_bad.a)[0]
+        assert find_isomorphism(pair_good.a, pair_bad.a) is not None
         assert pair_good.b.elements == pair_bad.b.elements
 
 

@@ -4,7 +4,14 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import check_homomorphism, is_bijective, normal_subgroups_containing, semigroup_closure
+from oracles import (
+    check_homomorphism,
+    find_isomorphism,
+    is_bijective,
+    normal_subgroups_containing,
+    quotient,
+    semigroup_closure,
+)
 from subindep import groups
 from subindep.atlas import all_subgroups_bruteforce
 from subindep.groups import (
@@ -14,12 +21,10 @@ from subindep.groups import (
     conjugacy_classes,
     greedy_generators,
     identity_map,
-    is_isomorphic,
     is_normal_in,
     join,
     normal_closure,
     propagate_images,
-    quotient,
     symmetric_group,
     trivial_map,
 )
@@ -102,6 +107,23 @@ class TestJoinAndClosures:
             candidates = normal_subgroups_containing(sub.elements, g, lattice)
             assert frozenset(ncl.elements) == candidates[0]
 
+    def test_normal_closure_recloses_at_most_log2_order_times(self, monkeypatch):
+        # A transposition's class in S5 has ten members; only conjugates
+        # outside the current group trigger a new closure.
+        g = symmetric_group(5)
+        sub = closure([P("(1 2)", 5)], 5)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return closure(*args, **kwargs)
+
+        monkeypatch.setattr(groups, "closure", counting)
+        assert normal_closure(sub, g) == g
+        assert 0 < len(calls) <= math.log2(g.order)
+        calls.clear()
+        assert normal_closure(g, g) is g and calls == []
+
     def test_normal_closure_is_normal_and_contains_subgroup(self):
         g = symmetric_group(4)
         sub = closure([P("(1 2 3)", 4)], 4)
@@ -158,11 +180,11 @@ class TestNormality:
 class TestConjugacyClasses:
     def test_s3_class_sizes(self):
         part = conjugacy_classes(symmetric_group(3))
-        assert sorted(part.sizes()) == [1, 2, 3]
+        assert sorted(len(c) for c in part.classes) == [1, 2, 3]
 
     def test_s4_class_sizes(self):
         part = conjugacy_classes(symmetric_group(4))
-        assert sorted(part.sizes()) == [1, 3, 6, 6, 8]
+        assert sorted(len(c) for c in part.classes) == [1, 3, 6, 6, 8]
 
     def test_classes_partition_the_group(self):
         g = symmetric_group(4)
@@ -180,38 +202,41 @@ class TestConjugacyClasses:
 
     def test_abelian_groups_have_singleton_classes(self):
         c4 = closure([P("(1 2 3 4)", 4)], 4)
-        assert conjugacy_classes(c4).sizes() == (1, 1, 1, 1)
+        assert [len(c) for c in conjugacy_classes(c4).classes] == [1, 1, 1, 1]
 
 
 class TestQuotient:
+    """The coset-action quotient oracle."""
+
     def test_s3_mod_a3(self):
         s3 = symmetric_group(3)
         a3 = closure([P("(1 2 3)", 3)], 3)
-        q = quotient(s3, a3)
+        q, project = quotient(s3, a3)
         assert q.order == 2
-        assert q.kernel == a3
+        assert {x for x in s3.elements if project(x).is_identity()} == set(a3.elements)
 
     def test_projection_is_a_homomorphism(self):
         g = symmetric_group(4)
         v = closure([P("(1 2)(3 4)", 4), P("(1 3)(2 4)", 4)], 4)
-        q = quotient(g, v)
+        q, project = quotient(g, v)
         assert q.order == 6
         for x in g.elements:
+            assert project(x) in q
             for y in g.elements[:8]:
-                assert q.project(x * y) == q.project(x) * q.project(y)
+                assert project(x * y) == project(x) * project(y)
 
     def test_kernel_is_exactly_the_projected_identity(self):
         g = symmetric_group(4)
         v = closure([P("(1 2)(3 4)", 4), P("(1 3)(2 4)", 4)], 4)
-        q = quotient(g, v)
-        kernel = [x for x in g.elements if q.project(x).is_identity()]
+        _, project = quotient(g, v)
+        kernel = [x for x in g.elements if project(x).is_identity()]
         assert set(kernel) == set(v.elements)
 
     def test_s4_mod_klein_is_s3(self):
         g = symmetric_group(4)
         v = closure([P("(1 2)(3 4)", 4), P("(1 3)(2 4)", 4)], 4)
-        ok, iso = is_isomorphic(quotient(g, v), symmetric_group(3))
-        assert ok and is_bijective(iso) and check_homomorphism(iso)
+        iso = find_isomorphism(quotient(g, v)[0], symmetric_group(3))
+        assert iso is not None and is_bijective(iso) and check_homomorphism(iso)
 
     def test_rejects_non_normal_kernel(self):
         s3 = symmetric_group(3)
@@ -284,50 +309,32 @@ class TestGroupMap:
 
 
 class TestIsomorphism:
+    """The isomorphism-search oracle."""
+
     def test_distinguishes_c4_from_klein(self):
         c4 = closure([P("(1 2 3 4)", 4)], 4)
         v4 = closure([P("(1 2)(3 4)", 4), P("(1 3)(2 4)", 4)], 4)
-        ok, _ = is_isomorphic(c4, v4)
-        assert not ok
+        assert find_isomorphism(c4, v4) is None
 
     def test_order_mismatch_is_cheap_rejection(self):
-        ok, iso = is_isomorphic(symmetric_group(3), symmetric_group(4))
-        assert not ok and iso is None
+        assert find_isomorphism(symmetric_group(3), symmetric_group(4)) is None
 
     def test_conjugate_subgroups_are_isomorphic(self):
         a = closure([P("(1 2)", 4)], 4)
         b = closure([P("(3 4)", 4)], 4)
-        ok, iso = is_isomorphic(a, b)
-        assert ok and is_bijective(iso) and check_homomorphism(iso)
+        iso = find_isomorphism(a, b)
+        assert iso is not None and is_bijective(iso) and check_homomorphism(iso)
 
     def test_dihedral_vs_abelian_of_order_8(self):
         d4 = join(closure([P("(1 2)", 4)], 4), closure([P("(1 3)(2 4)", 4)], 4))
         c2v = closure([P("(1 2)", 8), P("(3 4)", 8), P("(5 6)", 8)], 8)
         assert d4.order == c2v.order == 8
-        ok, _ = is_isomorphic(d4, c2v)
-        assert not ok
+        assert find_isomorphism(d4, c2v) is None
 
     def test_self_isomorphism(self):
         g = symmetric_group(3)
-        ok, iso = is_isomorphic(g, g)
-        assert ok and check_homomorphism(iso)
-
-    def test_candidate_search_is_budgeted(self, monkeypatch):
-        # C2^3: three generators with 7 involutions each as candidates, 343
-        # in all, against iso_budget ** 2.
-        g = closure([P("(1 2)", 6), P("(3 4)", 6), P("(5 6)", 6)], 6)
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return propagate_images(*args)
-
-        monkeypatch.setattr(groups, "propagate_images", counting)
-        with pytest.raises(BudgetExceeded) as exc:
-            is_isomorphic(g, g, iso_budget=18)  # 18 ** 2 = 324
-        assert exc.value.budget == "iso_budget" and calls == []
-        ok, iso = is_isomorphic(g, g, iso_budget=19)  # 19 ** 2 = 361
-        assert ok and is_bijective(iso) and calls
+        iso = find_isomorphism(g, g)
+        assert iso is not None and check_homomorphism(iso)
 
 
 class TestSubgroupPair:

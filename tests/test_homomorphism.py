@@ -19,7 +19,7 @@ from subindep.groups import (
     symmetric_group,
     trivial_map,
 )
-from subindep import groups
+from subindep import homs
 from subindep.homs import enumerate_endomorphisms, extend
 from subindep.perm import Permutation, cycle_string, parse_cycles
 
@@ -108,7 +108,7 @@ class TestEnumerationAgainstOracles:
             calls.append(args)
             return propagate_images(*args)
 
-        monkeypatch.setattr(groups, "propagate_images", counting)
+        monkeypatch.setattr(homs, "propagate_images", counting)
         with pytest.raises(BudgetExceeded) as exc:
             enumerate_endomorphisms(g, endo_budget=22)  # 22 ** 2 = 484
         assert exc.value.budget == "endo_budget" and calls == []
@@ -124,7 +124,7 @@ class TestEnumerationAgainstOracles:
             calls.append(args)
             return propagate_images(*args)
 
-        monkeypatch.setattr(groups, "propagate_images", counting)
+        monkeypatch.setattr(homs, "propagate_images", counting)
         assert enumerate_endomorphisms(g) == first
         assert calls == []
         # The cache lives on the instance: an equal group built anew

@@ -1,10 +1,13 @@
+import dataclasses
 import json
 import re
 import signal
 import subprocess
 import sys
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import SHARED_POINT, ORDER_CLASH, SWAP_VS_DOUBLE, FAR_SWAPS, MERGE_PAIR, make_pair
 from subindep.checks import (
@@ -20,10 +23,10 @@ from subindep.checks import (
     recheck_witness,
 )
 from subindep import cli, pipeline
-from subindep.groups import is_isomorphic
 from subindep.perm import Permutation, cycle_string, parse_cycles
 from subindep.pipeline import (
     Config,
+    MAX_SPEC_CHARS_PER_POINT,
     MAX_SPEC_DEGREE,
     MAX_SPEC_GENERATORS,
     PairSpecError,
@@ -42,6 +45,20 @@ def P(text: str, degree: int) -> Permutation:
 def spec_dict(spec) -> dict:
     degree, a, b = spec
     return {"degree": degree, "A": a, "B": b}
+
+
+def within_alarm(seconds: float, fn, *args):
+    """fn(*args), raising TimeoutError if it runs past the wall-clock bound."""
+    def overran(signum, frame):
+        raise TimeoutError(f"{fn.__name__} overran its {seconds} s wall-clock bound")
+
+    old = signal.signal(signal.SIGALRM, overran)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return fn(*args)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
 
 
 class TestParsePairSpec:
@@ -83,16 +100,73 @@ class TestParsePairSpec:
             parse_pair_spec({"degree": 4, "A": ["(1 2 3 4)"], "B": []},
                             max_group_order=3)
 
+    @pytest.mark.parametrize("degree, longest", [(1, 1), (2, 5), (9, 22), (10, 26), (1024, 4525)])
+    def test_every_canonical_generator_fits_the_length_cap(self, degree, longest):
+        # The longest canonical string of a degree moves every point, in
+        # transpositions and, at odd degree, one 3-cycle.  Comma
+        # separators make it longer still.
+        images = list(range(degree))
+        for i in range(0, degree - 1, 2):
+            images[i], images[i + 1] = i + 1, i
+        if degree % 2 and degree > 1:
+            images[-3:] = [degree - 2, degree - 1, degree - 3]
+        p = Permutation(images)
+        text = cycle_string(p)
+        assert len(text) == longest
+        for s in (text, text.replace(" ", ", ")):
+            assert p in parse_pair_spec({"degree": degree, "A": [s], "B": []}).a
+
+    @pytest.mark.parametrize("degree", [2, 9, 1024])
+    def test_generator_length_cap_boundary(self, degree):
+        at_cap = "(1 2)".ljust(MAX_SPEC_CHARS_PER_POINT * degree)
+        assert parse_pair_spec({"degree": degree, "A": [at_cap], "B": [at_cap]}).a.order == 2
+        for side in ("A", "B"):
+            spec = {"degree": degree, "A": ["(1 2)"], "B": ["(1 2)"]}
+            spec[side] = ["(1 2)", at_cap + " "]
+            with pytest.raises(PairSpecError, match=f"{side} has a generator longer than"):
+                parse_pair_spec(spec)
+
+    def test_generators_at_the_length_cap_parse_in_linear_time(self):
+        # 128 strings of 1,228 transpositions at degree 1024, just under the
+        # cap.  Multiplying cycle by cycle costs the degree per cycle (about
+        # 10 s on a 2-core machine); building the product in place costs
+        # the string length.
+        swaps = "(1 2)" * 1228
+        assert len(swaps) <= MAX_SPEC_CHARS_PER_POINT * 1024
+        d = within_alarm(5, decide, {"degree": 1024, "A": [swaps] * 64, "B": [swaps] * 64})
+        assert d.status == "Independent"
+
+    def test_over_long_spec_is_rejected_before_parsing(self, monkeypatch):
+        # 128 generators of 6,250 characters, 0.8 MB of JSON: every point of
+        # degree 1024 in one comma-separated cycle, padded with spaces.
+        # Without the cap it parses and decides in about a quarter second.
+        cycle = "(" + ", ".join(str(i) for i in range(1, 1025)) + ")"
+        spec = {"degree": 1024, "A": [cycle.ljust(6250)] * 64, "B": [cycle.ljust(6250)] * 64}
+        assert len(json.dumps(spec)) > 800_000
+
+        def never(*args):
+            raise AssertionError("an over-long generator reached the parser")
+
+        monkeypatch.setattr(pipeline, "parse_cycles", never)
+        times = []
+        for _ in range(5):
+            t0 = time.perf_counter()
+            with pytest.raises(PairSpecError, match="longer than"):
+                parse_pair_spec(spec)
+            times.append(time.perf_counter() - t0)
+        assert min(times) < 1e-3
+
 
 class TestConfig:
     def test_defaults(self):
         cfg = Config()
-        assert (cfg.max_group_order, cfg.endo_budget, cfg.iso_budget) == (5040, 256, 512)
+        assert [f.name for f in dataclasses.fields(cfg)] == [
+            "max_group_order", "endo_budget", "run_diagnostics"]
+        assert (cfg.max_group_order, cfg.endo_budget, cfg.run_diagnostics) == (5040, 256, False)
 
     @pytest.mark.parametrize("kwargs", [
         {"max_group_order": 0},
         {"endo_budget": -1},
-        {"iso_budget": 0},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -254,41 +328,24 @@ class TestDiagnostics:
         # instead of searching.  The alarm turns a hang into a failure.
         spec = {"degree": 12, "A": ["(1 2)", "(3 4)", "(5 6)", "(7 8)", "(9 10)"],
                 "B": ["(11 12)"]}
-
-        def overran(signum, frame):
-            raise TimeoutError("decide overran its wall-clock bound")
-
-        old = signal.signal(signal.SIGALRM, overran)
-        signal.setitimer(signal.ITIMER_REAL, 10)
-        try:
-            d = decide(spec, Config(run_diagnostics=True))
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, old)
+        d = within_alarm(10, decide, spec, Config(run_diagnostics=True))
         assert d.status == "Independent" and d.step is Step.COMMUTING
         assert d.diagnostics["witness_rechecked"] is True
         assert d.diagnostics["extension_law_sampled"] is None
 
-    def test_factoring_audit_of_c2_to_the_sixth_finishes_within_a_wall_clock_bound(self):
-        # join/<Conj(B)> is isomorphic to C2^6, whose generators have 63^6
-        # candidate images each way, over the default iso_budget ** 2, so
-        # the factoring audit trips its budget instead of searching.
-        spec = {"degree": 14, "A": ["(1 2)", "(3 4)", "(5 6)", "(7 8)", "(9 10)", "(11 12)"],
-                "B": ["(13 14)"]}
-
-        def overran(signum, frame):
-            raise TimeoutError("decide overran its wall-clock bound")
-
-        old = signal.signal(signal.SIGALRM, overran)
-        signal.setitimer(signal.ITIMER_REAL, 10)
-        try:
-            d = decide(spec, Config(run_diagnostics=True))
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, old)
+    @pytest.mark.parametrize("k", [6, 9])
+    def test_factoring_audit_of_c2_powers_is_bounded_in_time(self, k):
+        # A = C2^k against a disjoint transposition.  The factoring audit
+        # compares group orders and searches nothing.  The sampled law
+        # trips endo_budget before searching: on the 64^6 candidate maps
+        # at k = 6, and on A's order 512 at k = 9.
+        a = [f"({2 * i + 1} {2 * i + 2})" for i in range(k)]
+        spec = {"degree": 2 * k + 2, "A": a, "B": [f"({2 * k + 1} {2 * k + 2})"]}
+        d = within_alarm(10, decide, spec, Config(run_diagnostics=True))
         assert d.status == "Independent" and d.step is Step.COMMUTING
         assert d.diagnostics["witness_rechecked"] is True
-        assert d.diagnostics["factoring_isomorphisms"] is None
+        assert d.diagnostics["factoring_isomorphisms"] is True
+        assert d.diagnostics["extension_law_sampled"] is None
 
     def test_exhaustive_recheck_runs_under_the_given_budget(self):
         pair = make_pair(*SWAP_VS_DOUBLE)
@@ -307,6 +364,29 @@ class TestDiagnostics:
         monkeypatch.setattr(pipeline, "recheck_witness", spy)
         decide(spec_dict(SWAP_VS_DOUBLE), Config(endo_budget=7, run_diagnostics=True))
         assert seen == [7]
+
+
+@st.composite
+def pair_specs(draw):
+    """Degree at most 7 and up to three random permutations a side, in
+    cycle notation."""
+    degree = draw(st.integers(min_value=1, max_value=7))
+    gens = st.lists(st.permutations(range(degree)).map(lambda p: cycle_string(Permutation(p))),
+                    max_size=3)
+    return {"degree": degree, "A": draw(gens), "B": draw(gens)}
+
+
+class TestFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(pair_specs())
+    def test_decide_answers_in_bounded_time_with_a_checkable_witness(self, spec):
+        for diagnostics in (False, True):
+            d = within_alarm(20, decide, spec, Config(run_diagnostics=diagnostics))
+            assert d.status in ("Independent", "Dependent", "Inconclusive")
+            if d.status != "Inconclusive":
+                assert recheck_witness(parse_pair_spec(spec), d.witness)
+            if diagnostics and d.status == "Independent":
+                assert d.diagnostics["factoring_isomorphisms"] is True
 
 
 def strip_elapsed(doc: str) -> str:
