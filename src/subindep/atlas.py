@@ -14,7 +14,7 @@ import io
 import json
 import multiprocessing
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from itertools import combinations
 
 from .checks import (
@@ -30,7 +30,6 @@ from .checks import (
     check_order_divisibility,
 )
 from .groups import (
-    BudgetExceeded,
     FiniteGroup,
     SubgroupPair,
     closure,
@@ -39,10 +38,9 @@ from .groups import (
     symmetric_group,
 )
 from .perm import Permutation, cycle_string
-from .pipeline import Config, Step, decide_pair
+from .pipeline import decide_pair
 
 MAX_ATLAS_DEGREE = 5
-MAX_BRUTEFORCE_LATTICE_ORDER = 24
 
 
 def enumerate_subgroups(group: FiniteGroup) -> list[FiniteGroup]:
@@ -50,8 +48,8 @@ def enumerate_subgroups(group: FiniteGroup) -> list[FiniteGroup]:
     (order, element list).
 
     For symmetric groups of degree up to 5 two generators reach every
-    subgroup: 2, 6, 30 and 156 of them.  The full-lattice brute force
-    below verifies that up to degree 4, and a test pins the S5 count.
+    subgroup: 2, 6, 30 and 156 of them.  The tests check that against a
+    brute-force lattice up to degree 4 and pin the S5 count.
     """
     seen: dict[tuple[Permutation, ...], FiniteGroup] = {}
     trivial = closure([], group.degree, max_order=group.order)
@@ -62,34 +60,6 @@ def enumerate_subgroups(group: FiniteGroup) -> list[FiniteGroup]:
             sub = closure(list(combo), group.degree, max_order=group.order)
             seen.setdefault(sub.elements, sub)
     return sorted(seen.values(), key=lambda s: (s.order, s.elements))
-
-
-def all_subgroups_bruteforce(group: FiniteGroup) -> list[FiniteGroup]:
-    """Every subgroup, by saturating single-element extensions.
-
-    Exponential in principle; restricted to ambient order at most
-    MAX_BRUTEFORCE_LATTICE_ORDER where it is instant.
-    """
-    if group.order > MAX_BRUTEFORCE_LATTICE_ORDER:
-        raise ValueError(
-            f"full lattice enumeration is limited to order {MAX_BRUTEFORCE_LATTICE_ORDER}, "
-            f"got {group.order}")
-    trivial = closure([], group.degree, max_order=group.order)
-    known: dict[tuple[Permutation, ...], FiniteGroup] = {trivial.elements: trivial}
-    frontier = [trivial]
-    while frontier:
-        nxt = []
-        for sub in frontier:
-            for g in group.elements[1:]:
-                if g in sub:
-                    continue
-                ext = closure(list(sub.generators) + [g], group.degree,
-                              max_order=group.order)
-                if ext.elements not in known:
-                    known[ext.elements] = ext
-                    nxt.append(ext)
-        frontier = nxt
-    return sorted(known.values(), key=lambda s: (s.order, s.elements))
 
 
 @dataclass
@@ -153,20 +123,17 @@ class _AtlasRun:
     rows record verdicts only, and no verdict depends on that choice.
     """
 
-    def __init__(self, subs: list[FiniteGroup], config: Config):
+    def __init__(self, subs: list[FiniteGroup]):
         self.subs = subs
-        # The rows record verdicts only, so the audit never runs.
-        self.config = replace(config, run_diagnostics=False)
         self._joins: dict[tuple[int, int], tuple[int, FiniteGroup]] = {}
         self._canonical_joins: dict[tuple[Permutation, ...], tuple[int, FiniteGroup]] = {}
         self._ncls: dict[tuple[int, int], FiniteGroup] = {}
 
     def _join(self, key: tuple[int, int]) -> tuple[int, FiniteGroup]:
-        """(join id, join) of an unordered index pair; raises
-        BudgetExceeded, and memoizes nothing, when the join is too large."""
+        """(join id, join) of an unordered index pair."""
         entry = self._joins.get(key)
         if entry is None:
-            j = join(self.subs[key[0]], self.subs[key[1]], self.config.max_group_order)
+            j = join(self.subs[key[0]], self.subs[key[1]])
             entry = self._canonical_joins.setdefault(
                 j.elements, (len(self._canonical_joins), j))
             self._joins[key] = entry
@@ -188,66 +155,57 @@ class _AtlasRun:
 
 
 def _classify_one(run: _AtlasRun, task: tuple[str, int, int]) -> AtlasRow:
-    """Run every check, the pipeline and the oracle on one ordered pair."""
+    """Run every check, the pipeline and the oracle on one ordered pair.
+
+    Every atlas group is far inside the default budgets (S5 has order
+    120, and its largest endomorphism search is 1,456 candidate maps), so
+    a BudgetExceeded here is a bug and propagates.  The budget column is
+    kept, always empty, so the report schema does not change.
+    """
     pair_id, a_index, b_index = task
     a, b = run.subs[a_index], run.subs[b_index]
-    cfg = run.config
-    pair = SubgroupPair(a, b, cfg.max_group_order)
-    row = {name: "" for name, _ in _STANDALONE_CHECKS}
-    row.update(pair_id=pair_id, a_index=a_index, b_index=b_index,
-               a_gens=_gens_string(a), b_gens=_gens_string(b),
-               order_a=a.order, order_b=b.order, order_join=0,
-               oracle="", pipeline_status="", pipeline_step="",
-               separated_both=False, ncl_intersection_trivial=False,
-               both_normal=False, gap_region=False, budget="")
-    try:
-        run.fill(pair, a_index, b_index)
-        row["order_join"] = pair.join.order
-        for name, chk in _STANDALONE_CHECKS:
-            row[name] = chk(pair).verdict.value
-        # The definitional product scan, not Step4's sum scan.
-        oracle = brute_force_independent(pair, cfg.endo_budget, use_shortcuts=False)
-        row["oracle"] = oracle.verdict.value
-        decision = decide_pair(pair, cfg)
-        row["pipeline_status"] = decision.status
-        row["pipeline_step"] = decision.step.value
-        sep_both = (row["a_in_ncl_b"] == Verdict.INCONCLUSIVE.value
-                    and row["b_in_ncl_a"] == Verdict.INCONCLUSIVE.value)
-        ncl_b = pair.ncl_b
-        ncl_meet = any(x in ncl_b for x in pair.ncl_a.elements[1:])
-        row["separated_both"] = sep_both
-        row["ncl_intersection_trivial"] = not ncl_meet
-        row["both_normal"] = pair.a_normal and pair.b_normal
-        row["gap_region"] = sep_both and ncl_meet
-    except BudgetExceeded as exc:
-        row["budget"] = exc.budget
-        if not row["pipeline_status"]:
-            row["pipeline_status"] = "Inconclusive"
-            row["pipeline_step"] = Step.BUDGET.value
-    return AtlasRow(**row)
+    pair = SubgroupPair(a, b)
+    run.fill(pair, a_index, b_index)
+    checks = {name: chk(pair).verdict.value for name, chk in _STANDALONE_CHECKS}
+    # The definitional product scan, not Step4's sum scan.
+    oracle = brute_force_independent(pair, use_shortcuts=False)
+    # The rows record verdicts only, so the audit never runs.
+    decision = decide_pair(pair)
+    sep_both = (checks["a_in_ncl_b"] == Verdict.INCONCLUSIVE.value
+                and checks["b_in_ncl_a"] == Verdict.INCONCLUSIVE.value)
+    ncl_b = pair.ncl_b
+    ncl_meet = any(x in ncl_b for x in pair.ncl_a.elements[1:])
+    return AtlasRow(pair_id=pair_id, a_index=a_index, b_index=b_index,
+                    a_gens=_gens_string(a), b_gens=_gens_string(b),
+                    order_a=a.order, order_b=b.order, order_join=pair.join.order,
+                    **checks,
+                    oracle=oracle.verdict.value,
+                    pipeline_status=decision.status,
+                    pipeline_step=decision.step.value,
+                    separated_both=sep_both,
+                    ncl_intersection_trivial=not ncl_meet,
+                    both_normal=pair.a_normal and pair.b_normal,
+                    gap_region=sep_both and ncl_meet,
+                    budget="")
 
 
 # The per-process run of a pool worker, set by _init_worker.
 _worker_run: _AtlasRun | None = None
 
 
-def _init_worker(degree: int, sub_gens: list[tuple[Permutation, ...]],
-                 config: Config) -> None:
+def _init_worker(degree: int, sub_gens: list[tuple[Permutation, ...]]) -> None:
     global _worker_run
     subs = [closure(gens, degree) for gens in sub_gens]
-    _worker_run = _AtlasRun(subs, config)
+    _worker_run = _AtlasRun(subs)
 
 
 def _classify_in_worker(task: tuple[str, int, int]) -> AtlasRow:
     return _classify_one(_worker_run, task)
 
 
-def classify_all_pairs(degree: int,
-                       config: Config = Config(),
-                       full_lattice: bool = False,
-                       jobs: int = 1) -> tuple[list[AtlasRow], dict]:
+def classify_all_pairs(degree: int, jobs: int = 1) -> tuple[list[AtlasRow], dict]:
     """Classify every ordered pair of enumerated subgroups of the
-    symmetric group of the given degree.
+    symmetric group of the given degree, at the default budgets.
 
     Returns (rows, summary).  Rows come back in a fixed canonical order
     regardless of jobs, and carry no timing, so emitted reports are
@@ -262,22 +220,15 @@ def classify_all_pairs(degree: int,
     jobs = min(jobs, os.cpu_count() or 1)
     group = symmetric_group(degree)
     subs = enumerate_subgroups(group)
-    if full_lattice:
-        everything = all_subgroups_bruteforce(group)
-        missing = [s for s in everything if s.elements not in {t.elements for t in subs}]
-        if missing:
-            raise AssertionError(
-                f"{len(missing)} subgroups are not reachable with 2 generators; "
-                f"first missing has order {missing[0].order}")
     n = len(subs)
     tasks = [(f"s{degree}-{i * n + j:04d}", i, j) for i in range(n) for j in range(n)]
     if jobs > 1:
         sub_gens = [s.generators for s in subs]
         with multiprocessing.Pool(processes=jobs, initializer=_init_worker,
-                                  initargs=(degree, sub_gens, config)) as pool:
+                                  initargs=(degree, sub_gens)) as pool:
             rows = list(pool.imap(_classify_in_worker, tasks, chunksize=8))
     else:
-        run = _AtlasRun(subs, config)
+        run = _AtlasRun(subs)
         rows = [_classify_one(run, t) for t in tasks]
     return rows, _summarize(degree, group, subs, rows)
 
@@ -290,16 +241,13 @@ def _summarize(degree: int, group: FiniteGroup,
     disagreements = []
     symmetry_violations = []
     gap_ids = []
-    budget_trips = []
     by_pos = {(r.a_index, r.b_index): r for r in rows}
     for r in rows:
         verdicts[r.pipeline_status] = verdicts.get(r.pipeline_status, 0) + 1
-        if r.oracle:
-            oracle_counts[r.oracle] += 1
+        oracle_counts[r.oracle] += 1
         steps[r.pipeline_step] = steps.get(r.pipeline_step, 0) + 1
-        if r.oracle and r.pipeline_status != "Inconclusive":
-            if r.oracle != r.pipeline_status.lower():
-                disagreements.append(r.pair_id)
+        if r.pipeline_status != "Inconclusive" and r.oracle != r.pipeline_status.lower():
+            disagreements.append(r.pair_id)
         mirror = by_pos.get((r.b_index, r.a_index))
         if (mirror is not None and r.a_index < r.b_index
                 and r.pipeline_status != "Inconclusive"
@@ -308,8 +256,6 @@ def _summarize(degree: int, group: FiniteGroup,
             symmetry_violations.append(r.pair_id)
         if r.gap_region:
             gap_ids.append(r.pair_id)
-        if r.budget:
-            budget_trips.append(r.pair_id)
     return {
         "degree": degree,
         "group_order": group.order,
@@ -322,7 +268,8 @@ def _summarize(degree: int, group: FiniteGroup,
         "symmetry_violations": symmetry_violations,
         "gap_region_count": len(gap_ids),
         "gap_region_ids": gap_ids,
-        "budget_trips": budget_trips,
+        # Always empty, like the budget column: kept for the schema.
+        "budget_trips": [],
     }
 
 

@@ -388,7 +388,8 @@ def verify_factoring(pair: SubgroupPair) -> bool:
 
 def recheck_witness(pair: SubgroupPair, witness: object,
                     endo_budget: int = DEFAULT_ENDO_BUDGET) -> bool:
-    """Re-establish a certificate from scratch against the pair.  An
+    """Re-establish a certificate from scratch against the pair: every
+    field the witness carries must match what the pair gives.  An
     exhaustive witness is re-established by a fresh scan under
     endo_budget, and fails when that scan trips the budget."""
     if isinstance(witness, MembershipWitness):
@@ -410,10 +411,13 @@ def recheck_witness(pair: SubgroupPair, witness: object,
         if a not in pair.a or b not in pair.b or a * b == b * a:
             return False
         ab = a * b
-        return witness.ab == ab and (ab.order() % a.order() != 0 or ab.order() % b.order() != 0)
+        oa, ob, oab = a.order(), b.order(), ab.order()
+        return (witness.ab == ab
+                and (witness.order_a, witness.order_b, witness.order_ab) == (oa, ob, oab)
+                and (oab % oa != 0 or oab % ob != 0))
     if isinstance(witness, ConjugacyMergeWitness):
-        sub = pair.a if witness.side == "A" else pair.b
-        if witness.x1 not in sub or witness.x2 not in sub:
+        sub = {"A": pair.a, "B": pair.b}.get(witness.side)
+        if sub is None or witness.x1 not in sub or witness.x2 not in sub:
             return False
         return (conjugacy_classes(pair.join).same_class(witness.x1, witness.x2)
                 and not conjugacy_classes(sub).same_class(witness.x1, witness.x2))
@@ -422,15 +426,21 @@ def recheck_witness(pair: SubgroupPair, witness: object,
         na, nb = is_normal_in(pair.a, j), is_normal_in(pair.b, j)
         if na == nb:
             return False
+        if witness.normal_side != ("A" if na else "B"):
+            return False
         loose = pair.b if na else pair.a
-        moved = witness.moved_element.conjugated_by(witness.conjugating_element)
+        x, t = witness.moved_element, witness.conjugating_element
+        if x not in loose or t not in j:
+            return False
+        moved = x.conjugated_by(t)
         return moved == witness.conjugate and moved not in loose
     if isinstance(witness, BothNormalWitness):
         j = pair.join
         return (is_normal_in(pair.a, j) and is_normal_in(pair.b, j)
                 and pair.shared_element is None)
     if isinstance(witness, IncompatiblePairWitness):
-        return not extend(witness.alpha, witness.beta, pair).exists
+        conflict = extend(witness.alpha, witness.beta, pair).conflict
+        return conflict is not None and conflict == witness.conflict
     if isinstance(witness, ExhaustiveWitness):
         try:
             return brute_force_independent(pair, endo_budget).verdict is Verdict.INDEPENDENT

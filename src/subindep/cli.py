@@ -58,12 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
     atl = sub.add_parser("atlas", help="classify all subgroup pairs of a symmetric group")
     atl.add_argument("--degree", type=int, required=True,
                      help=f"symmetric group degree, 2..{MAX_ATLAS_DEGREE}")
-    atl.add_argument("--full-lattice", action="store_true",
-                     help="verify the enumeration reaches every subgroup (small groups only)")
     atl.add_argument("--out", metavar="FILE", required=True, help="report file to write")
     atl.add_argument("--format", choices=("csv", "json"), default="csv")
-    atl.add_argument("--max-group-order", type=int, default=DEFAULT_MAX_GROUP_ORDER)
-    atl.add_argument("--endo-budget", type=int, default=DEFAULT_ENDO_BUDGET)
     atl.add_argument("--jobs", type=int, default=1, help="worker processes, one row each; at most the CPU count")
     return parser
 
@@ -100,12 +96,8 @@ def _cmd_decide(args) -> int:
 
 def _cmd_atlas(args) -> int:
     try:
-        config = Config(max_group_order=args.max_group_order,
-                        endo_budget=args.endo_budget)
         t0 = time.perf_counter()
-        rows, summary = classify_all_pairs(args.degree, config,
-                                           full_lattice=args.full_lattice,
-                                           jobs=args.jobs)
+        rows, summary = classify_all_pairs(args.degree, jobs=args.jobs)
         emit_report(rows, summary, args.out, args.format)
         elapsed = time.perf_counter() - t0
     except (ValueError, OSError) as exc:

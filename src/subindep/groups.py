@@ -255,29 +255,6 @@ def conjugacy_classes(g: FiniteGroup) -> ConjClassPartition:
     return part
 
 
-def greedy_generators(g: FiniteGroup) -> tuple[Permutation, ...]:
-    """A small generating set: repeatedly add the element whose addition
-    grows the generated subgroup the most, first such element winning
-    ties.  Produces at most log2|g| generators."""
-    if g.order == 1:
-        return ()
-    chosen: list[Permutation] = []
-    current: set[Permutation] = {g.identity}
-    while len(current) < g.order:
-        best = None
-        best_size = len(current)
-        for x in g.elements:
-            if x in current:
-                continue
-            size = closure(chosen + [x], g.degree, max_order=g.order).order
-            if size > best_size:
-                best = x
-                best_size = size
-        chosen.append(best)
-        current = set(closure(chosen, g.degree, max_order=g.order).elements)
-    return tuple(chosen)
-
-
 def propagate_images(domain: FiniteGroup, codomain: FiniteGroup,
                      gen_idx: Sequence[int], image_idx: Sequence[int]):
     """Build the unique map f with f(identity) = identity and

@@ -19,7 +19,7 @@ from .groups import (
     FiniteGroup,
     GroupMap,
     SubgroupPair,
-    greedy_generators,
+    closure,
     identity_map,
     propagate_images,
     trivial_map,
@@ -31,8 +31,11 @@ def enumerate_endomorphisms(g: FiniteGroup, endo_budget: int = DEFAULT_ENDO_BUDG
     """All endomorphisms of g, deduplicated and sorted by their full image
     tables in canonical element order.
 
-    Each element of a greedy generating set of g is sent to every element
-    whose order divides its own, and each choice is validated by
+    The search runs over g's own generators, keeping each one that lies
+    outside the subgroup the kept ones generate.  Every kept generator at
+    least doubles that subgroup, so at most log2|g| are kept, for at most
+    one closure per generator.  Each kept generator is sent to every
+    element whose order divides its own, and each choice is validated by
     propagation over the whole multiplication table, so every returned
     map is a genuine homomorphism and none is missed.  Raises
     BudgetExceeded when the order of g exceeds endo_budget, or, before
@@ -42,7 +45,14 @@ def enumerate_endomorphisms(g: FiniteGroup, endo_budget: int = DEFAULT_ENDO_BUDG
     if g.order > endo_budget:
         raise BudgetExceeded("endo_budget", endo_budget, "enumerating endomorphisms")
     if g._endos is None:
-        gens = greedy_generators(g)
+        gens: list[Permutation] = []
+        span = None
+        for x in g.generators:
+            if span is None or x not in span:
+                gens.append(x)
+                span = closure(gens, g.degree, max_order=g.order)
+                if span.order == g.order:
+                    break
         orders = [y.order() for y in g.elements]
         candidates = [[j for j, oy in enumerate(orders) if x.order() % oy == 0] for x in gens]
         search = math.prod(map(len, candidates))

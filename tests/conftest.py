@@ -7,7 +7,6 @@ import pytest
 from subindep.atlas import classify_all_pairs
 from subindep.groups import SubgroupPair, closure
 from subindep.perm import parse_cycles
-from subindep.pipeline import Config
 
 
 def make_pair(degree: int, a_gens: list[str], b_gens: list[str]) -> SubgroupPair:
@@ -38,9 +37,9 @@ def pair_from_row(row, degree: int) -> SubgroupPair:
 
 @pytest.fixture(scope="session")
 def s3_atlas():
-    return classify_all_pairs(3, Config(), full_lattice=True)
+    return classify_all_pairs(3)
 
 
 @pytest.fixture(scope="session")
 def s4_atlas():
-    return classify_all_pairs(4, Config(), full_lattice=True)
+    return classify_all_pairs(4)

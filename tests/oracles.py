@@ -5,8 +5,9 @@ Endomorphisms are recovered by expressing every element as a word in a
 minimal generating tuple (found by exhaustive combination search) and
 filtering all |G|^k image assignments through a full multiplication
 table check.  A literal |G|^|G| filter validates that oracle in turn on
-groups small enough to afford it.  Quotients are coset actions and
-isomorphisms come from the same word search.  The map checks and the
+groups small enough to afford it.  Quotients are coset actions,
+isomorphisms come from the same word search, and the subgroup lattice
+is saturated one element at a time.  The map checks and the
 union-law harness at the end are the full-table checks the tests hold
 results to.
 """
@@ -220,6 +221,29 @@ def semigroup_closure(elements, degree: int) -> frozenset[Permutation]:
                     nxt.append(y)
         frontier = nxt
     return frozenset(seen)
+
+
+def all_subgroups(group: FiniteGroup) -> list[FiniteGroup]:
+    """Every subgroup, by saturating one-element extensions of the
+    trivial group, each closed with semigroup_closure.  Exponential in
+    principle, instant up to S4.  Sorted by (order, elements), the order
+    atlas.enumerate_subgroups uses."""
+    found = {frozenset([group.identity]): ()}
+    frontier = list(found)
+    while frontier:
+        nxt = []
+        for sub in frontier:
+            for g in group.elements[1:]:
+                if g in sub:
+                    continue
+                gens = found[sub] + (g,)
+                ext = semigroup_closure(gens, group.degree)
+                if ext not in found:
+                    found[ext] = gens
+                    nxt.append(ext)
+        frontier = nxt
+    subs = [FiniteGroup(tuple(sorted(els)), gens, group.degree) for els, gens in found.items()]
+    return sorted(subs, key=lambda s: (s.order, s.elements))
 
 
 def normal_subgroups_containing(sub_elements, group: FiniteGroup,

@@ -9,6 +9,7 @@ import time
 
 from conftest import SHARED_POINT, ORDER_CLASH, SWAP_VS_DOUBLE, FAR_SWAPS, MERGE_PAIR, make_pair, pair_from_row
 from oracles import (
+    all_subgroups,
     check_union_independent_sets,
     endomorphism_tables_by_words,
     endomorphism_tables_literal,
@@ -32,7 +33,7 @@ from subindep.groups import (
 )
 from subindep.homs import extend, identity_map, trivial_map
 from subindep.perm import parse_cycles
-from subindep.pipeline import Config, Step, decide
+from subindep.pipeline import Step, decide
 
 
 def P(text, degree):
@@ -159,10 +160,13 @@ def test_criterion_06_isomorphic_replacement_quadruple():
 
 def test_criterion_07_oracle_soundness_sweep():
     t0 = time.perf_counter()
-    rows3, summary3 = classify_all_pairs(3, Config())
-    rows4, summary4 = classify_all_pairs(4, Config())
+    rows3, summary3 = classify_all_pairs(3)
+    rows4, summary4 = classify_all_pairs(4)
     elapsed = time.perf_counter() - t0
-    assert len(rows3) == 36 and len(rows4) == 900
+    # Every ordered pair of the full lattice, not only of the
+    # two-generated subgroups the atlas enumerates.
+    assert len(rows3) == len(all_subgroups(symmetric_group(3))) ** 2 == 36
+    assert len(rows4) == len(all_subgroups(symmetric_group(4))) ** 2 == 900
     assert summary3["oracle_disagreements"] == []
     assert summary4["oracle_disagreements"] == []
     assert summary3["symmetry_violations"] == []
@@ -175,6 +179,8 @@ def test_criterion_07_oracle_soundness_sweep():
 
 def test_criterion_08_theorem_suite(s4_atlas):
     rows, _ = s4_atlas
+    lattice = [s.elements for s in all_subgroups(symmetric_group(4))]
+    assert sorted({pair_from_row(r, 4).a.elements for r in rows}) == sorted(lattice)
     violations = []
 
     for r in rows:
@@ -256,8 +262,8 @@ def test_criterion_09_endomorphism_enumeration_exact():
 def test_criterion_10_parallel_determinism():
     reports = {}
     for jobs in (1, 2):
-        r3, s3 = classify_all_pairs(3, Config(), jobs=jobs)
-        r4, s4 = classify_all_pairs(4, Config(), jobs=jobs)
+        r3, s3 = classify_all_pairs(3, jobs=jobs)
+        r4, s4 = classify_all_pairs(4, jobs=jobs)
         reports[jobs] = (render_report(r3, s3, "csv"),
                          render_report(r3, s3, "json"),
                          render_report(r4, s4, "csv"),

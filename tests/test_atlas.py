@@ -8,6 +8,7 @@ import pytest
 
 from conftest import pair_from_row
 from oracles import (
+    all_subgroups,
     check_union_independent_sets,
     find_isomorphism,
     independent_by_global_search,
@@ -16,8 +17,6 @@ from oracles import (
 from subindep import atlas, groups
 from subindep.atlas import (
     ATLAS_FIELDS,
-    MAX_BRUTEFORCE_LATTICE_ORDER,
-    all_subgroups_bruteforce,
     classify_all_pairs,
     enumerate_subgroups,
     render_report,
@@ -33,8 +32,13 @@ from subindep.groups import (
     symmetric_group,
 )
 from subindep.perm import parse_cycles
-from subindep.homs import extend, identity_map, trivial_map
-from subindep.pipeline import Config, Step
+from subindep.homs import enumerate_endomorphisms, extend, identity_map, trivial_map
+from subindep.pipeline import Step
+
+
+@pytest.fixture(scope="module")
+def s5_subgroups():
+    return enumerate_subgroups(symmetric_group(5))
 
 
 class TestSubgroupEnumeration:
@@ -42,20 +46,20 @@ class TestSubgroupEnumeration:
         s3 = symmetric_group(3)
         subs = enumerate_subgroups(s3)
         assert [h.order for h in subs] == [1, 2, 2, 2, 3, 6]
-        brute = all_subgroups_bruteforce(s3)
+        brute = all_subgroups(s3)
         assert [h.elements for h in subs] == [h.elements for h in brute]
 
     def test_s4_lattice_complete(self):
         s4 = symmetric_group(4)
         subs = enumerate_subgroups(s4)
         assert len(subs) == 30
-        brute = all_subgroups_bruteforce(s4)
+        brute = all_subgroups(s4)
         assert [h.elements for h in subs] == [h.elements for h in brute]
 
-    def test_s5_has_156_subgroups(self):
+    def test_s5_has_156_subgroups(self, s5_subgroups):
         # Past the brute-force lattice's reach, so pin the count (OEIS
         # A005432) and the number of subgroups of each order.
-        subs = enumerate_subgroups(symmetric_group(5))
+        subs = s5_subgroups
         assert len(subs) == 156
         counts = {}
         for h in subs:
@@ -63,14 +67,14 @@ class TestSubgroupEnumeration:
         assert counts == {1: 1, 2: 25, 3: 10, 4: 35, 5: 6, 6: 30, 8: 15, 10: 6,
                           12: 15, 20: 6, 24: 5, 60: 1, 120: 1}
 
+    def test_s5_endomorphisms_fit_the_default_budget(self, s5_subgroups):
+        # Why the atlas has no budget knobs: no S5 row can trip one.
+        for sub in s5_subgroups:
+            assert enumerate_endomorphisms(sub)
+
     def test_trivial_group(self):
         s1 = symmetric_group(1)
         assert len(enumerate_subgroups(s1)) == 1
-
-    def test_bruteforce_guard(self):
-        with pytest.raises(ValueError):
-            all_subgroups_bruteforce(symmetric_group(5))
-        assert MAX_BRUTEFORCE_LATTICE_ORDER == 24
 
 
 class TestDegree3Atlas:
@@ -152,7 +156,7 @@ class TestDegree4Atlas:
             if mod is not None and mod.__name__.startswith("subindep") \
                     and getattr(mod, "is_normal_in", None) is real:
                 monkeypatch.setattr(mod, "is_normal_in", counting)
-        rows, _ = classify_all_pairs(4, Config())
+        rows, _ = classify_all_pairs(4)
         assert len(rows) == 900
         assert 0 < len(calls) <= 2 * len(rows)
 
@@ -379,8 +383,8 @@ class TestReportRendering:
 
 class TestDeterminismAndBudgets:
     def test_parallel_report_bytes_match(self):
-        r1, s1 = classify_all_pairs(3, Config(), jobs=1)
-        r2, s2 = classify_all_pairs(3, Config(), jobs=2)
+        r1, s1 = classify_all_pairs(3, jobs=1)
+        r2, s2 = classify_all_pairs(3, jobs=2)
         assert render_report(r1, s1, "csv") == render_report(r2, s2, "csv")
         assert render_report(r1, s1, "json") == render_report(r2, s2, "json")
 
@@ -399,23 +403,6 @@ class TestDeterminismAndBudgets:
                 digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
                 assert digest == self.REPORT_SHA256[(degree, fmt)], (degree, fmt)
 
-    def test_budget_trips_recorded_without_aborting(self):
-        rows, summary = classify_all_pairs(3, Config(endo_budget=1))
-        assert len(rows) == 36
-        assert len(summary["budget_trips"]) > 0
-        tripped = {r.pair_id for r in rows if r.budget}
-        assert tripped == set(summary["budget_trips"])
-        for r in rows:
-            if r.budget:
-                assert r.pipeline_status == "Inconclusive"
-
-    def test_join_budget_trips_recorded_without_aborting(self):
-        rows, summary = classify_all_pairs(3, Config(max_group_order=2))
-        tripped = [r for r in rows if r.budget]
-        assert len(rows) == 36 and len(tripped) == len(summary["budget_trips"]) > 0
-        assert all(r.budget == "max_group_order" and r.pipeline_status == "Inconclusive"
-                   for r in tripped)
-
     def test_oracle_never_uses_the_step4_shortcuts(self, monkeypatch):
         calls = []
         real = atlas.brute_force_independent
@@ -425,13 +412,13 @@ class TestDeterminismAndBudgets:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(atlas, "brute_force_independent", spy)
-        rows, _ = classify_all_pairs(3, Config())
+        rows, _ = classify_all_pairs(3)
         assert len(calls) == len(rows) == 36
         assert not any(calls)
 
     def test_jobs_below_one_rejected(self):
         with pytest.raises(ValueError):
-            classify_all_pairs(3, Config(), jobs=0)
+            classify_all_pairs(3, jobs=0)
 
     def test_jobs_clamped_to_cpu_count(self, monkeypatch):
         # A fake pool records the worker count and runs the tasks in-process,
@@ -455,17 +442,13 @@ class TestDeterminismAndBudgets:
         monkeypatch.setattr(atlas.multiprocessing, "Pool", FakePool)
         monkeypatch.setattr(atlas.os, "cpu_count", lambda: 2)
         monkeypatch.setattr(atlas, "_worker_run", None)
-        rows, summary = classify_all_pairs(3, Config(), jobs=100000)
+        rows, summary = classify_all_pairs(3, jobs=100000)
         assert seen == [2]
-        serial_rows, serial_summary = classify_all_pairs(3, Config())
+        serial_rows, serial_summary = classify_all_pairs(3)
         assert render_report(rows, summary) == render_report(serial_rows, serial_summary)
-
-    def test_full_lattice_guard_for_degree_5(self):
-        with pytest.raises(ValueError):
-            classify_all_pairs(5, Config(), full_lattice=True)
 
     def test_degree_bounds(self):
         with pytest.raises(ValueError):
-            classify_all_pairs(1, Config())
+            classify_all_pairs(1)
         with pytest.raises(ValueError):
-            classify_all_pairs(6, Config())
+            classify_all_pairs(6)

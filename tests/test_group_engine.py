@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    all_subgroups,
     check_homomorphism,
     find_isomorphism,
     is_bijective,
@@ -13,13 +14,11 @@ from oracles import (
     semigroup_closure,
 )
 from subindep import groups
-from subindep.atlas import all_subgroups_bruteforce
 from subindep.groups import (
     BudgetExceeded,
     SubgroupPair,
     closure,
     conjugacy_classes,
-    greedy_generators,
     identity_map,
     is_normal_in,
     join,
@@ -100,7 +99,7 @@ class TestJoinAndClosures:
     def test_normal_closure_is_smallest_normal_overgroup(self):
         # Cross-checked against the full subgroup lattice.
         g = symmetric_group(4)
-        lattice = all_subgroups_bruteforce(g)
+        lattice = all_subgroups(g)
         for gens in [["(1 2)"], ["(1 2 3)"], ["(1 2)(3 4)"], ["(1 2 3 4)"]]:
             sub = closure([P(s, 4) for s in gens], 4)
             ncl = normal_closure(sub, g)
@@ -245,18 +244,6 @@ class TestQuotient:
             quotient(s3, c2)
 
 
-class TestGenerators:
-    def test_greedy_generators_generate(self):
-        for group in (symmetric_group(4),
-                      closure([P("(1 2 3 4)", 4)], 4),
-                      closure([], 3)):
-            gens = greedy_generators(group)
-            assert closure(list(gens), group.degree) == group
-
-    def test_greedy_generators_are_few(self):
-        assert len(greedy_generators(symmetric_group(4))) <= 4
-
-
 class TestPropagation:
     def test_identity_assignment_yields_identity_table(self):
         g = symmetric_group(3)
@@ -360,12 +347,12 @@ class TestSubgroupPair:
 class TestLattice:
     def test_lagrange_over_the_s4_lattice(self):
         g = symmetric_group(4)
-        for sub in all_subgroups_bruteforce(g):
+        for sub in all_subgroups(g):
             assert g.order % sub.order == 0
             assert sub.is_subgroup_of(g)
 
     def test_s3_lattice_is_the_known_six(self):
-        subs = all_subgroups_bruteforce(symmetric_group(3))
+        subs = all_subgroups(symmetric_group(3))
         assert [s.order for s in subs] == [1, 2, 2, 2, 3, 6]
 
 

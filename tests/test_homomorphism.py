@@ -115,6 +115,35 @@ class TestEnumerationAgainstOracles:
         assert len(enumerate_endomorphisms(g, endo_budget=23)) == 512  # 23 ** 2 = 529
         assert len(calls) == 512
 
+    def test_search_keeps_few_of_many_generators(self, monkeypatch):
+        # C2^8 from its eight transpositions: eight closures at most, then
+        # 256 ** 8 candidate maps trip the budget before any search.
+        g = closure([P(f"({2 * i + 1} {2 * i + 2})", 16) for i in range(8)], 16)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return closure(*args, **kwargs)
+
+        monkeypatch.setattr(homs, "closure", counting)
+        with pytest.raises(BudgetExceeded) as exc:
+            enumerate_endomorphisms(g)
+        assert exc.value.budget == "endo_budget" and len(calls) <= 8
+
+    def test_search_runs_over_the_groups_own_generators(self):
+        # S4 from its nine involutions keeps three of them, 10 ** 3
+        # candidate maps, and finds the same maps as S4 from (1 2) and
+        # (1 2 3 4).
+        s4 = symmetric_group(4)
+        involutions = [x for x in s4.elements if x.order() == 2]
+        assert len(involutions) == 9
+        many = closure(involutions, 4)
+        with pytest.raises(BudgetExceeded, match="searching 1000 candidate maps"):
+            enumerate_endomorphisms(many, endo_budget=31)
+        two = closure([P("(1 2)", 4), P("(1 2 3 4)", 4)], 4)
+        assert tables(enumerate_endomorphisms(many, endo_budget=32)) == \
+            tables(enumerate_endomorphisms(two))
+
     def test_second_call_on_the_same_group_is_cached(self, monkeypatch):
         g = closure([P("(1 2)", 4), P("(1 3)(2 4)", 4)], 4)
         first = enumerate_endomorphisms(g)

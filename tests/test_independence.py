@@ -1,8 +1,14 @@
+from dataclasses import replace
+
 import pytest
 
 from conftest import SHARED_POINT, ORDER_CLASH, SWAP_VS_DOUBLE, FAR_SWAPS, MERGE_PAIR, make_pair
-from oracles import check_union_independent_sets, independent_by_global_search, is_independent_set
-from subindep.atlas import all_subgroups_bruteforce
+from oracles import (
+    all_subgroups,
+    check_union_independent_sets,
+    independent_by_global_search,
+    is_independent_set,
+)
 from subindep.checks import (
     BothNormalWitness,
     CommutingWitness,
@@ -27,6 +33,7 @@ from subindep.checks import (
     verify_factoring,
 )
 from subindep.groups import BudgetExceeded, SubgroupPair, closure, join, symmetric_group
+from subindep.homs import ExtensionConflict
 from subindep.perm import Permutation, cycle_string, parse_cycles
 
 
@@ -189,7 +196,7 @@ class TestBruteForce:
     def test_shortcuts_never_change_the_answer(self):
         # The sum scan against the product scan: the worked examples and
         # every ordered pair of subgroups of S4.
-        subs = all_subgroups_bruteforce(symmetric_group(4))
+        subs = all_subgroups(symmetric_group(4))
         assert len(subs) == 30
         pairs = [make_pair(*spec) for spec in
                  (SHARED_POINT, ORDER_CLASH, SWAP_VS_DOUBLE, FAR_SWAPS, MERGE_PAIR)]
@@ -305,6 +312,51 @@ class TestWitnessRecheck:
         assert not recheck_witness(pair, tampered)
         commuting_claim = CommutingWitness()
         assert not recheck_witness(pair, commuting_claim)
+
+    def test_conjugacy_merge_side_must_be_a_or_b(self):
+        pair = make_pair(*MERGE_PAIR)
+        w = check_conjugacy_merge_a(pair).witness
+        assert recheck_witness(pair, w)
+        mirrored = make_pair(MERGE_PAIR[0], MERGE_PAIR[2], MERGE_PAIR[1])
+        wb = check_conjugacy_merge_b(mirrored).witness
+        assert wb.side == "B" and recheck_witness(mirrored, wb)
+        assert not recheck_witness(mirrored, replace(wb, side="Z"))
+
+    def test_order_violation_orders_must_match(self):
+        pair = make_pair(*ORDER_CLASH)
+        w = check_order_divisibility(pair).witness
+        assert recheck_witness(pair, w)
+        assert not recheck_witness(pair, replace(w, order_ab=w.order_ab + 5))
+        assert not recheck_witness(pair, replace(w, order_a=w.order_b))
+
+    def test_normal_asymmetry_side_must_match(self):
+        pair = make_pair(3, ["(1 2 3)"], ["(1 2)"])
+        w = check_normal_asymmetry(pair).witness
+        assert w.normal_side == "A" and recheck_witness(pair, w)
+        assert not recheck_witness(pair, replace(w, normal_side="B"))
+
+    def test_normal_asymmetry_elements_must_lie_in_their_groups(self):
+        # A = V4 is normal in the join D4, B = <(1 2)> is not.
+        pair = make_pair(4, ["(1 2)(3 4)", "(1 3)(2 4)"], ["(1 2)"])
+        w = check_normal_asymmetry(pair).witness
+        assert w.normal_side == "A" and recheck_witness(pair, w)
+        e = Permutation.identity(4)
+        # (3 4) is not in B, so its conjugate leaving B proves nothing.
+        outside_b = NormalAsymmetryWitness("A", P("(3 4)", 4), e, P("(3 4)", 4))
+        assert not recheck_witness(pair, outside_b)
+        # (1 3) is not in the join, so it cannot witness non-normality.
+        t = P("(1 3)", 4)
+        x = P("(1 2)", 4)
+        outside_join = NormalAsymmetryWitness("A", x, t, x.conjugated_by(t))
+        assert x.conjugated_by(t) not in pair.b
+        assert not recheck_witness(pair, outside_join)
+
+    def test_incompatible_pair_conflict_must_match(self):
+        pair = make_pair(*SHARED_POINT)
+        w = brute_force_independent(pair).witness
+        assert isinstance(w, IncompatiblePairWitness) and recheck_witness(pair, w)
+        e = Permutation.identity(3)
+        assert not recheck_witness(pair, replace(w, conflict=ExtensionConflict(e, e, e)))
 
     def test_unknown_witness_type_raises(self):
         with pytest.raises(TypeError):

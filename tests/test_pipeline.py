@@ -514,6 +514,15 @@ class TestCli:
                          "--out", str(tmp_path / "s3.csv")]) == 1
         assert "jobs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--full-lattice"], ["--endo-budget", "1"],
+                                       ["--max-group-order", "2"]])
+    def test_atlas_has_no_budget_or_lattice_flags(self, tmp_path, flags, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["atlas", "--degree", "3", *flags, "--out", str(tmp_path / "s3.csv")])
+        assert exc.value.code == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "s3.csv").exists()
+
     def test_atlas_rejects_large_degree(self):
         r = run_cli("atlas", "--degree", "6", "--out", "/tmp/nope.csv")
         assert r.returncode == 1
