@@ -1,10 +1,14 @@
 """Exhaustive cross-validation over all subgroup pairs of small
 symmetric groups.
 
-Every ordered pair of enumerated subgroups gets every individual check,
-the full staged pipeline, and the exhaustive oracle, recorded side by
-side so that disagreements between shortcut theory and brute force are
-impossible to miss.  Reports are byte-identical for any worker count.
+Every ordered pair of enumerated subgroups gets a row holding every
+individual check, the full staged pipeline, and the exhaustive oracle,
+side by side so that disagreements between shortcut theory and brute
+force are impossible to miss.  Those columns do not change when both
+subgroups are conjugated by the same permutation, so one representative
+pair per conjugation orbit is classified and its verdicts are copied to
+the other rows of the orbit.  Reports are byte-identical for any worker
+count.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import io
 import json
 import multiprocessing
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from itertools import combinations
 
 from .checks import (
@@ -203,15 +207,60 @@ def _classify_in_worker(task: tuple[str, int, int]) -> AtlasRow:
     return _classify_one(_worker_run, task)
 
 
+def conjugation_orbits(group: FiniteGroup, subs: list[FiniteGroup]) -> list[int]:
+    """The orbits of ordered subgroup pairs under simultaneous
+    conjugation by the group.
+
+    Pair (subs[i], subs[j]) has the flat index i * len(subs) + j.
+    Returns, for each flat index, the least flat index of its orbit, its
+    representative.  subs must be closed under conjugation by the group,
+    as every enumerate_subgroups list is.
+    """
+    index = {s.elements: i for i, s in enumerate(subs)}
+    actions = [[index[tuple(sorted(x.conjugated_by(t) for x in s.elements))] for s in subs]
+               for t in group.generators]
+    n = len(subs)
+    rep = [-1] * (n * n)
+    for k in range(n * n):
+        if rep[k] >= 0:
+            continue
+        rep[k] = k
+        frontier = [k]
+        while frontier:
+            i, j = divmod(frontier.pop(), n)
+            for act in actions:
+                image = act[i] * n + act[j]
+                if rep[image] < 0:
+                    rep[image] = k
+                    frontier.append(image)
+    return rep
+
+
 def classify_all_pairs(degree: int, jobs: int = 1) -> tuple[list[AtlasRow], dict]:
+    """(rows, summary) of run_atlas."""
+    rows, summary, _ = run_atlas(degree, jobs)
+    return rows, summary
+
+
+def run_atlas(degree: int, jobs: int = 1) -> tuple[list[AtlasRow], dict, int]:
     """Classify every ordered pair of enumerated subgroups of the
     symmetric group of the given degree, at the default budgets.
 
-    Returns (rows, summary).  Rows come back in a fixed canonical order
-    regardless of jobs, and carry no timing, so emitted reports are
-    reproducible byte for byte.  jobs above the CPU count is clamped to
-    it; each worker process rebuilds the subgroups and keeps its own
-    memos for the run.
+    Only the least pair of each conjugation orbit is classified; every
+    other row copies its representative's columns and keeps its own
+    pair_id, indices and generator strings.  That is sound because
+    conjugation by t is an automorphism of the symmetric group: it maps
+    A, B, their join, both normal closures and End(A) x End(B)
+    isomorphically onto those of the conjugated pair, and carries
+    extensions to extensions.  So every check, the oracle and the step at
+    which the ladder decides give the same answer on both pairs, and the
+    orders agree.
+
+    Returns (rows, summary, number of orbits classified).  Rows come back
+    in a fixed canonical order regardless of jobs, and carry no timing,
+    so emitted reports are reproducible byte for byte.  jobs above the
+    CPU count is clamped to it; each worker process rebuilds the
+    subgroups and keeps its own memos for the run.
     """
     if not 2 <= degree <= MAX_ATLAS_DEGREE:
         raise ValueError(f"degree must be between 2 and {MAX_ATLAS_DEGREE}")
@@ -221,16 +270,27 @@ def classify_all_pairs(degree: int, jobs: int = 1) -> tuple[list[AtlasRow], dict
     group = symmetric_group(degree)
     subs = enumerate_subgroups(group)
     n = len(subs)
-    tasks = [(f"s{degree}-{i * n + j:04d}", i, j) for i in range(n) for j in range(n)]
+    rep = conjugation_orbits(group, subs)
+    tasks = [(f"s{degree}-{k:04d}", *divmod(k, n)) for k in range(n * n) if rep[k] == k]
     if jobs > 1:
         sub_gens = [s.generators for s in subs]
         with multiprocessing.Pool(processes=jobs, initializer=_init_worker,
                                   initargs=(degree, sub_gens)) as pool:
-            rows = list(pool.imap(_classify_in_worker, tasks, chunksize=8))
+            classified = list(pool.imap(_classify_in_worker, tasks, chunksize=8))
     else:
         run = _AtlasRun(subs)
-        rows = [_classify_one(run, t) for t in tasks]
-    return rows, _summarize(degree, group, subs, rows)
+        classified = [_classify_one(run, t) for t in tasks]
+    by_rep = {r.a_index * n + r.b_index: r for r in classified}
+    gens = [_gens_string(s) for s in subs]
+    rows = []
+    for k in range(n * n):
+        row = by_rep[rep[k]]
+        if k != rep[k]:
+            i, j = divmod(k, n)
+            row = replace(row, pair_id=f"s{degree}-{k:04d}", a_index=i, b_index=j,
+                          a_gens=gens[i], b_gens=gens[j])
+        rows.append(row)
+    return rows, _summarize(degree, group, subs, rows), len(tasks)
 
 
 def _summarize(degree: int, group: FiniteGroup,

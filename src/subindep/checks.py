@@ -391,7 +391,10 @@ def recheck_witness(pair: SubgroupPair, witness: object,
     """Re-establish a certificate from scratch against the pair: every
     field the witness carries must match what the pair gives.  An
     exhaustive witness is re-established by a fresh scan under
-    endo_budget, and fails when that scan trips the budget."""
+    endo_budget, and fails when that scan trips the budget.  A
+    BudgetWitness is no certificate, and raises TypeError like an unknown
+    witness: a budget outcome is re-established only by running the
+    pipeline again under the same Config."""
     if isinstance(witness, MembershipWitness):
         x = witness.element
         if x.is_identity():
@@ -446,6 +449,4 @@ def recheck_witness(pair: SubgroupPair, witness: object,
             return brute_force_independent(pair, endo_budget).verdict is Verdict.INDEPENDENT
         except BudgetExceeded:
             return False
-    if isinstance(witness, BudgetWitness):
-        return True
     raise TypeError(f"unknown witness type {type(witness).__name__}")

@@ -14,7 +14,7 @@ import json
 import sys
 import time
 
-from .atlas import MAX_ATLAS_DEGREE, classify_all_pairs, emit_report
+from .atlas import MAX_ATLAS_DEGREE, emit_report, run_atlas
 from .groups import DEFAULT_ENDO_BUDGET, DEFAULT_MAX_GROUP_ORDER
 from .pipeline import Config, PairSpecError, decide, format_decision
 
@@ -97,7 +97,7 @@ def _cmd_decide(args) -> int:
 def _cmd_atlas(args) -> int:
     try:
         t0 = time.perf_counter()
-        rows, summary = classify_all_pairs(args.degree, jobs=args.jobs)
+        rows, summary, orbits = run_atlas(args.degree, jobs=args.jobs)
         emit_report(rows, summary, args.out, args.format)
         elapsed = time.perf_counter() - t0
     except (ValueError, OSError) as exc:
@@ -106,7 +106,8 @@ def _cmd_atlas(args) -> int:
     # The gap-region ids stay in the report; stdout keeps only their count.
     shown = {k: v for k, v in summary.items() if k != "gap_region_ids"}
     print(json.dumps(shown, indent=2))
-    print(f"wrote {len(rows)} rows to {args.out} in {elapsed:.1f}s", file=sys.stderr)
+    print(f"wrote {len(rows)} rows ({orbits} orbits classified) to {args.out} in {elapsed:.1f}s",
+          file=sys.stderr)
     return EXIT_DECIDED
 
 

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import random
 import sys
 
 import pytest
@@ -39,6 +40,11 @@ from subindep.pipeline import Step
 @pytest.fixture(scope="module")
 def s5_subgroups():
     return enumerate_subgroups(symmetric_group(5))
+
+
+@pytest.fixture(scope="module")
+def s5_atlas():
+    return classify_all_pairs(5)
 
 
 class TestSubgroupEnumeration:
@@ -338,6 +344,45 @@ class TestIsomorphicReplacement:
         assert pair_good.b.elements == pair_bad.b.elements
 
 
+class TestOrbitExpansion:
+    """Rows copied from an orbit representative must equal the rows a
+    direct classification of their own pair gives."""
+
+    ORBITS = {2: 4, 3: 17, 4: 155, 5: 679}
+
+    @staticmethod
+    def _orbits(degree, subs=None):
+        group = symmetric_group(degree)
+        subs = subs if subs is not None else enumerate_subgroups(group)
+        return subs, atlas.conjugation_orbits(group, subs)
+
+    @staticmethod
+    def _assert_direct(subs, rows, flat_indices):
+        run = atlas._AtlasRun(subs)
+        for k in flat_indices:
+            row = rows[k]
+            assert row.a_index * len(subs) + row.b_index == k
+            assert row == atlas._classify_one(run, (row.pair_id, row.a_index, row.b_index))
+
+    def test_orbit_counts_pinned(self, s5_subgroups):
+        for degree, count in self.ORBITS.items():
+            _, rep = self._orbits(degree, s5_subgroups if degree == 5 else None)
+            assert all(rep[k] <= k and rep[rep[k]] == rep[k] for k in range(len(rep)))
+            assert sum(rep[k] == k for k in range(len(rep))) == count, degree
+
+    def test_every_s3_and_s4_row_matches_direct_classification(self, s3_atlas, s4_atlas):
+        for degree, (rows, _) in ((3, s3_atlas), (4, s4_atlas)):
+            subs = enumerate_subgroups(symmetric_group(degree))
+            assert len(rows) == len(subs) ** 2
+            self._assert_direct(subs, rows, range(len(rows)))
+
+    def test_sampled_s5_rows_match_direct_classification(self, s5_subgroups, s5_atlas):
+        rows, _ = s5_atlas
+        subs, rep = self._orbits(5, s5_subgroups)
+        copied = [k for k in range(len(rep)) if rep[k] != k]
+        self._assert_direct(subs, rows, random.Random(11).sample(copied, 200))
+
+
 class TestReportRendering:
     def test_csv_shape(self, s3_atlas):
         rows, summary = s3_atlas
@@ -413,8 +458,19 @@ class TestDeterminismAndBudgets:
 
         monkeypatch.setattr(atlas, "brute_force_independent", spy)
         rows, _ = classify_all_pairs(3)
-        assert len(calls) == len(rows) == 36
+        # One oracle scan per conjugation orbit: 17 orbits cover 36 rows.
+        assert len(rows) == 36
+        assert len(calls) == 17
         assert not any(calls)
+
+    def test_s5_report_bytes_are_pinned(self, s5_atlas):
+        rows, summary = s5_atlas
+        text = render_report(rows, summary, "csv")
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
+            "298260513243325251ce8e9bc29d88066e8d3c3dc21381b5837ec2b4aabd0dc1"
+        assert summary["oracle_disagreements"] == []
+        assert summary["symmetry_violations"] == []
+        assert summary["budget_trips"] == []
 
     def test_jobs_below_one_rejected(self):
         with pytest.raises(ValueError):

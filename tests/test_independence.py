@@ -11,6 +11,7 @@ from oracles import (
 )
 from subindep.checks import (
     BothNormalWitness,
+    BudgetWitness,
     CommutingWitness,
     ConjugacyMergeWitness,
     ExhaustiveWitness,
@@ -361,3 +362,9 @@ class TestWitnessRecheck:
     def test_unknown_witness_type_raises(self):
         with pytest.raises(TypeError):
             recheck_witness(make_pair(*SHARED_POINT), object())
+
+    def test_budget_witness_is_no_certificate(self):
+        # A budget outcome is re-established only by re-running the
+        # pipeline under the same Config, never by a recheck.
+        with pytest.raises(TypeError):
+            recheck_witness(make_pair(*SHARED_POINT), BudgetWitness("nonsense", -1, ""))

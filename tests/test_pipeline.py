@@ -495,6 +495,7 @@ class TestCli:
         assert r.returncode == 0
         summary = json.loads(r.stdout)
         assert summary["pairs"] == 36 and summary["oracle_disagreements"] == []
+        assert r.stderr.startswith(f"wrote 36 rows (17 orbits classified) to {out} in ")
         header = out.read_text().splitlines()[0]
         assert header.startswith("pair_id,a_index,b_index,a_gens,b_gens,")
 
