@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .perm import Permutation, _trusted, cycle_string
@@ -103,10 +104,16 @@ class FiniteGroup:
         col = self._mul_cols.get(c)
         if col is None:
             index = self._image_index()
-            pc = self.elements[c]
-            # The index's keys are the elements, in order; a plain tuple
-            # looks up the Permutation equal to it.
-            col = tuple([index[tuple([x[j] for j in pc])] for x in index])
+            if self.degree == 1:
+                # itemgetter of one index returns the item, not a tuple;
+                # the group of degree 1 is trivial.
+                col = (0,)
+            else:
+                # x * elements[c] has images x[pc[i]].  The index's keys
+                # are the elements, in order; a plain tuple looks up the
+                # Permutation equal to it.
+                times_c = itemgetter(*self.elements[c])
+                col = tuple([index[times_c(x)] for x in index])
             self._mul_cols[c] = col
         return col
 
@@ -127,19 +134,23 @@ def closure(generators: Iterable[Permutation], degree: int,
 
     Breadth-first closure under right multiplication by the generators;
     in a finite group this also yields all inverses.  The search runs on
-    image tuples (x * g has images x[g[i]]), and each element is wrapped
-    as a Permutation once, after sorting.  Raises BudgetExceeded as soon
-    as the element count would pass max_order.
+    image tuples (x * g has images x[g[i]], gathered by
+    operator.itemgetter), and each element is wrapped as a Permutation
+    once, after sorting.  Raises BudgetExceeded as soon as the element
+    count would pass max_order.
     """
     gens = _clean_generators(generators, degree)
+    # One gather per generator.  The generators are not the identity, so
+    # the degree is at least 2 and each getter returns a tuple.
+    times = [itemgetter(*g) for g in gens]
     e = tuple(range(degree))
     seen = {e}
     frontier = [e]
     while frontier:
         nxt = []
         for x in frontier:
-            for g in gens:
-                y = tuple([x[j] for j in g])
+            for times_g in times:
+                y = times_g(x)
                 if y not in seen:
                     if len(seen) >= max_order:
                         raise BudgetExceeded("max_group_order", max_order, "closing a generator set")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import re
+from operator import itemgetter
 
 
 class CycleParseError(ValueError):
@@ -52,7 +53,11 @@ class Permutation(tuple):
         # self * other applies other first.
         if len(self) != len(other):
             raise ValueError(f"degree mismatch: {len(self)} vs {len(other)}")
-        return _trusted([self[j] for j in other])
+        if len(other) == 1:
+            # itemgetter of one index returns the item, not a tuple; the
+            # only permutation of degree 1 is the identity.
+            return self
+        return _trusted(itemgetter(*other)(self))
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self)
@@ -100,8 +105,14 @@ class Permutation(tuple):
         return out
 
     def conjugated_by(self, h: "Permutation") -> "Permutation":
-        """h * self * h^-1."""
-        return h * self * h.inverse()
+        """h * self * h^-1, which sends h(i) to h(self(i)), built in one
+        pass without the inverse or the two products."""
+        if len(self) != len(h):
+            raise ValueError(f"degree mismatch: {len(self)} vs {len(h)}")
+        img = [0] * len(self)
+        for hi, si in zip(h, self):
+            img[hi] = h[si]
+        return _trusted(img)
 
     def __str__(self) -> str:
         return cycle_string(self)

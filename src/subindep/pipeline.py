@@ -232,22 +232,34 @@ def _unless_budget(audit, *args):
 def _sample_extension_law(pair: SubgroupPair, config: Config,
                           samples: int = 25, seed: int = 0) -> bool:
     """For random endomorphism pairs of an independent pair, confirm the
-    extension restricts correctly and respects products on sampled words."""
+    extension restricts correctly and respects products on sampled words.
+
+    Each distinct pair is extended once; gamma is read from its image
+    table by element index.  Both products, x * y and gamma(x) *
+    gamma(y), are Permutation products, not the join's multiplication
+    columns that extend propagates along, so the law is checked
+    independently of the code that built the table."""
     endos_a = enumerate_endomorphisms(pair.a, config.endo_budget)
     endos_b = enumerate_endomorphisms(pair.b, config.endo_budget)
     rng = random.Random(seed)
     j = pair.join
+    elements, order = j.elements, j.order
+    tables: dict[tuple[int, int], tuple[int, ...]] = {}
     for _ in range(samples):
-        alpha = rng.choice(endos_a)
-        beta = rng.choice(endos_b)
-        res = extend(alpha, beta, pair)
-        if not res.exists:
-            return False
-        gamma = res.map
+        # randrange(len(s)) draws what choice(s) would: the stream, and
+        # with it every pair and word sampled, is that of choosing maps.
+        key = (rng.randrange(len(endos_a)), rng.randrange(len(endos_b)))
+        table = tables.get(key)
+        if table is None:
+            res = extend(endos_a[key[0]], endos_b[key[1]], pair)
+            if not res.exists:
+                return False
+            table = tables[key] = res.map.images
         for _ in range(8):
-            x = j.elements[rng.randrange(j.order)]
-            y = j.elements[rng.randrange(j.order)]
-            if gamma(x * y) != gamma(x) * gamma(y):
+            ix = rng.randrange(order)
+            iy = rng.randrange(order)
+            x, y = elements[ix], elements[iy]
+            if elements[table[j.index_of(x * y)]] != elements[table[ix]] * elements[table[iy]]:
                 return False
     return True
 

@@ -51,6 +51,17 @@ class TestClosure:
         g = closure([], 4)
         assert g.order == 1 and g.identity == Permutation.identity(4)
 
+    def test_degree_one(self):
+        # A gather of one index yields the item, not a tuple.
+        for g in (closure([], 1), closure([Permutation((0,))], 1), symmetric_group(1)):
+            assert g.elements == ((0,),) and g.generators == ()
+            assert g._col(0) == (0,)
+
+    def test_columns_match_permutation_products(self):
+        g = symmetric_group(4)
+        for c, pc in enumerate(g.elements):
+            assert g._col(c) == tuple(g.index_of(x * pc) for x in g.elements)
+
     def test_identity_is_element_zero(self):
         g = symmetric_group(4)
         assert g.elements[0].is_identity()

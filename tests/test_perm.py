@@ -43,6 +43,15 @@ class TestCompositionConvention:
         assert cycle_string(g.conjugated_by(h)) == "(2 3)"
         assert g.conjugated_by(h) == h * g * h.inverse()
 
+    def test_one_pass_conjugation_matches_the_products_on_s4(self):
+        s4 = [Permutation(im) for im in permutations(range(4))]
+        for x in s4:
+            for h in s4:
+                c = x.conjugated_by(h)
+                assert c == h * x * h.inverse() and type(c) is Permutation
+        with pytest.raises(ValueError):
+            s4[1].conjugated_by(Permutation((1, 0)))
+
     @given(perm_triples())
     def test_associativity(self, triple):
         a, b, c = triple
@@ -193,6 +202,12 @@ class TestValidation:
     def test_degree_mismatch_in_product(self):
         with pytest.raises(ValueError):
             Permutation((1, 0)) * Permutation((0, 1, 2))
+
+    def test_degree_one_product_is_a_permutation(self):
+        # A gather of one index yields the item, not a tuple.
+        e = Permutation((0,))
+        for p in (e * e, e ** 3, e.conjugated_by(e)):
+            assert p == (0,) and type(p) is Permutation
 
     def test_immutable(self):
         p = Permutation((1, 0, 2))

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import random
 import re
 import signal
 import subprocess
@@ -23,6 +24,8 @@ from subindep.checks import (
     recheck_witness,
 )
 from subindep import cli, pipeline
+from subindep.groups import GroupMap
+from subindep.homs import ExtensionConflict, ExtensionResult, enumerate_endomorphisms, extend
 from subindep.perm import Permutation, cycle_string, parse_cycles
 from subindep.pipeline import (
     Config,
@@ -346,6 +349,72 @@ class TestDiagnostics:
         assert d.diagnostics["witness_rechecked"] is True
         assert d.diagnostics["factoring_isomorphisms"] is True
         assert d.diagnostics["extension_law_sampled"] is None
+
+    # S3 against a disjoint 3-cycle: Step2i decides; End(S3) has 10 maps
+    # and End(C3) 3, so 25 samples draw some of the 30 pairs twice.
+    LAW_SPEC = {"degree": 6, "A": ["(1 2)", "(1 2 3)"], "B": ["(4 5 6)"]}
+
+    def test_degree_one_gets_full_audit(self):
+        d = decide({"degree": 1, "A": ["e"], "B": ["e"]}, Config(run_diagnostics=True))
+        assert d.status == "Independent"
+        assert d.diagnostics == {"witness_rechecked": True,
+                                 "factoring_isomorphisms": True,
+                                 "extension_law_sampled": True}
+
+    def test_law_fails_when_a_sampled_pair_does_not_extend(self, monkeypatch):
+        asked = []
+
+        def second_pair_conflicts(alpha, beta, pair):
+            asked.append((alpha, beta))
+            if len(asked) < 2:
+                return extend(alpha, beta, pair)
+            e = pair.join.identity
+            return ExtensionResult(None, ExtensionConflict(e, e, e))
+
+        monkeypatch.setattr(pipeline, "extend", second_pair_conflicts)
+        d = decide(self.LAW_SPEC, Config(run_diagnostics=True))
+        assert d.diagnostics["extension_law_sampled"] is False
+        assert len(asked) == 2
+
+    def test_law_fails_on_a_table_that_is_no_homomorphism(self, monkeypatch):
+        def swapped_identity(alpha, beta, pair):
+            # The identity of the join with the images of a transposition
+            # and a 3-cycle exchanged: a bijection that changes orders.
+            j = pair.join
+            table = list(range(j.order))
+            s, t = j.index_of(parse_cycles("(1 2)", 6)), j.index_of(parse_cycles("(1 2 3)", 6))
+            table[s], table[t] = t, s
+            return ExtensionResult(GroupMap(j, j, tuple(table)), None)
+
+        monkeypatch.setattr(pipeline, "extend", swapped_identity)
+        d = decide(self.LAW_SPEC, Config(run_diagnostics=True))
+        assert d.diagnostics["extension_law_sampled"] is False
+
+    def test_law_extends_each_distinct_sampled_pair_once(self, monkeypatch):
+        asked = []
+
+        def spy(alpha, beta, pair):
+            asked.append((enumerate_endomorphisms(alpha.domain).index(alpha),
+                          enumerate_endomorphisms(beta.domain).index(beta)))
+            return extend(alpha, beta, pair)
+
+        monkeypatch.setattr(pipeline, "extend", spy)
+        d = decide(self.LAW_SPEC, Config(run_diagnostics=True))
+        assert d.diagnostics["extension_law_sampled"] is True
+        # Replay the audit's stream as 25 draws of a map of A, a map of B
+        # and 8 words of two join elements each.
+        pair = parse_pair_spec(self.LAW_SPEC)
+        endos_a, endos_b = enumerate_endomorphisms(pair.a), enumerate_endomorphisms(pair.b)
+        rng = random.Random(0)
+        expected = []
+        for _ in range(25):
+            key = (endos_a.index(rng.choice(endos_a)), endos_b.index(rng.choice(endos_b)))
+            if key not in expected:
+                expected.append(key)
+            for _ in range(16):
+                rng.randrange(pair.join.order)
+        assert (len(endos_a), len(endos_b), pair.join.order) == (10, 3, 18)
+        assert asked == expected and len(expected) < 25
 
     def test_exhaustive_recheck_runs_under_the_given_budget(self):
         pair = make_pair(*SWAP_VS_DOUBLE)
