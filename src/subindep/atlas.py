@@ -18,8 +18,9 @@ import io
 import json
 import multiprocessing
 import os
-from dataclasses import dataclass, fields, replace
-from itertools import combinations
+from dataclasses import dataclass, fields
+from itertools import combinations, product
+from operator import attrgetter
 
 from .checks import (
     Verdict,
@@ -37,7 +38,6 @@ from .groups import (
     FiniteGroup,
     SubgroupPair,
     closure,
-    join,
     normal_closure,
     symmetric_group,
 )
@@ -54,15 +54,43 @@ def enumerate_subgroups(group: FiniteGroup) -> list[FiniteGroup]:
     For symmetric groups of degree up to 5 two generators reach every
     subgroup: 2, 6, 30 and 156 of them.  The tests check that against a
     brute-force lattice up to degree 4 and pin the S5 count.
+
+    Each subgroup carries the generators of the first set, in
+    combinations order, that generates it (singletons first, then
+    pairs).  Every non-identity element is closed once, and a pair
+    (x, y) is closed only if neither lies in the other's cyclic subgroup
+    and no earlier pair had the same two cyclic subgroups.  <x, y>
+    depends only on <x> and <y>, so a skipped pair generates a group
+    that an earlier set already generated, and the first set to reach
+    each group is never skipped: the generators are those of the plain
+    all-pairs scan.
     """
+    degree, order = group.degree, group.order
     seen: dict[tuple[Permutation, ...], FiniteGroup] = {}
-    trivial = closure([], group.degree, max_order=group.order)
+    trivial = closure([], degree, max_order=order)
     seen[trivial.elements] = trivial
     nontrivial = group.elements[1:]
-    for k in (1, 2):
-        for combo in combinations(nontrivial, k):
-            sub = closure(list(combo), group.degree, max_order=group.order)
-            seen.setdefault(sub.elements, sub)
+    # The cyclic subgroup of each non-identity element, one object per
+    # subgroup, and that subgroup's index among the distinct ones.
+    cyclic: list[FiniteGroup] = []
+    cyclic_id: list[int] = []
+    ids: dict[tuple[Permutation, ...], int] = {}
+    for x in nontrivial:
+        c = closure([x], degree, max_order=order)
+        cyclic.append(seen.setdefault(c.elements, c))
+        cyclic_id.append(ids.setdefault(c.elements, len(ids)))
+    closed: set[tuple[int, int]] = set()
+    for i, j in combinations(range(len(nontrivial)), 2):
+        ci, cj = cyclic_id[i], cyclic_id[j]
+        key = (ci, cj) if ci < cj else (cj, ci)
+        if key in closed:
+            continue
+        closed.add(key)
+        x, y = nontrivial[i], nontrivial[j]
+        if y in cyclic[i] or x in cyclic[j]:
+            continue
+        sub = closure([x, y], degree, max_order=order)
+        seen.setdefault(sub.elements, sub)
     return sorted(seen.values(), key=lambda s: (s.order, s.elements))
 
 
@@ -97,6 +125,12 @@ class AtlasRow:
 
 
 ATLAS_FIELDS = [f.name for f in fields(AtlasRow)]
+_row_cells = attrgetter(*ATLAS_FIELDS)
+# The columns after pair_id, the indices and the generator strings: the
+# ones conjugating both sides leaves unchanged, copied across an orbit.
+_verdict_cells = attrgetter(*ATLAS_FIELDS[5:])
+# Positions of the bool columns, written lowercase in csv.
+_BOOL_CELLS = [p for p, f in enumerate(fields(AtlasRow)) if f.type == "bool"]
 
 _STANDALONE_CHECKS = [
     ("almost_disjoint", check_almost_disjoint),
@@ -118,44 +152,53 @@ def _gens_string(sub: FiniteGroup) -> str:
 
 class _AtlasRun:
     """What one atlas run shares across its rows: the enumerated
-    subgroups, and memos of their joins and normal closures.
+    subgroups, their generator strings, and a memo of normal closures.
 
-    Joins are memoized per unordered index pair and canonicalised by
-    element tuple, so every pair with the same join shares one group and
-    its cached conjugacy classes and multiplication columns.  A shared
-    join carries the generators of whichever pair built it first; the
-    rows record verdicts only, and no verdict depends on that choice.
+    The join of a pair is looked up, not closed.  Each subgroup is held
+    as a bitset over the elements of the ambient group, and the join of
+    subs[i] and subs[j] is the first subgroup in the list whose bitset
+    covers both.  That needs the list to be the full subgroup lattice,
+    sorted by order, as every enumerate_subgroups list up to degree 5
+    is: the join is then in the list, every subgroup containing both
+    sides contains the join, and the only one of the join's order that
+    does is the join itself.  No earlier entry has a larger order, so
+    the scan starts at the larger index.  The join is the listed group
+    itself, with its generators; the rows record verdicts only, and no
+    verdict depends on which generators a group carries.
     """
 
     def __init__(self, subs: list[FiniteGroup]):
         self.subs = subs
-        self._joins: dict[tuple[int, int], tuple[int, FiniteGroup]] = {}
-        self._canonical_joins: dict[tuple[Permutation, ...], tuple[int, FiniteGroup]] = {}
+        self.gens = [_gens_string(s) for s in subs]
+        index: dict[Permutation, int] = {}
+        for s in subs:
+            for x in s.elements:
+                index.setdefault(x, len(index))
+        self._bits = [sum(1 << index[x] for x in s.elements) for s in subs]
         self._ncls: dict[tuple[int, int], FiniteGroup] = {}
 
-    def _join(self, key: tuple[int, int]) -> tuple[int, FiniteGroup]:
-        """(join id, join) of an unordered index pair."""
-        entry = self._joins.get(key)
-        if entry is None:
-            j = join(self.subs[key[0]], self.subs[key[1]])
-            entry = self._canonical_joins.setdefault(
-                j.elements, (len(self._canonical_joins), j))
-            self._joins[key] = entry
-        return entry
+    def _join(self, i: int, j: int) -> int:
+        """The index of the join of subs[i] and subs[j]."""
+        bits = self._bits
+        both = bits[i] | bits[j]
+        k = max(i, j)
+        while both & ~bits[k]:
+            k += 1
+        return k
 
-    def _normal_closure(self, i: int, join_id: int, j: FiniteGroup) -> FiniteGroup:
-        ncl = self._ncls.get((i, join_id))
+    def _normal_closure(self, i: int, k: int) -> FiniteGroup:
+        ncl = self._ncls.get((i, k))
         if ncl is None:
-            ncl = self._ncls[(i, join_id)] = normal_closure(self.subs[i], j)
+            ncl = self._ncls[(i, k)] = normal_closure(self.subs[i], self.subs[k])
         return ncl
 
     def fill(self, pair: SubgroupPair, i: int, j: int) -> None:
         """Set the lazy join and normal closures of the pair
-        (subs[i], subs[j]) from the memos."""
-        key = (i, j) if i <= j else (j, i)
-        join_id, pair._join = self._join(key)
-        pair._ncl_a = self._normal_closure(i, join_id, pair._join)
-        pair._ncl_b = self._normal_closure(j, join_id, pair._join)
+        (subs[i], subs[j]) from the lattice and the memo."""
+        k = self._join(i, j)
+        pair._join = self.subs[k]
+        pair._ncl_a = self._normal_closure(i, k)
+        pair._ncl_b = self._normal_closure(j, k)
 
 
 def _classify_one(run: _AtlasRun, task: tuple[str, int, int]) -> AtlasRow:
@@ -180,7 +223,7 @@ def _classify_one(run: _AtlasRun, task: tuple[str, int, int]) -> AtlasRow:
     ncl_b = pair.ncl_b
     ncl_meet = any(x in ncl_b for x in pair.ncl_a.elements[1:])
     return AtlasRow(pair_id=pair_id, a_index=a_index, b_index=b_index,
-                    a_gens=_gens_string(a), b_gens=_gens_string(b),
+                    a_gens=run.gens[a_index], b_gens=run.gens[b_index],
                     order_a=a.order, order_b=b.order, order_join=pair.join.order,
                     **checks,
                     oracle=oracle.verdict.value,
@@ -272,24 +315,18 @@ def run_atlas(degree: int, jobs: int = 1) -> tuple[list[AtlasRow], dict, int]:
     n = len(subs)
     rep = conjugation_orbits(group, subs)
     tasks = [(f"s{degree}-{k:04d}", *divmod(k, n)) for k in range(n * n) if rep[k] == k]
+    run = _AtlasRun(subs)
     if jobs > 1:
         sub_gens = [s.generators for s in subs]
         with multiprocessing.Pool(processes=jobs, initializer=_init_worker,
                                   initargs=(degree, sub_gens)) as pool:
             classified = list(pool.imap(_classify_in_worker, tasks, chunksize=8))
     else:
-        run = _AtlasRun(subs)
         classified = [_classify_one(run, t) for t in tasks]
-    by_rep = {r.a_index * n + r.b_index: r for r in classified}
-    gens = [_gens_string(s) for s in subs]
-    rows = []
-    for k in range(n * n):
-        row = by_rep[rep[k]]
-        if k != rep[k]:
-            i, j = divmod(k, n)
-            row = replace(row, pair_id=f"s{degree}-{k:04d}", a_index=i, b_index=j,
-                          a_gens=gens[i], b_gens=gens[j])
-        rows.append(row)
+    cells = {r.a_index * n + r.b_index: _verdict_cells(r) for r in classified}
+    gens = run.gens
+    rows = [AtlasRow(f"s{degree}-{k:04d}", i, j, gens[i], gens[j], *cells[rep[k]])
+            for k, (i, j) in enumerate(product(range(n), repeat=2))]
     return rows, _summarize(degree, group, subs, rows), len(tasks)
 
 
@@ -336,27 +373,22 @@ def _summarize(degree: int, group: FiniteGroup,
 def render_report(rows: list[AtlasRow], summary: dict, fmt: str = "csv") -> str:
     """Serialize an atlas run; rows ordered by generator strings so the
     bytes depend only on the classification, never on worker scheduling."""
-    ordered = sorted(rows, key=lambda r: (r.a_gens, r.b_gens))
+    ordered = sorted(rows, key=attrgetter("a_gens", "b_gens"))
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(ATLAS_FIELDS)
         for r in ordered:
-            writer.writerow(_csv_cell(getattr(r, name)) for name in ATLAS_FIELDS)
+            cells = list(_row_cells(r))
+            for p in _BOOL_CELLS:
+                cells[p] = "true" if cells[p] else "false"
+            writer.writerow(cells)
         return buf.getvalue()
     if fmt == "json":
         doc = {"summary": summary,
-               "rows": [{name: getattr(r, name) for name in ATLAS_FIELDS} for r in ordered]}
+               "rows": [dict(zip(ATLAS_FIELDS, _row_cells(r))) for r in ordered]}
         return json.dumps(doc, indent=2) + "\n"
     raise ValueError(f"unknown report format {fmt!r}")
-
-
-def _csv_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return ""
-    return str(value)
 
 
 def emit_report(rows: list[AtlasRow], summary: dict, path: str, fmt: str = "csv") -> None:

@@ -60,7 +60,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help=f"symmetric group degree, 2..{MAX_ATLAS_DEGREE}")
     atl.add_argument("--out", metavar="FILE", required=True, help="report file to write")
     atl.add_argument("--format", choices=("csv", "json"), default="csv")
-    atl.add_argument("--jobs", type=int, default=1, help="worker processes, one row each; at most the CPU count")
+    atl.add_argument("--jobs", type=int, default=1,
+                     help="worker processes, each classifying orbit representatives"
+                          " in chunks of 8; at most the CPU count")
     return parser
 
 

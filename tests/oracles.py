@@ -7,9 +7,10 @@ filtering all |G|^k image assignments through a full multiplication
 table check.  A literal |G|^|G| filter validates that oracle in turn on
 groups small enough to afford it.  Quotients are coset actions,
 isomorphisms come from the same word search, and the subgroup lattice
-is saturated one element at a time.  The map checks and the
-union-law harness at the end are the full-table checks the tests hold
-results to.
+is saturated one element at a time.  The atlas's two-generator
+enumeration is replayed as the plain scan over every element pair that
+its skips must agree with.  The map checks and the union-law harness
+at the end are the full-table checks the tests hold results to.
 """
 
 from __future__ import annotations
@@ -244,6 +245,20 @@ def all_subgroups(group: FiniteGroup) -> list[FiniteGroup]:
         frontier = nxt
     subs = [FiniteGroup(tuple(sorted(els)), gens, group.degree) for els, gens in found.items()]
     return sorted(subs, key=lambda s: (s.order, s.elements))
+
+
+def subgroups_from_all_pairs(group: FiniteGroup) -> list[FiniteGroup]:
+    """Every subgroup generated by at most two elements, by closing the
+    trivial set, every non-identity element and every pair of them, in
+    combinations order.  Each subgroup keeps the generators of the first
+    set that reached it.  Sorted by (order, elements), the order
+    atlas.enumerate_subgroups uses."""
+    seen: dict[tuple[Permutation, ...], FiniteGroup] = {}
+    for k in (0, 1, 2):
+        for combo in combinations(group.elements[1:], k):
+            sub = closure(list(combo), group.degree, max_order=group.order)
+            seen.setdefault(sub.elements, sub)
+    return sorted(seen.values(), key=lambda s: (s.order, s.elements))
 
 
 def normal_subgroups_containing(sub_elements, group: FiniteGroup,

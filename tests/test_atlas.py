@@ -14,6 +14,7 @@ from oracles import (
     find_isomorphism,
     independent_by_global_search,
     quotient,
+    subgroups_from_all_pairs,
 )
 from subindep import atlas, groups
 from subindep.atlas import (
@@ -81,6 +82,35 @@ class TestSubgroupEnumeration:
     def test_trivial_group(self):
         s1 = symmetric_group(1)
         assert len(enumerate_subgroups(s1)) == 1
+
+    def test_skips_keep_elements_and_generators(self, s5_subgroups):
+        # The report's a_gens/b_gens come from these generators, so the
+        # skipped pairs must not change which set reaches a group first.
+        for degree in (2, 3, 4, 5):
+            group = symmetric_group(degree)
+            subs = s5_subgroups if degree == 5 else enumerate_subgroups(group)
+            plain = subgroups_from_all_pairs(group)
+            assert [h.elements for h in subs] == [h.elements for h in plain], degree
+            assert [h.generators for h in subs] == [h.generators for h in plain], degree
+
+    def test_each_pair_of_cyclic_subgroups_closed_once(self, monkeypatch):
+        closed = []
+        real = atlas.closure
+
+        def recording(gens, *args, **kwargs):
+            closed.append(list(gens))
+            return real(gens, *args, **kwargs)
+
+        monkeypatch.setattr(atlas, "closure", recording)
+        group = symmetric_group(4)
+        assert len(enumerate_subgroups(group)) == 30
+        assert [len(g) for g in closed[:24]] == [0] + [1] * 23
+        pairs = closed[24:]
+        assert all(len(g) == 2 for g in pairs)
+        cyclic = {x: closure([x], 4).elements for x in group.elements[1:]}
+        assert not any(y in cyclic[x] or x in cyclic[y] for x, y in pairs)
+        keys = [frozenset((cyclic[x], cyclic[y])) for x, y in pairs]
+        assert len(keys) == len(set(keys)) < 253
 
 
 class TestDegree3Atlas:
@@ -381,6 +411,30 @@ class TestOrbitExpansion:
         subs, rep = self._orbits(5, s5_subgroups)
         copied = [k for k in range(len(rep)) if rep[k] != k]
         self._assert_direct(subs, rows, random.Random(11).sample(copied, 200))
+
+
+class TestJoinLookup:
+    """The atlas looks joins up in the subgroup list; the package's
+    join closes the union of the generators.  They must agree."""
+
+    @staticmethod
+    def _assert_lookup(subs, index_pairs):
+        run = atlas._AtlasRun(subs)
+        for i, j in index_pairs:
+            closed = groups.join(subs[i], subs[j])
+            assert subs[run._join(i, j)].elements == closed.elements, (i, j)
+
+    def test_every_ordered_s4_pair(self):
+        subs = enumerate_subgroups(symmetric_group(4))
+        n = len(subs)
+        self._assert_lookup(subs, [(i, j) for i in range(n) for j in range(n)])
+
+    def test_every_s5_orbit_representative(self, s5_subgroups):
+        rep = atlas.conjugation_orbits(symmetric_group(5), s5_subgroups)
+        n = len(s5_subgroups)
+        reps = [divmod(k, n) for k in range(len(rep)) if rep[k] == k]
+        assert len(reps) == 679
+        self._assert_lookup(s5_subgroups, reps)
 
 
 class TestReportRendering:
