@@ -18,9 +18,9 @@ import io
 import json
 import multiprocessing
 import os
-from dataclasses import dataclass, fields
 from itertools import combinations, product
 from operator import attrgetter
+from typing import NamedTuple, get_type_hints
 
 from .checks import (
     Verdict,
@@ -94,8 +94,7 @@ def enumerate_subgroups(group: FiniteGroup) -> list[FiniteGroup]:
     return sorted(seen.values(), key=lambda s: (s.order, s.elements))
 
 
-@dataclass
-class AtlasRow:
+class AtlasRow(NamedTuple):
     """One ordered subgroup pair with every check's verdict."""
 
     pair_id: str
@@ -124,13 +123,11 @@ class AtlasRow:
     budget: str
 
 
-ATLAS_FIELDS = [f.name for f in fields(AtlasRow)]
-_row_cells = attrgetter(*ATLAS_FIELDS)
-# The columns after pair_id, the indices and the generator strings: the
-# ones conjugating both sides leaves unchanged, copied across an orbit.
-_verdict_cells = attrgetter(*ATLAS_FIELDS[5:])
-# Positions of the bool columns, written lowercase in csv.
-_BOOL_CELLS = [p for p, f in enumerate(fields(AtlasRow)) if f.type == "bool"]
+ATLAS_FIELDS = AtlasRow._fields
+# Positions of the bool columns, written lowercase in csv.  The
+# annotations are strings (see the __future__ import), so they are
+# resolved first.
+_BOOL_CELLS = [p for p, t in enumerate(get_type_hints(AtlasRow).values()) if t is bool]
 
 _STANDALONE_CHECKS = [
     ("almost_disjoint", check_almost_disjoint),
@@ -323,7 +320,9 @@ def run_atlas(degree: int, jobs: int = 1) -> tuple[list[AtlasRow], dict, int]:
             classified = list(pool.imap(_classify_in_worker, tasks, chunksize=8))
     else:
         classified = [_classify_one(run, t) for t in tasks]
-    cells = {r.a_index * n + r.b_index: _verdict_cells(r) for r in classified}
+    # The columns after pair_id, the indices and the generator strings:
+    # the ones conjugating both sides leaves unchanged.
+    cells = {r.a_index * n + r.b_index: r[5:] for r in classified}
     gens = run.gens
     rows = [AtlasRow(f"s{degree}-{k:04d}", i, j, gens[i], gens[j], *cells[rep[k]])
             for k, (i, j) in enumerate(product(range(n), repeat=2))]
@@ -379,14 +378,14 @@ def render_report(rows: list[AtlasRow], summary: dict, fmt: str = "csv") -> str:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(ATLAS_FIELDS)
         for r in ordered:
-            cells = list(_row_cells(r))
+            cells = list(r)
             for p in _BOOL_CELLS:
                 cells[p] = "true" if cells[p] else "false"
             writer.writerow(cells)
         return buf.getvalue()
     if fmt == "json":
         doc = {"summary": summary,
-               "rows": [dict(zip(ATLAS_FIELDS, _row_cells(r))) for r in ordered]}
+               "rows": [r._asdict() for r in ordered]}
         return json.dumps(doc, indent=2) + "\n"
     raise ValueError(f"unknown report format {fmt!r}")
 

@@ -10,10 +10,9 @@ from scratch with recheck_witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import product
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from .groups import (
     DEFAULT_ENDO_BUDGET,
@@ -46,8 +45,7 @@ _REGION_TEXT = {
 }
 
 
-@dataclass(frozen=True)
-class MembershipWitness:
+class MembershipWitness(NamedTuple):
     """A non-identity element living where independence forbids one."""
 
     element: Permutation
@@ -61,8 +59,7 @@ class MembershipWitness:
         return f"{cycle_string(self.element)} is a non-identity element of {_REGION_TEXT[self.region]}"
 
 
-@dataclass(frozen=True)
-class CommutingWitness:
+class CommutingWitness(NamedTuple):
     """A and B intersect trivially and commute elementwise."""
 
     def to_json(self) -> dict:
@@ -72,8 +69,7 @@ class CommutingWitness:
         return "A and B intersect trivially and every a in A commutes with every b in B"
 
 
-@dataclass(frozen=True)
-class OrderViolationWitness:
+class OrderViolationWitness(NamedTuple):
     """Non-commuting a, b whose product order is divisible by neither."""
 
     a: Permutation
@@ -101,8 +97,7 @@ class OrderViolationWitness:
                 f"{bad} does not divide |ab|={self.order_ab} (ab={cycle_string(self.ab)})")
 
 
-@dataclass(frozen=True)
-class ConjugacyMergeWitness:
+class ConjugacyMergeWitness(NamedTuple):
     """Two elements of one subgroup fused by conjugacy in the join only."""
 
     x1: Permutation
@@ -118,8 +113,7 @@ class ConjugacyMergeWitness:
                 f"but not in {self.side}")
 
 
-@dataclass(frozen=True)
-class NormalAsymmetryWitness:
+class NormalAsymmetryWitness(NamedTuple):
     """Exactly one subgroup is normal in the join; carries evidence that
     the other one is not."""
 
@@ -143,8 +137,7 @@ class NormalAsymmetryWitness:
                 f"gives {cycle_string(self.conjugate)}, outside {other}")
 
 
-@dataclass(frozen=True)
-class BothNormalWitness:
+class BothNormalWitness(NamedTuple):
     """Both subgroups are normal in the join and intersect trivially."""
 
     def to_json(self) -> dict:
@@ -154,8 +147,7 @@ class BothNormalWitness:
         return "A and B are both normal in the join and intersect trivially"
 
 
-@dataclass(frozen=True)
-class IncompatiblePairWitness:
+class IncompatiblePairWitness(NamedTuple):
     """An endomorphism pair with no common extension to the join."""
 
     alpha: GroupMap
@@ -176,8 +168,7 @@ class IncompatiblePairWitness:
                 f"{cycle_string(self.conflict.image_a)} and {cycle_string(self.conflict.image_b)}")
 
 
-@dataclass(frozen=True)
-class ExhaustiveWitness:
+class ExhaustiveWitness(NamedTuple):
     """Every endomorphism pair extends; the pairs the scan did not extend
     are composites of those it did (see brute_force_independent)."""
 
@@ -191,8 +182,7 @@ class ExhaustiveWitness:
                 f"extended, the rest are composites of those")
 
 
-@dataclass(frozen=True)
-class BudgetWitness:
+class BudgetWitness(NamedTuple):
     """The computation was abandoned at a configured size limit."""
 
     budget: str
@@ -207,8 +197,7 @@ class BudgetWitness:
         return f"{self.budget} limit {self.limit} exceeded while {self.context}"
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
+class CheckOutcome(NamedTuple):
     """Result of one check: a verdict, a witness when the verdict is not
     inconclusive, and the Step4 counts from brute_force_independent."""
 

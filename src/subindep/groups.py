@@ -12,10 +12,9 @@ instead of thrashing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .perm import Permutation, _trusted, cycle_string
 
@@ -218,13 +217,13 @@ def is_normal_in(h: FiniteGroup, g: FiniteGroup) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class ConjClassPartition:
     """Conjugacy classes of a group: tuples of elements, each sorted, the
     classes ordered by their least element (the identity class first)."""
 
-    group: FiniteGroup
-    classes: tuple[tuple[Permutation, ...], ...]
+    def __init__(self, group: FiniteGroup, classes: tuple[tuple[Permutation, ...], ...]):
+        self.group = group
+        self.classes = classes
 
     @cached_property
     def _class_of(self) -> dict[Permutation, int]:
@@ -303,8 +302,7 @@ def propagate_images(domain: FiniteGroup, codomain: FiniteGroup,
     return tuple(table), None
 
 
-@dataclass(frozen=True)
-class GroupMap:
+class GroupMap(NamedTuple):
     """A homomorphism between finite groups, stored as the tuple of
     codomain element indices aligned with domain.elements."""
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .groups import (
     DEFAULT_ENDO_BUDGET,
@@ -68,8 +68,7 @@ def enumerate_endomorphisms(g: FiniteGroup, endo_budget: int = DEFAULT_ENDO_BUDG
     return list(g._endos)
 
 
-@dataclass(frozen=True)
-class ExtensionConflict:
+class ExtensionConflict(NamedTuple):
     """An element of the join forced to two distinct images."""
 
     element: Permutation
@@ -77,8 +76,7 @@ class ExtensionConflict:
     image_b: Permutation
 
 
-@dataclass(frozen=True)
-class ExtensionResult:
+class ExtensionResult(NamedTuple):
     """Outcome of extending an endomorphism pair to the join: either the
     unique common extension or the first conflict encountered."""
 

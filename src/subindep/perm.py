@@ -143,7 +143,8 @@ def _parse_points(body: str, degree: int) -> list[int]:
     tokens = [t for t in re.split(r"[,\s]+", body.strip()) if t]
     points: list[int] = []
     for tok in tokens:
-        if not tok.isdigit():
+        # str.isdigit also accepts non-ASCII digits such as "²" and "٣".
+        if not (tok.isascii() and tok.isdigit()):
             raise CycleParseError(f"bad point {tok!r}")
         if degree <= 9 and len(tok) > 1:
             # juxtaposed single digits, compact style "(12)"

@@ -10,8 +10,8 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .checks import (
     BudgetWitness,
@@ -49,21 +49,30 @@ class Step(str, Enum):
     BUDGET = "BudgetExceeded"
 
 
-@dataclass(frozen=True)
-class Config:
-    """Budgets for a decision run, and whether to audit the result."""
-
+class _ConfigFields(NamedTuple):
     max_group_order: int = DEFAULT_MAX_GROUP_ORDER
     endo_budget: int = DEFAULT_ENDO_BUDGET
     run_diagnostics: bool = False
 
-    def __post_init__(self) -> None:
+
+class Config(_ConfigFields):
+    """Budgets for a decision run, and whether to audit the result.
+    Non-positive budgets are rejected, also by _replace."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "Config":
+        self = super().__new__(cls, *args, **kwargs)
         if self.max_group_order < 1 or self.endo_budget < 1:
             raise ValueError("budgets must be positive")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "Config":
+        return cls(*iterable)
 
 
-@dataclass
-class Stats:
+class Stats(NamedTuple):
     """Orders and counts actually computed during the run.
 
     The orders are those the pair holds once the ladder stops, before any
@@ -81,8 +90,7 @@ class Stats:
     elapsed_ms: float = 0.0
 
 
-@dataclass
-class Decision:
+class Decision(NamedTuple):
     """Outcome of a full pipeline run on one pair."""
 
     status: str  # "Independent", "Dependent", or "Inconclusive"
@@ -180,12 +188,12 @@ def decide_pair(pair: SubgroupPair, config: Config = Config()) -> Decision:
         witness = BudgetWitness(exc.budget, exc.limit, exc.context)
     stats = Stats(**pair.computed_orders(), **(counts or {}),
                   elapsed_ms=(time.perf_counter() - t0) * 1000.0)
-    decision = Decision(status, step, witness, stats)
     # Outside the budget handler: an audit that trips a budget reports
     # None for its key and never turns the verdict Inconclusive.
+    diagnostics = None
     if config.run_diagnostics and status != "Inconclusive":
-        decision.diagnostics = _run_diagnostics(pair, decision, config)
-    return decision
+        diagnostics = _run_diagnostics(pair, status, witness, config)
+    return Decision(status, step, witness, stats, diagnostics)
 
 
 def _run_ladder(pair: SubgroupPair, config: Config) -> tuple[str, Step, object, dict | None]:
@@ -205,17 +213,18 @@ def decide(pair_spec: dict, config: Config = Config()) -> Decision:
     return decide_pair(pair, config)
 
 
-def _run_diagnostics(pair: SubgroupPair, decision: Decision, config: Config) -> dict:
+def _run_diagnostics(pair: SubgroupPair, status: str, witness: object | None,
+                     config: Config) -> dict:
     """Optional post-decision audits: recheck the witness, and for
     independent verdicts check the factoring isomorphisms by their group
     orders (see verify_factoring) and sample an associativity-style law
     on random extension triples.  An audit that trips a budget (the join
     or the endomorphisms) reports None."""
     diag: dict = {}
-    if decision.witness is not None:
+    if witness is not None:
         diag["witness_rechecked"] = _unless_budget(
-            recheck_witness, pair, decision.witness, config.endo_budget)
-    if decision.status == "Independent":
+            recheck_witness, pair, witness, config.endo_budget)
+    if status == "Independent":
         diag["factoring_isomorphisms"] = _unless_budget(verify_factoring, pair)
         diag["extension_law_sampled"] = _unless_budget(_sample_extension_law, pair, config)
     return diag

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 
 from conftest import SHARED_POINT, ORDER_CLASH, SWAP_VS_DOUBLE, FAR_SWAPS, MERGE_PAIR, make_pair
@@ -47,6 +45,7 @@ class TestAlmostDisjoint:
         sub = closure([P("(1 2)", 3)], 3)
         out = check_almost_disjoint(SubgroupPair(sub, sub))
         assert out.verdict is Verdict.DEPENDENT
+        assert type(out.witness) is MembershipWitness
         assert out.witness == MembershipWitness(P("(1 2)", 3), "a_and_b")
 
     def test_e1_pair_is_inconclusive(self):
@@ -107,6 +106,7 @@ class TestSeparated:
     def test_e1_a_side_fires_first(self):
         out = check_a_inside_ncl_b(make_pair(*SHARED_POINT))
         assert out.verdict is Verdict.DEPENDENT
+        assert type(out.witness) is MembershipWitness
         assert out.witness == MembershipWitness(P("(1 2)", 3), "a_in_ncl_b")
 
     def test_e1_directional_checks(self):
@@ -182,6 +182,7 @@ class TestBruteForce:
         # (triv, id_B) and (id_A, triv): one non-identity map a side.
         out = brute_force_independent(make_pair(*SWAP_VS_DOUBLE))
         assert out.verdict is Verdict.INDEPENDENT
+        assert type(out.witness) is ExhaustiveWitness
         assert out.witness == ExhaustiveWitness(pairs_checked=2)
         assert out.details["endo_a"] == 2 and out.details["endo_b"] == 2
 
@@ -321,20 +322,20 @@ class TestWitnessRecheck:
         mirrored = make_pair(MERGE_PAIR[0], MERGE_PAIR[2], MERGE_PAIR[1])
         wb = check_conjugacy_merge_b(mirrored).witness
         assert wb.side == "B" and recheck_witness(mirrored, wb)
-        assert not recheck_witness(mirrored, replace(wb, side="Z"))
+        assert not recheck_witness(mirrored, wb._replace(side="Z"))
 
     def test_order_violation_orders_must_match(self):
         pair = make_pair(*ORDER_CLASH)
         w = check_order_divisibility(pair).witness
         assert recheck_witness(pair, w)
-        assert not recheck_witness(pair, replace(w, order_ab=w.order_ab + 5))
-        assert not recheck_witness(pair, replace(w, order_a=w.order_b))
+        assert not recheck_witness(pair, w._replace(order_ab=w.order_ab + 5))
+        assert not recheck_witness(pair, w._replace(order_a=w.order_b))
 
     def test_normal_asymmetry_side_must_match(self):
         pair = make_pair(3, ["(1 2 3)"], ["(1 2)"])
         w = check_normal_asymmetry(pair).witness
         assert w.normal_side == "A" and recheck_witness(pair, w)
-        assert not recheck_witness(pair, replace(w, normal_side="B"))
+        assert not recheck_witness(pair, w._replace(normal_side="B"))
 
     def test_normal_asymmetry_elements_must_lie_in_their_groups(self):
         # A = V4 is normal in the join D4, B = <(1 2)> is not.
@@ -357,7 +358,7 @@ class TestWitnessRecheck:
         w = brute_force_independent(pair).witness
         assert isinstance(w, IncompatiblePairWitness) and recheck_witness(pair, w)
         e = Permutation.identity(3)
-        assert not recheck_witness(pair, replace(w, conflict=ExtensionConflict(e, e, e)))
+        assert not recheck_witness(pair, w._replace(conflict=ExtensionConflict(e, e, e)))
 
     def test_unknown_witness_type_raises(self):
         with pytest.raises(TypeError):

@@ -158,6 +158,8 @@ class TestParsing:
         ("e e", 3),
         ("(1 2", 3),
         ("(1 2)", True),
+        ("(1 ²)", 4),  # isdigit, but int() rejects it
+        ("(1 ٣)", 4),  # isdigit, and int() reads it as 3
     ])
     def test_rejects(self, text, degree):
         with pytest.raises(CycleParseError):

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 import re
@@ -6,6 +5,7 @@ import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +24,7 @@ from subindep.checks import (
     recheck_witness,
 )
 from subindep import cli, pipeline
+from subindep.atlas import MAX_ATLAS_DEGREE
 from subindep.groups import GroupMap
 from subindep.homs import ExtensionConflict, ExtensionResult, enumerate_endomorphisms, extend
 from subindep.perm import Permutation, cycle_string, parse_cycles
@@ -93,6 +94,7 @@ class TestParsePairSpec:
         {"degree": 10**9, "A": ["(1 2)"], "B": ["(3 4)"]},
         {"degree": 4, "A": ["(1 2)"] * 65, "B": ["(3 4)"]},
         {"degree": 4, "A": ["(1 2)"], "B": ["(3 4)"] * 65},
+        {"degree": 4, "A": ["(1 ²)"], "B": []},
     ])
     def test_rejects_malformed_specs(self, bad):
         with pytest.raises(PairSpecError):
@@ -163,7 +165,7 @@ class TestParsePairSpec:
 class TestConfig:
     def test_defaults(self):
         cfg = Config()
-        assert [f.name for f in dataclasses.fields(cfg)] == [
+        assert list(cfg._fields) == [
             "max_group_order", "endo_budget", "run_diagnostics"]
         assert (cfg.max_group_order, cfg.endo_budget, cfg.run_diagnostics) == (5040, 256, False)
 
@@ -174,6 +176,8 @@ class TestConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             Config(**kwargs)
+        with pytest.raises(ValueError):
+            Config()._replace(**kwargs)
 
 
 class TestDecisions:
@@ -592,6 +596,27 @@ class TestCli:
         assert exc.value.code == 1
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not (tmp_path / "s3.csv").exists()
+
+    def test_atlas_help_names_the_degree_bound(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["atlas", "--help"])
+        assert exc.value.code == 0
+        assert f"2..{MAX_ATLAS_DEGREE}" in capsys.readouterr().out
+
+    def test_import_leaves_the_atlas_unloaded(self):
+        # Start-up is most of what one decide costs: importing the package
+        # and its command line loads neither dataclasses (which imports
+        # inspect) nor what only the atlas needs.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = ("import sys\n"
+                "sys.path.insert(0, sys.argv[1])\n"
+                "import subindep, subindep.cli\n"
+                "print(sorted({'dataclasses', 'multiprocessing', 'csv', 'subindep.atlas'}"
+                " & set(sys.modules)))\n")
+        r = subprocess.run([sys.executable, "-S", "-c", code, src],
+                           capture_output=True, text=True, timeout=60)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == "[]"
 
     def test_atlas_rejects_large_degree(self):
         r = run_cli("atlas", "--degree", "6", "--out", "/tmp/nope.csv")
