@@ -249,9 +249,12 @@ def check_order_divisibility(pair: SubgroupPair) -> CheckOutcome:
     """Dependent on the first non-commuting (a, b) where |a| or |b| fails
     to divide |ab|; any common extension would have to map ab to a power
     of itself compatible with both orders, which is impossible then."""
+    orders: dict[Permutation, int] = {}  # each order computed once, when first needed
     for a, b in noncommuting_pairs(pair):
         ab = a * b
-        oa, ob, oab = a.order(), b.order(), ab.order()
+        oa = orders.get(a) or orders.setdefault(a, a.order())
+        ob = orders.get(b) or orders.setdefault(b, b.order())
+        oab = orders.get(ab) or orders.setdefault(ab, ab.order())
         if oab % oa or oab % ob:
             return CheckOutcome(Verdict.DEPENDENT,
                                 OrderViolationWitness(a, b, ab, oa, ob, oab))

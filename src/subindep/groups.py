@@ -65,7 +65,7 @@ class FiniteGroup:
         """The position of each element."""
         index = self._index
         if index is None:
-            index = self._index = {p: i for i, p in enumerate(self.elements)}
+            index = self._index = dict(zip(self.elements, range(len(self.elements))))
         return index
 
     def index_of(self, p: Permutation) -> int:
@@ -117,16 +117,6 @@ class FiniteGroup:
         return col
 
 
-def _clean_generators(generators: Iterable[Permutation], degree: int) -> list[Permutation]:
-    gens: list[Permutation] = []
-    for g in generators:
-        if g.degree != degree:
-            raise ValueError(f"generator degree {g.degree} does not match {degree}")
-        if not g.is_identity() and g not in gens:
-            gens.append(g)
-    return gens
-
-
 def closure(generators: Iterable[Permutation], degree: int,
             max_order: int = DEFAULT_MAX_GROUP_ORDER) -> FiniteGroup:
     """The subgroup generated by the given permutations.
@@ -135,28 +125,33 @@ def closure(generators: Iterable[Permutation], degree: int,
     in a finite group this also yields all inverses.  The search runs on
     image tuples (x * g has images x[g[i]], gathered by
     operator.itemgetter), and each element is wrapped as a Permutation
-    once, after sorting.  Raises BudgetExceeded as soon as the element
-    count would pass max_order.
+    once, after sorting.  Raises BudgetExceeded once the element count
+    passes max_order, checked after each element is expanded, so at most
+    max_order + len(gens) tuples are ever held.
     """
-    gens = _clean_generators(generators, degree)
+    e = tuple(range(degree))
+    gens: list[Permutation] = []
+    for g in generators:
+        if len(g) != degree:
+            raise ValueError(f"generator degree {len(g)} does not match {degree}")
+        if g != e and g not in gens:
+            gens.append(g)
     # One gather per generator.  The generators are not the identity, so
     # the degree is at least 2 and each getter returns a tuple.
     times = [itemgetter(*g) for g in gens]
-    e = tuple(range(degree))
     seen = {e}
-    frontier = [e]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for times_g in times:
-                y = times_g(x)
-                if y not in seen:
-                    if len(seen) >= max_order:
-                        raise BudgetExceeded("max_group_order", max_order, "closing a generator set")
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return FiniteGroup(tuple([_trusted(t) for t in sorted(seen)]), tuple(gens), degree)
+    found = [e]
+    add, append = seen.add, found.append
+    for x in found:  # found grows as the search runs: breadth-first
+        for times_g in times:
+            y = times_g(x)
+            if y not in seen:
+                add(y)
+                append(y)
+        if len(found) > max_order:
+            raise BudgetExceeded("max_group_order", max_order, "closing a generator set")
+    found.sort()
+    return FiniteGroup(tuple(map(_trusted, found)), tuple(gens), degree)
 
 
 def symmetric_group(n: int, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> FiniteGroup:

@@ -53,12 +53,13 @@ def enumerate_endomorphisms(g: FiniteGroup, endo_budget: int = DEFAULT_ENDO_BUDG
                 span = closure(gens, g.degree, max_order=g.order)
                 if span.order == g.order:
                     break
+        gen_idx = [g.index_of(x) for x in gens]
         orders = [y.order() for y in g.elements]
-        candidates = [[j for j, oy in enumerate(orders) if x.order() % oy == 0] for x in gens]
+        candidates = [[j for j, oy in enumerate(orders) if ox % oy == 0]
+                      for ox in [orders[i] for i in gen_idx]]
         search = math.prod(map(len, candidates))
         if search > endo_budget ** 2:
             raise BudgetExceeded("endo_budget", endo_budget, f"searching {search} candidate maps")
-        gen_idx = [g.index_of(x) for x in gens]
         tables = set()
         for combo in itertools.product(*candidates):
             table, conflict = propagate_images(g, g, gen_idx, combo)

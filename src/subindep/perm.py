@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import re
+from functools import partial
 from operator import itemgetter
 
 
@@ -37,6 +38,8 @@ class Permutation(tuple):
         n = len(p)
         if n < 1:
             raise ValueError("degree must be at least 1")
+        if not all(isinstance(i, int) and not isinstance(i, bool) for i in p):
+            raise ValueError(f"images must be integers: {tuple(p)}")
         if sorted(p) != list(range(n)):
             raise ValueError(f"not a permutation of 0..{n - 1}: {tuple(p)}")
         return p
@@ -82,21 +85,28 @@ class Permutation(tuple):
 
     def order(self) -> int:
         """Multiplicative order, the lcm of the cycle lengths."""
-        cycs = self.cycles()
-        return math.lcm(*(len(c) for c in cycs)) if cycs else 1
+        seen = [False] * len(self)
+        lengths = set()
+        for i, j in enumerate(self):
+            if seen[i]:
+                continue
+            k = 1
+            while j != i:
+                seen[j] = True
+                j = self[j]
+                k += 1
+            lengths.add(k)
+        return math.lcm(*lengths)
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles as 0-based tuples, each starting at its least
         point, listed in order of least point."""
         seen = [False] * len(self)
         out = []
-        for i in range(len(self)):
-            if seen[i] or self[i] == i:
-                seen[i] = True
+        for i, j in enumerate(self):
+            if seen[i] or j == i:
                 continue
             cyc = [i]
-            seen[i] = True
-            j = self[i]
             while j != i:
                 cyc.append(j)
                 seen[j] = True
@@ -121,9 +131,9 @@ class Permutation(tuple):
         return f"Perm({cycle_string(self)!r}, deg={self.degree})"
 
 
-def _trusted(images) -> Permutation:
-    """A Permutation from images already known to be a bijection."""
-    return tuple.__new__(Permutation, images)
+# A Permutation from images already known to be a bijection; a partial of
+# tuple.__new__, so that map(_trusted, ...) wraps without a Python frame.
+_trusted = partial(tuple.__new__, Permutation)
 
 
 def cycle_string(p: Permutation) -> str:
@@ -136,26 +146,33 @@ def cycle_string(p: Permutation) -> str:
     return "".join("(" + " ".join(str(x + 1) for x in c) + ")" for c in cycs)
 
 
+# A whole cycle string, stripped: cycles separated only by whitespace.
+_CYCLES_RE = re.compile(r"\([^()]*\)(?:\s*\([^()]*\))*")
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
-def _parse_points(body: str, degree: int) -> list[int]:
-    tokens = [t for t in re.split(r"[,\s]+", body.strip()) if t]
-    points: list[int] = []
+def _shape_error(text: str, s: str) -> str:
+    """Why the stripped string s is not a sequence of cycles."""
+    if not s:
+        return "empty permutation string"
+    if not _CYCLE_RE.search(s):
+        return f"no cycles found in {text!r}"
+    # Text after the run of cycles s starts with is trailing when no cycle follows it.
+    run = _CYCLES_RE.match(s)
+    trailing = run and not _CYCLE_RE.search(s, run.end())
+    return f"unexpected {'trailing ' if trailing else ''}text in {text!r}"
+
+
+def _bad_point(tokens: list[str], degree: int) -> str | None:
+    """The error for the first token that is not a point in range, read
+    token by token, or None when every token is one."""
     for tok in tokens:
         # str.isdigit also accepts non-ASCII digits such as "²" and "٣".
         if not (tok.isascii() and tok.isdigit()):
-            raise CycleParseError(f"bad point {tok!r}")
-        if degree <= 9 and len(tok) > 1:
-            # juxtaposed single digits, compact style "(12)"
-            vals = [int(ch) for ch in tok]
-        else:
-            vals = [int(tok)]
-        for v in vals:
+            return f"bad point {tok!r}"
+        for v in map(int, tok if degree <= 9 else (tok,)):
             if not 1 <= v <= degree:
-                raise CycleParseError(f"point {v} out of range 1..{degree}")
-            points.append(v)
-    return points
+                return f"point {v} out of range 1..{degree}"
 
 
 def parse_cycles(text: str, degree: int) -> Permutation:
@@ -169,35 +186,34 @@ def parse_cycles(text: str, degree: int) -> Permutation:
     if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
         raise CycleParseError(f"invalid degree {degree!r}")
     s = text.strip()
-    identity = _trusted(range(degree))
-    if s in ("e", "()"):
-        return identity
-    if not s:
-        raise CycleParseError("empty permutation string")
-    matches = list(_CYCLE_RE.finditer(s))
-    if not matches:
-        raise CycleParseError(f"no cycles found in {text!r}")
-    cursor = 0
-    for m in matches:
-        if s[cursor:m.start()].strip():
-            raise CycleParseError(f"unexpected text in {text!r}")
-        cursor = m.end()
-    if s[cursor:].strip():
-        raise CycleParseError(f"unexpected trailing text in {text!r}")
+    if s == "e" or s == "()":
+        return _trusted(range(degree))
+    if not _CYCLES_RE.fullmatch(s):
+        raise CycleParseError(_shape_error(text, s))
 
     # Points are range-checked and distinct within a cycle, so each cycle
     # is a bijection and needs no further check.  The product is built in
-    # place: multiplying on the right by a cycle (a1 ... ak) only sets the
+    # place on img, where img[p] is the 0-based image of the 1-based point
+    # p: multiplying on the right by a cycle (a1 ... ak) only sets the
     # image of each ai to the old image of the next point, so a string
     # costs its length plus the degree, however many cycles it holds.
-    img = list(identity)
-    for m in matches:
-        pts = _parse_points(m.group(1), degree)
-        if not pts:
-            raise CycleParseError(f"empty cycle in {text!r}")
+    img = [0, *range(degree)]
+    for body in _CYCLE_RE.findall(s):
+        tokens = body.replace(",", " ").split()
+        digits = "".join(tokens)
+        if not (digits.isascii() and digits.isdigit()):
+            raise CycleParseError(_bad_point(tokens, degree) or f"empty cycle in {text!r}")
+        try:
+            # Below degree 10 every digit is a point, compact style "(12)".
+            pts = list(map(int, digits if degree <= 9 else tokens))
+        except ValueError:  # past int's limit on the digits of a string
+            raise CycleParseError(f"point out of range 1..{degree} in cycle {body[:20]!r}") from None
+        if min(pts) < 1 or max(pts) > degree:
+            raise CycleParseError(_bad_point(tokens, degree))
         if len(set(pts)) != len(pts):
-            raise CycleParseError(f"repeated point in cycle {m.group(0)!r}")
-        old = [img[p - 1] for p in pts]
-        for p, v in zip(pts, old[1:] + old[:1]):
-            img[p - 1] = v
-    return _trusted(img)
+            raise CycleParseError(f"repeated point in cycle {'(' + body + ')'!r}")
+        if len(pts) > 1:
+            old = itemgetter(*pts)(img)
+            for p, v in zip(pts, old[1:] + old[:1]):
+                img[p] = v
+    return _trusted(img[1:])

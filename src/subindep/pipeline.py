@@ -11,6 +11,7 @@ import json
 import random
 import time
 from enum import Enum
+from itertools import repeat
 from typing import NamedTuple
 
 from .checks import (
@@ -130,19 +131,19 @@ def parse_pair_spec(obj: dict, max_group_order: int = DEFAULT_MAX_GROUP_ORDER) -
         raise PairSpecError("degree must be a positive integer")
     if degree > MAX_SPEC_DEGREE:
         raise PairSpecError(f"degree must be at most {MAX_SPEC_DEGREE}")
+    max_chars = MAX_SPEC_CHARS_PER_POINT * degree
     for side in ("A", "B"):
         raw = obj[side]
-        if not isinstance(raw, list) or not all(isinstance(s, str) for s in raw):
+        if not isinstance(raw, list) or not all(map(isinstance, raw, repeat(str))):
             raise PairSpecError(f"{side} must be a list of cycle strings")
         if len(raw) > MAX_SPEC_GENERATORS:
             raise PairSpecError(f"{side} has more than {MAX_SPEC_GENERATORS} generators")
-        if any(len(s) > MAX_SPEC_CHARS_PER_POINT * degree for s in raw):
-            raise PairSpecError(f"{side} has a generator longer than "
-                                f"{MAX_SPEC_CHARS_PER_POINT * degree} characters")
+        if max(map(len, raw), default=0) > max_chars:
+            raise PairSpecError(f"{side} has a generator longer than {max_chars} characters")
     gens: dict[str, list[Permutation]] = {}
     for side in ("A", "B"):
         try:
-            gens[side] = [parse_cycles(s, degree) for s in obj[side]]
+            gens[side] = list(map(parse_cycles, obj[side], repeat(degree)))
         except CycleParseError as exc:
             raise PairSpecError(f"bad generator in {side}: {exc}") from exc
     try:

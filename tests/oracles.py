@@ -10,16 +10,19 @@ isomorphisms come from the same word search, and the subgroup lattice
 is saturated one element at a time.  The atlas's two-generator
 enumeration is replayed as the plain scan over every element pair that
 its skips must agree with.  The map checks and the union-law harness
-at the end are the full-table checks the tests hold results to.
+at the end are the full-table checks the tests hold results to.  The
+cycle-notation parser and the closure come last, written as plain
+per-point and per-level loops, as references for the package's kernels.
 """
 
 from __future__ import annotations
 
+import re
 from itertools import combinations, product
 from typing import Iterable
 
-from subindep.groups import FiniteGroup, GroupMap, SubgroupPair, closure
-from subindep.perm import Permutation
+from subindep.groups import BudgetExceeded, FiniteGroup, GroupMap, SubgroupPair, closure
+from subindep.perm import CycleParseError, Permutation
 
 
 def minimal_generating_tuples(group: FiniteGroup, max_size: int = 3):
@@ -362,3 +365,89 @@ def check_union_independent_sets(pair: SubgroupPair,
     if not is_independent_set(b_els, pair.b):
         raise ValueError("b_subset is not an independent set")
     return is_independent_set(set(a_els) | set(b_els), pair.join)
+
+
+_CYCLE_RE = re.compile(r"\(([^()]*)\)")
+
+
+def _parse_points(body: str, degree: int) -> list[int]:
+    tokens = [t for t in re.split(r"[,\s]+", body.strip()) if t]
+    points: list[int] = []
+    for tok in tokens:
+        # str.isdigit also accepts non-ASCII digits such as "²" and "٣".
+        if not (tok.isascii() and tok.isdigit()):
+            raise CycleParseError(f"bad point {tok!r}")
+        if degree <= 9 and len(tok) > 1:
+            # juxtaposed single digits, compact style "(12)"
+            vals = [int(ch) for ch in tok]
+        else:
+            vals = [int(tok)]
+        for v in vals:
+            if not 1 <= v <= degree:
+                raise CycleParseError(f"point {v} out of range 1..{degree}")
+            points.append(v)
+    return points
+
+
+def parse_cycles_reference(text: str, degree: int) -> Permutation:
+    """Cycle notation parsed cycle by cycle and point by point: the
+    reference the package's parse_cycles must agree with, on the
+    permutation it returns and on the error it raises."""
+    if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
+        raise CycleParseError(f"invalid degree {degree!r}")
+    s = text.strip()
+    identity = Permutation(range(degree))
+    if s in ("e", "()"):
+        return identity
+    if not s:
+        raise CycleParseError("empty permutation string")
+    matches = list(_CYCLE_RE.finditer(s))
+    if not matches:
+        raise CycleParseError(f"no cycles found in {text!r}")
+    cursor = 0
+    for m in matches:
+        if s[cursor:m.start()].strip():
+            raise CycleParseError(f"unexpected text in {text!r}")
+        cursor = m.end()
+    if s[cursor:].strip():
+        raise CycleParseError(f"unexpected trailing text in {text!r}")
+    img = list(identity)
+    for m in matches:
+        pts = _parse_points(m.group(1), degree)
+        if not pts:
+            raise CycleParseError(f"empty cycle in {text!r}")
+        if len(set(pts)) != len(pts):
+            raise CycleParseError(f"repeated point in cycle {m.group(0)!r}")
+        old = [img[p - 1] for p in pts]
+        for p, v in zip(pts, old[1:] + old[:1]):
+            img[p - 1] = v
+    return Permutation(img)
+
+
+def closure_reference(generators: Iterable[Permutation], degree: int,
+                      max_order: int) -> FiniteGroup:
+    """Level-by-level breadth-first closure under right multiplication
+    by Permutation products, keeping the first copy of each non-identity
+    generator: the reference the package's closure must agree with on
+    its sorted elements and its kept generators."""
+    gens: list[Permutation] = []
+    for g in generators:
+        if g.degree != degree:
+            raise ValueError(f"generator degree {g.degree} does not match {degree}")
+        if not g.is_identity() and g not in gens:
+            gens.append(g)
+    e = Permutation.identity(degree)
+    seen = {e}
+    frontier = [e]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = x * g
+                if y not in seen:
+                    if len(seen) >= max_order:
+                        raise BudgetExceeded("max_group_order", max_order, "closing a generator set")
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return FiniteGroup(tuple(sorted(seen)), tuple(gens), degree)

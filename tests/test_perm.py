@@ -195,6 +195,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             Permutation((0, 3, 1))
 
+    @pytest.mark.parametrize("images", [(1.0, 0.0), (True, False), (1, 0.0), ("1", "0"), (0, None)])
+    def test_rejects_images_that_are_not_integers(self, images):
+        # (1.0, 0.0) would equal and hash like (1, 0), then fail in p * p.
+        with pytest.raises(ValueError, match="integers"):
+            Permutation(images)
+
     def test_permutations_are_hashable_and_ordered(self):
         a = Permutation((1, 0, 2))
         b = Permutation((0, 1, 2))

@@ -95,6 +95,8 @@ class TestParsePairSpec:
         {"degree": 4, "A": ["(1 2)"] * 65, "B": ["(3 4)"]},
         {"degree": 4, "A": ["(1 2)"], "B": ["(3 4)"] * 65},
         {"degree": 4, "A": ["(1 ²)"], "B": []},
+        # A point past int()'s 4300-digit limit, within the length cap.
+        {"degree": 1024, "A": ["(1 " + "1" * 4400 + ")"], "B": []},
     ])
     def test_rejects_malformed_specs(self, bad):
         with pytest.raises(PairSpecError):
