@@ -14,7 +14,6 @@ count.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import multiprocessing
 import os
@@ -38,6 +37,7 @@ from .groups import (
     FiniteGroup,
     SubgroupPair,
     closure,
+    is_normal_in,
     normal_closure,
     symmetric_group,
 )
@@ -124,10 +124,15 @@ class AtlasRow(NamedTuple):
 
 
 ATLAS_FIELDS = AtlasRow._fields
-# Positions of the bool columns, written lowercase in csv.  The
-# annotations are strings (see the __future__ import), so they are
-# resolved first.
-_BOOL_CELLS = [p for p, t in enumerate(get_type_hints(AtlasRow).values()) if t is bool]
+# The cells of a row's own pair: pair_id, the indices and the generator
+# strings.  The cells after them are the same for every pair of a
+# conjugation orbit.
+_OWN_CELLS = 5
+# Positions of the bool columns among the cells after the own ones,
+# written lowercase in csv.  The annotations are strings (see the
+# __future__ import), so they are resolved first.
+_BOOL_CELLS = [p - _OWN_CELLS for p, t in enumerate(get_type_hints(AtlasRow).values())
+               if t is bool]
 
 _STANDALONE_CHECKS = [
     ("almost_disjoint", check_almost_disjoint),
@@ -149,7 +154,11 @@ def _gens_string(sub: FiniteGroup) -> str:
 
 class _AtlasRun:
     """What one atlas run shares across its rows: the enumerated
-    subgroups, their generator strings, and a memo of normal closures.
+    subgroups, their generator strings, and a memo holding, for each
+    (side, join) pair of the lattice, the side's normal closure in the
+    join and whether the side is normal in it.  Many rows share a side
+    and a join, so each closure and each normality test runs once per
+    lattice pair, not once per row.
 
     The join of a pair is looked up, not closed.  Each subgroup is held
     as a bitset over the elements of the ambient group, and the join of
@@ -172,7 +181,7 @@ class _AtlasRun:
             for x in s.elements:
                 index.setdefault(x, len(index))
         self._bits = [sum(1 << index[x] for x in s.elements) for s in subs]
-        self._ncls: dict[tuple[int, int], FiniteGroup] = {}
+        self._sides: dict[tuple[int, int], tuple[FiniteGroup, bool]] = {}
 
     def _join(self, i: int, j: int) -> int:
         """The index of the join of subs[i] and subs[j]."""
@@ -183,19 +192,22 @@ class _AtlasRun:
             k += 1
         return k
 
-    def _normal_closure(self, i: int, k: int) -> FiniteGroup:
-        ncl = self._ncls.get((i, k))
-        if ncl is None:
-            ncl = self._ncls[(i, k)] = normal_closure(self.subs[i], self.subs[k])
-        return ncl
+    def _side(self, i: int, k: int) -> tuple[FiniteGroup, bool]:
+        """The normal closure of subs[i] in subs[k], and whether subs[i]
+        is normal in subs[k]."""
+        side = self._sides.get((i, k))
+        if side is None:
+            sub, join = self.subs[i], self.subs[k]
+            side = self._sides[(i, k)] = (normal_closure(sub, join), is_normal_in(sub, join))
+        return side
 
     def fill(self, pair: SubgroupPair, i: int, j: int) -> None:
-        """Set the lazy join and normal closures of the pair
+        """Set the lazy join, normal closures and normality of the pair
         (subs[i], subs[j]) from the lattice and the memo."""
         k = self._join(i, j)
         pair._join = self.subs[k]
-        pair._ncl_a = self._normal_closure(i, k)
-        pair._ncl_b = self._normal_closure(j, k)
+        pair._ncl_a, pair.a_normal = self._side(i, k)
+        pair._ncl_b, pair.b_normal = self._side(j, k)
 
 
 def _classify_one(run: _AtlasRun, task: tuple[str, int, int]) -> AtlasRow:
@@ -320,9 +332,8 @@ def run_atlas(degree: int, jobs: int = 1) -> tuple[list[AtlasRow], dict, int]:
             classified = list(pool.imap(_classify_in_worker, tasks, chunksize=8))
     else:
         classified = [_classify_one(run, t) for t in tasks]
-    # The columns after pair_id, the indices and the generator strings:
-    # the ones conjugating both sides leaves unchanged.
-    cells = {r.a_index * n + r.b_index: r[5:] for r in classified}
+    # The columns conjugating both sides leaves unchanged.
+    cells = {r.a_index * n + r.b_index: r[_OWN_CELLS:] for r in classified}
     gens = run.gens
     rows = [AtlasRow(f"s{degree}-{k:04d}", i, j, gens[i], gens[j], *cells[rep[k]])
             for k, (i, j) in enumerate(product(range(n), repeat=2))]
@@ -369,20 +380,36 @@ def _summarize(degree: int, group: FiniteGroup,
     }
 
 
+class _Echo:
+    """A file whose write returns the line it is given, so that a csv
+    writer's writerow returns the encoded row."""
+
+    write = str
+
+
 def render_report(rows: list[AtlasRow], summary: dict, fmt: str = "csv") -> str:
     """Serialize an atlas run; rows ordered by generator strings so the
-    bytes depend only on the classification, never on worker scheduling."""
+    bytes depend only on the classification, never on worker scheduling.
+
+    In csv the cells after b_gens are encoded once per distinct tuple of
+    them (once per conjugation orbit), and each row's own five cells are
+    prefixed to that.  csv quotes each field on its own, so the split
+    changes no byte."""
     ordered = sorted(rows, key=attrgetter("a_gens", "b_gens"))
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(ATLAS_FIELDS)
+        encode = csv.writer(_Echo(), lineterminator="\n").writerow
+        lines = [encode(ATLAS_FIELDS)]
+        tails: dict[tuple, str] = {}
         for r in ordered:
-            cells = list(r)
-            for p in _BOOL_CELLS:
-                cells[p] = "true" if cells[p] else "false"
-            writer.writerow(cells)
-        return buf.getvalue()
+            tail = r[_OWN_CELLS:]
+            text = tails.get(tail)
+            if text is None:
+                cells = list(tail)
+                for p in _BOOL_CELLS:
+                    cells[p] = "true" if cells[p] else "false"
+                text = tails[tail] = "," + encode(cells)
+            lines.append(encode(r[:_OWN_CELLS])[:-1] + text)
+        return "".join(lines)
     if fmt == "json":
         doc = {"summary": summary,
                "rows": [r._asdict() for r in ordered]}

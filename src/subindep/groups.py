@@ -77,12 +77,6 @@ class FiniteGroup:
     def __contains__(self, p: Permutation) -> bool:
         return p in self._image_index()
 
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteGroup):
             return NotImplemented

@@ -68,18 +68,6 @@ class Permutation(tuple):
             inv[j] = i
         return _trusted(inv)
 
-    def __pow__(self, k: int) -> "Permutation":
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = Permutation.identity(self.degree)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def is_identity(self) -> bool:
         return all(j == i for i, j in enumerate(self))
 

@@ -9,8 +9,11 @@ groups small enough to afford it.  Quotients are coset actions,
 isomorphisms come from the same word search, and the subgroup lattice
 is saturated one element at a time.  The atlas's two-generator
 enumeration is replayed as the plain scan over every element pair that
-its skips must agree with.  The map checks and the union-law harness
-at the end are the full-table checks the tests hold results to.  The
+its skips must agree with.  Conjugacy classes come from conjugating by
+every element, and the conjugacy-merge check and the non-commuting
+pairs are plain scans over every element pair.  The map checks and the
+union-law harness at the end are the full-table checks the tests hold
+results to.  The
 cycle-notation parser and the closure come last, written as plain
 per-point and per-level loops, as references for the package's kernels.
 """
@@ -18,8 +21,9 @@ per-point and per-level loops, as references for the package's kernels.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from itertools import combinations, product
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from subindep.groups import BudgetExceeded, FiniteGroup, GroupMap, SubgroupPair, closure
 from subindep.perm import CycleParseError, Permutation
@@ -312,6 +316,41 @@ def endomorphism_tables_pruned(group: FiniteGroup) -> list[tuple[int, ...]]:
 
     descend(0)
     return sorted(tables)
+
+
+def noncommuting_pairs(pair: SubgroupPair) -> Iterator[tuple[Permutation, Permutation]]:
+    """All (a, b) with a in A, b in B and ab != ba, in canonical order."""
+    for a in pair.a.elements[1:]:
+        for b in pair.b.elements[1:]:
+            if a * b != b * a:
+                yield a, b
+
+
+@lru_cache(maxsize=None)
+def conjugacy_class_ids(group: FiniteGroup) -> dict[Permutation, int]:
+    """The conjugacy class of each element, numbered in element order,
+    from conjugation by every element of the group.  Cached per group:
+    a lattice sweep asks for each join once per subgroup inside it."""
+    ids: dict[Permutation, int] = {}
+    classes = 0
+    for x in group.elements:
+        if x not in ids:
+            for t in group.elements:
+                ids[x.conjugated_by(t)] = classes
+            classes += 1
+    return ids
+
+
+def first_conjugacy_merge(sub: FiniteGroup, join: FiniteGroup) -> tuple[Permutation, Permutation] | None:
+    """The plain quadratic merge scan: the first (x1, x2) of sub, in
+    element order, that are conjugate in join but not in sub, or None."""
+    in_sub, in_join = conjugacy_class_ids(sub), conjugacy_class_ids(join)
+    els = sub.elements
+    for i, x1 in enumerate(els):
+        for x2 in els[i + 1:]:
+            if in_join[x1] == in_join[x2] and in_sub[x1] != in_sub[x2]:
+                return x1, x2
+    return None
 
 
 def check_homomorphism(m: GroupMap) -> bool:

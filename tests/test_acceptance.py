@@ -70,7 +70,7 @@ def test_criterion_02_main_example():
     d = decide(spec_dict(SWAP_VS_DOUBLE))
     pair = make_pair(*SWAP_VS_DOUBLE)
     join, ncl_a, ncl_b = pair.join, pair.ncl_a, pair.ncl_b
-    meet = {x for x in ncl_a if x in ncl_b}
+    meet = {x for x in ncl_a.elements if x in ncl_b}
     elapsed = time.perf_counter() - t0
     assert d.status == "Independent"
     listed = {P(s, 4) for s in ("e", "(1 2)", "(3 4)", "(1 2)(3 4)",

@@ -12,11 +12,12 @@ from oracles import (
     all_subgroups,
     check_union_independent_sets,
     find_isomorphism,
+    first_conjugacy_merge,
     independent_by_global_search,
     quotient,
     subgroups_from_all_pairs,
 )
-from subindep import atlas, groups
+from subindep import atlas, checks, groups
 from subindep.atlas import (
     ATLAS_FIELDS,
     classify_all_pairs,
@@ -24,6 +25,8 @@ from subindep.atlas import (
     render_report,
 )
 from subindep.checks import (
+    ConjugacyMergeWitness,
+    Verdict,
     check_a_inside_ncl_b,
     check_b_inside_ncl_a,
     verify_factoring,
@@ -184,7 +187,7 @@ class TestDegree4Atlas:
         calls = []
 
         def counting(h, g):
-            calls.append(1)
+            calls.append((h.elements, g.elements))
             return real(h, g)
 
         # Every module that binds the name, so a direct call is counted too.
@@ -195,6 +198,19 @@ class TestDegree4Atlas:
         rows, _ = classify_all_pairs(4)
         assert len(rows) == 900
         assert 0 < len(calls) <= 2 * len(rows)
+        # The run memoises normality per (side, join) lattice pair.
+        assert len(calls) == len(set(calls))
+
+    def test_filled_normality_matches_a_fresh_pair(self):
+        subs = enumerate_subgroups(symmetric_group(4))
+        run = atlas._AtlasRun(subs)
+        for i, a in enumerate(subs):
+            for j, b in enumerate(subs):
+                filled = SubgroupPair(a, b)
+                run.fill(filled, i, j)
+                fresh = SubgroupPair(a, b)
+                assert (filled.a_normal, filled.b_normal) == \
+                    (groups.is_normal_in(a, fresh.join), groups.is_normal_in(b, fresh.join)), (i, j)
 
     def test_merge_checks_are_subsumed_by_separation(self, s4_atlas):
         # Why the conjugacy-merge checks are atlas columns, not stages: a
@@ -217,6 +233,35 @@ class TestDegree4Atlas:
         # Gap rows are exactly the separated pairs with entangled closures.
         for r in flagged:
             assert r.separated_both and not r.ncl_intersection_trivial
+
+
+class TestMergeByClassCounts:
+    """The merge columns decide by counting conjugacy classes; the plain
+    pairwise scan must give the same verdict and the same witness on
+    every (side, join) pair of the lattice."""
+
+    @staticmethod
+    def _assert_scan(subs):
+        merged = 0
+        for join in subs:
+            for sub in subs:
+                if not sub.is_subgroup_of(join):
+                    continue
+                out = checks._merge_on_side(sub, join, "B")
+                first = first_conjugacy_merge(sub, join)
+                if first is None:
+                    assert out.verdict is Verdict.INCONCLUSIVE, (sub, join)
+                else:
+                    assert out.verdict is Verdict.DEPENDENT, (sub, join)
+                    assert out.witness == ConjugacyMergeWitness(*first, "B"), (sub, join)
+                    merged += 1
+        return merged
+
+    def test_every_s4_lattice_pair(self):
+        assert self._assert_scan(enumerate_subgroups(symmetric_group(4))) > 0
+
+    def test_every_s5_lattice_pair(self, s5_subgroups):
+        assert self._assert_scan(s5_subgroups) > 0
 
 
 def nonidentity(group):
@@ -469,6 +514,32 @@ class TestReportRendering:
         reader = list(csv.DictReader(io.StringIO(text)))
         keys = [(r["a_gens"], r["b_gens"]) for r in reader]
         assert keys == sorted(keys)
+
+    @staticmethod
+    def _plain_csv(rows):
+        """Every row encoded whole, with its bool cells lowercased."""
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(ATLAS_FIELDS)
+        for r in sorted(rows, key=lambda r: (r.a_gens, r.b_gens)):
+            writer.writerow([("true" if c else "false") if isinstance(c, bool) else c
+                             for c in r])
+        return buf.getvalue()
+
+    def test_csv_matches_plain_per_row_rendering(self, s3_atlas, s4_atlas):
+        for rows, summary in (s3_atlas, s4_atlas):
+            assert render_report(rows, summary, "csv") == self._plain_csv(rows)
+
+    def test_csv_quotes_cells_on_either_side_of_the_split(self, s3_atlas):
+        rows, summary = s3_atlas
+        quoted = rows[7]._replace(pair_id='odd,"id"', b_gens="x\ny", budget='a "b", c')
+        same_tail = quoted._replace(pair_id="plain", a_gens="(9 9)")
+        rows = rows + [quoted, same_tail]
+        text = render_report(rows, summary, "csv")
+        assert text == self._plain_csv(rows)
+        assert '"odd,""id""",' in text and '"a ""b"", c"' in text
+        parsed = list(csv.reader(io.StringIO(text)))
+        assert [p[-1] for p in parsed].count('a "b", c') == 2
 
     def test_empty_rows_render_header_only(self):
         text = render_report([], {"pairs": 0}, "csv")

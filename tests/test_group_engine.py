@@ -144,8 +144,8 @@ class TestJoinAndClosures:
     def test_intersection_is_commutative_and_lagrange(self):
         a = closure([P("(1 2)", 4), P("(3 4)", 4)], 4)
         b = closure([P("(1 2)(3 4)", 4), P("(1 3)(2 4)", 4)], 4)
-        meet = {x for x in a if x in b}
-        assert meet == {x for x in b if x in a}
+        meet = {x for x in a.elements if x in b}
+        assert meet == {x for x in b.elements if x in a}
         assert {cycle_string(x) for x in meet} == {"e", "(1 2)(3 4)"}
         assert a.order % len(meet) == 0 and b.order % len(meet) == 0
         # The pair reads only the least non-identity element of the meet.

@@ -6,7 +6,9 @@ from oracles import (
     check_union_independent_sets,
     independent_by_global_search,
     is_independent_set,
+    noncommuting_pairs,
 )
+from subindep import checks
 from subindep.checks import (
     BothNormalWitness,
     BudgetWitness,
@@ -27,7 +29,6 @@ from subindep.checks import (
     check_conjugacy_merge_b,
     check_normal_asymmetry,
     check_order_divisibility,
-    noncommuting_pairs,
     recheck_witness,
     verify_factoring,
 )
@@ -100,6 +101,15 @@ class TestOrderDivisibility:
         out = check_order_divisibility(make_pair(4, ["(1 3)"], ["(3 4)"]))
         assert out.verdict is Verdict.DEPENDENT
         assert out.witness.order_ab == 3
+
+    def test_abstains_past_its_pair_cap(self, monkeypatch):
+        # |B| - 1 = 2, so a cap of 2 pairs scans the one row of A and a
+        # cap of 1 pair scans none.
+        pair = make_pair(*ORDER_CLASH)
+        monkeypatch.setattr(checks, "ORDER_CHECK_PAIRS", 2)
+        assert check_order_divisibility(pair).verdict is Verdict.DEPENDENT
+        monkeypatch.setattr(checks, "ORDER_CHECK_PAIRS", 1)
+        assert check_order_divisibility(pair).verdict is Verdict.INCONCLUSIVE
 
 
 class TestSeparated:

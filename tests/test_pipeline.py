@@ -271,6 +271,20 @@ class TestDecisions:
         assert d2.stats.ncl_a_order == 4 and d2.stats.ncl_b_order == 4
         assert d2.stats.endo_a is None
 
+    def test_order_check_scan_is_bounded(self):
+        # Twelve disjoint transpositions against eleven double
+        # transpositions: every one of the 8.4M (a, b) pairs passes the
+        # order check, so only its pair cap keeps Step2ii from scanning
+        # them all (about 200 s).  The join then trips max_group_order.
+        k = 12
+        spec = {"degree": 4 * k - 2,
+                "A": [f"({2 * i - 1} {2 * i})" for i in range(1, k + 1)],
+                "B": [f"({2 * i} {2 * i + 1})({2 * k + 2 * i - 1} {2 * k + 2 * i})"
+                      for i in range(1, k)]}
+        d = within_alarm(10, decide, spec)
+        assert d.status == "Inconclusive" and d.step is Step.BUDGET
+        assert d.witness.budget == "max_group_order"
+
 
 class TestStepAttributionHonesty:
     CHECKS = {
