@@ -24,14 +24,8 @@ from typing import NamedTuple, get_type_hints
 from .checks import (
     Verdict,
     brute_force_independent,
-    check_a_inside_ncl_b,
-    check_almost_disjoint,
-    check_b_inside_ncl_a,
-    check_commuting,
     check_conjugacy_merge_a,
     check_conjugacy_merge_b,
-    check_normal_asymmetry,
-    check_order_divisibility,
 )
 from .groups import (
     FiniteGroup,
@@ -42,7 +36,7 @@ from .groups import (
     symmetric_group,
 )
 from .perm import Permutation, cycle_string
-from .pipeline import decide_pair
+from .pipeline import LADDER, ladder_decision
 
 MAX_ATLAS_DEGREE = 5
 
@@ -134,16 +128,9 @@ _OWN_CELLS = 5
 _BOOL_CELLS = [p - _OWN_CELLS for p, t in enumerate(get_type_hints(AtlasRow).values())
                if t is bool]
 
-_STANDALONE_CHECKS = [
-    ("almost_disjoint", check_almost_disjoint),
-    ("commuting", check_commuting),
-    ("order_divisibility", check_order_divisibility),
-    ("normal_asymmetry", check_normal_asymmetry),
-    ("b_in_ncl_a", check_b_inside_ncl_a),
-    ("a_in_ncl_b", check_a_inside_ncl_b),
-    ("merge_a", check_conjugacy_merge_a),
-    ("merge_b", check_conjugacy_merge_b),
-]
+# The column of each LADDER stage, in LADDER order.
+_LADDER_COLUMNS = ("almost_disjoint", "commuting", "order_divisibility",
+                   "normal_asymmetry", "b_in_ncl_a", "a_in_ncl_b")
 
 
 def _gens_string(sub: FiniteGroup) -> str:
@@ -222,11 +209,15 @@ def _classify_one(run: _AtlasRun, task: tuple[str, int, int]) -> AtlasRow:
     a, b = run.subs[a_index], run.subs[b_index]
     pair = SubgroupPair(a, b)
     run.fill(pair, a_index, b_index)
-    checks = {name: chk(pair).verdict.value for name, chk in _STANDALONE_CHECKS}
+    # Each stage runs once: its outcome fills its column, and the
+    # pipeline's status and step are read from the same outcomes.
+    outcomes = [check(pair) for _, check in LADDER]
+    status, step, _, _ = ladder_decision(pair, outcomes=outcomes)
+    checks = {name: out.verdict.value for name, out in zip(_LADDER_COLUMNS, outcomes)}
+    checks["merge_a"] = check_conjugacy_merge_a(pair).verdict.value
+    checks["merge_b"] = check_conjugacy_merge_b(pair).verdict.value
     # The definitional product scan, not Step4's sum scan.
     oracle = brute_force_independent(pair, use_shortcuts=False)
-    # The rows record verdicts only, so the audit never runs.
-    decision = decide_pair(pair)
     sep_both = (checks["a_in_ncl_b"] == Verdict.INCONCLUSIVE.value
                 and checks["b_in_ncl_a"] == Verdict.INCONCLUSIVE.value)
     ncl_b = pair.ncl_b
@@ -236,8 +227,8 @@ def _classify_one(run: _AtlasRun, task: tuple[str, int, int]) -> AtlasRow:
                     order_a=a.order, order_b=b.order, order_join=pair.join.order,
                     **checks,
                     oracle=oracle.verdict.value,
-                    pipeline_status=decision.status,
-                    pipeline_step=decision.step.value,
+                    pipeline_status=status,
+                    pipeline_step=step.value,
                     separated_both=sep_both,
                     ncl_intersection_trivial=not ncl_meet,
                     both_normal=pair.a_normal and pair.b_normal,

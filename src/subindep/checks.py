@@ -237,8 +237,10 @@ def check_commuting(pair: SubgroupPair) -> CheckOutcome:
     return _INCONCLUSIVE
 
 
-# The most (a, b) pairs check_order_divisibility scans: far above the
-# 14,400 of the largest S5 pair, far below the 25M of two order-5040 sides.
+# The most (a, b) pairs check_order_divisibility scans up to degree 8:
+# far above the 14,400 of the largest S5 pair, far below the 25M of two
+# order-5040 sides.  Each pair costs O(degree), so past degree 8 the cap
+# shrinks in proportion and the scan's work stays bounded.
 ORDER_CHECK_PAIRS = 65_536
 
 
@@ -248,11 +250,13 @@ def check_order_divisibility(pair: SubgroupPair) -> CheckOutcome:
     of itself compatible with both orders, which is impossible then.
 
     Only as many whole rows of A x B, in canonical order, as hold at
-    most ORDER_CHECK_PAIRS pairs are scanned; past them the check
-    abstains.  It only ever proves dependence, so abstaining is sound."""
+    most ORDER_CHECK_PAIRS * 8 // max(degree, 8) pairs are scanned; past
+    them the check abstains.  It only ever proves dependence, so
+    abstaining is sound."""
     bs = pair.b.elements[1:]
+    cap = ORDER_CHECK_PAIRS * 8 // max(pair.degree, 8)
     orders: dict[Permutation, int] = {}  # each order computed once, when first needed
-    for a in pair.a.elements[1:1 + ORDER_CHECK_PAIRS // max(len(bs), 1)]:
+    for a in pair.a.elements[1:1 + cap // max(len(bs), 1)]:
         for b in bs:
             ab = a * b
             if ab == b * a:

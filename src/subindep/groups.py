@@ -266,27 +266,24 @@ def propagate_images(domain: FiniteGroup, codomain: FiniteGroup,
     homomorphism: consistency on all edges extends multiplicativity from
     generators to arbitrary products.
     """
-    k = domain.order
-    gen_cols = [domain._col(i) for i in gen_idx]
-    img_cols = [codomain._col(i) for i in image_idx]
-    table = [-1] * k
+    # Each generator column paired with its image column, once per call.
+    cols = list(zip(map(domain._col, gen_idx), map(codomain._col, image_idx)))
+    table = [-1] * domain.order
     table[0] = 0
     queue = [0]
-    qi = 0
-    while qi < len(queue):
-        x = queue[qi]
-        qi += 1
+    append = queue.append
+    for x in queue:  # queue grows as the search runs: breadth-first
         fx = table[x]
-        for gc, ic in zip(gen_cols, img_cols):
+        for gc, ic in cols:
             y = gc[x]
             fy = ic[fx]
             cur = table[y]
             if cur < 0:
                 table[y] = fy
-                queue.append(y)
+                append(y)
             elif cur != fy:
                 return None, (y, cur, fy)
-    if qi != k:
+    if len(queue) != len(table):
         raise ValueError("generators do not generate the domain")
     return tuple(table), None
 
@@ -328,8 +325,8 @@ def trivial_map(g: FiniteGroup) -> GroupMap:
 class SubgroupPair:
     """Two subgroups of a common symmetric group, with lazily cached join,
     normal closures in the join, normality of each side in the join,
-    embeddings of each side's indices into the join, and least shared
-    non-identity element."""
+    embeddings of each side's indices into the join, each side's
+    generator positions, and least shared non-identity element."""
 
     def __init__(self, a: FiniteGroup, b: FiniteGroup,
                  max_group_order: int = DEFAULT_MAX_GROUP_ORDER):
@@ -378,8 +375,14 @@ class SubgroupPair:
     @cached_property
     def embeddings(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """For A and for B, the join index of each element, by position."""
-        j = self.join
-        return tuple(tuple(j.index_of(x) for x in sub.elements) for sub in (self.a, self.b))
+        at = self.join._image_index().__getitem__
+        return tuple(tuple(map(at, sub.elements)) for sub in (self.a, self.b))
+
+    @cached_property
+    def generator_positions(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """For A and for B, the position of each generator in its side."""
+        return tuple(tuple(map(sub._image_index().__getitem__, sub.generators))
+                     for sub in (self.a, self.b))
 
     @cached_property
     def shared_element(self) -> Permutation | None:

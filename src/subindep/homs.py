@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from operator import itemgetter
 from typing import NamedTuple
 
 from .groups import (
@@ -90,7 +91,9 @@ class ExtensionResult(NamedTuple):
 
 
 def _require_endomorphism(m: GroupMap, g: FiniteGroup, name: str) -> None:
-    if m.domain != g or m.codomain != g:
+    # The maps of a pair are built on its own sides, so identity settles
+    # almost every call before the elementwise comparison.
+    if not ((m.domain is g or m.domain == g) and (m.codomain is g or m.codomain == g)):
         raise ValueError(f"{name} is not an endomorphism of the expected subgroup")
 
 
@@ -101,29 +104,30 @@ def extend(alpha: GroupMap, beta: GroupMap, pair: SubgroupPair) -> ExtensionResu
     the generators of A and B, each carrying its alpha- or beta-image.
     Every product edge is checked, not just a spanning tree, so a
     returned map is a verified homomorphism; agreement with alpha on all
-    of A and with beta on all of B is then checked rather than assumed.
+    of A and with beta on all of B is then checked rather than assumed,
+    one whole-side comparison per side, with the element loop run only
+    to name the first element that disagrees.
     """
     _require_endomorphism(alpha, pair.a, "alpha")
     _require_endomorphism(beta, pair.b, "beta")
     j = pair.join
-    sides = list(zip((pair.a, pair.b), (alpha, beta), pair.embeddings))
-    gen_idx = []
-    image_idx = []
-    for sub, m, emb in sides:
-        for g in sub.generators:
-            i = sub.index_of(g)
-            gen_idx.append(emb[i])
-            image_idx.append(emb[m.images[i]])
+    emb_a, emb_b = pair.embeddings
+    pos_a, pos_b = pair.generator_positions
+    im_a, im_b = alpha.images, beta.images
+    gen_idx = [emb_a[i] for i in pos_a] + [emb_b[i] for i in pos_b]
+    image_idx = [emb_a[im_a[i]] for i in pos_a] + [emb_b[im_b[i]] for i in pos_b]
     table, conflict = propagate_images(j, j, gen_idx, image_idx)
     if conflict is not None:
         y, c1, c2 = conflict
         return ExtensionResult(None, ExtensionConflict(j.elements[y], j.elements[c1], j.elements[c2]))
-    for sub, m, emb in sides:
-        for i, x in enumerate(sub.elements):
-            got = table[emb[i]]
-            if got != emb[m.images[i]]:
-                return ExtensionResult(
-                    None, ExtensionConflict(x, j.elements[got], sub.elements[m.images[i]]))
+    for sub, images, emb in ((pair.a, im_a, emb_a), (pair.b, im_b, emb_b)):
+        # Two gathers of the same length: tuples, or single indices when
+        # the side is trivial.
+        if itemgetter(*emb)(table) != itemgetter(*images)(emb):
+            for i, x in enumerate(sub.elements):
+                if table[emb[i]] != emb[images[i]]:
+                    return ExtensionResult(None, ExtensionConflict(
+                        x, j.elements[table[emb[i]]], sub.elements[images[i]]))
     return ExtensionResult(GroupMap(j, j, table), None)
 
 

@@ -12,10 +12,12 @@ import random
 import time
 from enum import Enum
 from itertools import repeat
-from typing import NamedTuple
+from operator import itemgetter
+from typing import NamedTuple, Sequence
 
 from .checks import (
     BudgetWitness,
+    CheckOutcome,
     brute_force_independent,
     check_a_inside_ncl_b,
     check_almost_disjoint,
@@ -183,7 +185,7 @@ def decide_pair(pair: SubgroupPair, config: Config = Config()) -> Decision:
     """
     t0 = time.perf_counter()
     try:
-        status, step, witness, counts = _run_ladder(pair, config)
+        status, step, witness, counts = ladder_decision(pair, config.endo_budget)
     except BudgetExceeded as exc:
         status, step, counts = "Inconclusive", Step.BUDGET, None
         witness = BudgetWitness(exc.budget, exc.limit, exc.context)
@@ -197,14 +199,21 @@ def decide_pair(pair: SubgroupPair, config: Config = Config()) -> Decision:
     return Decision(status, step, witness, stats, diagnostics)
 
 
-def _run_ladder(pair: SubgroupPair, config: Config) -> tuple[str, Step, object, dict | None]:
-    """(status, step, witness, Step4 counts) of the first stage that
-    decides; raises BudgetExceeded when a stage trips a budget."""
-    for step, check in LADDER:
-        out = check(pair)
+def ladder_decision(pair: SubgroupPair, endo_budget: int = DEFAULT_ENDO_BUDGET,
+                    outcomes: Sequence[CheckOutcome] | None = None
+                    ) -> tuple[str, Step, object, dict | None]:
+    """(status, step, witness, Step4 counts) of the first LADDER stage
+    that decides on pair, or of Step4 when none does; raises
+    BudgetExceeded when a stage or Step4 trips a budget.
+
+    Without outcomes the stages run in turn, and none after the deciding
+    one.  outcomes, when given, holds every stage's outcome on pair in
+    LADDER order, and is read instead."""
+    for k, (step, check) in enumerate(LADDER):
+        out = check(pair) if outcomes is None else outcomes[k]
         if out.decided:
             return out.verdict.value.capitalize(), step, out.witness, None
-    out = brute_force_independent(pair, config.endo_budget)
+    out = brute_force_independent(pair, endo_budget)
     return out.verdict.value.capitalize(), Step.BRUTE_FORCE, out.witness, out.details
 
 
@@ -246,19 +255,23 @@ def _sample_extension_law(pair: SubgroupPair, config: Config,
 
     Each distinct pair is extended once; gamma is read from its image
     table by element index.  Both products, x * y and gamma(x) *
-    gamma(y), are Permutation products, not the join's multiplication
-    columns that extend propagates along, so the law is checked
-    independently of the code that built the table."""
+    gamma(y), are permutation products formed as image gathers (x * y
+    has images x[y[i]]), not the join's multiplication columns that
+    extend propagates along, so the law is checked independently of the
+    code that built the table."""
     endos_a = enumerate_endomorphisms(pair.a, config.endo_budget)
     endos_b = enumerate_endomorphisms(pair.b, config.endo_budget)
-    rng = random.Random(seed)
+    randrange = random.Random(seed).randrange
     j = pair.join
-    elements, order = j.elements, j.order
+    elements, order, index = j.elements, j.order, j._image_index()
+    # itemgetter of one index returns the item, not a tuple; the only
+    # permutation of degree 1 is the identity, so x * y is x there.
+    degree_one = j.degree == 1
     tables: dict[tuple[int, int], tuple[int, ...]] = {}
     for _ in range(samples):
         # randrange(len(s)) draws what choice(s) would: the stream, and
         # with it every pair and word sampled, is that of choosing maps.
-        key = (rng.randrange(len(endos_a)), rng.randrange(len(endos_b)))
+        key = (randrange(len(endos_a)), randrange(len(endos_b)))
         table = tables.get(key)
         if table is None:
             res = extend(endos_a[key[0]], endos_b[key[1]], pair)
@@ -266,10 +279,15 @@ def _sample_extension_law(pair: SubgroupPair, config: Config,
                 return False
             table = tables[key] = res.map.images
         for _ in range(8):
-            ix = rng.randrange(order)
-            iy = rng.randrange(order)
+            ix = randrange(order)
+            iy = randrange(order)
             x, y = elements[ix], elements[iy]
-            if elements[table[j.index_of(x * y)]] != elements[table[ix]] * elements[table[iy]]:
+            gx, gy = elements[table[ix]], elements[table[iy]]
+            if degree_one:
+                xy, gxgy = x, gx
+            else:
+                xy, gxgy = itemgetter(*y)(x), itemgetter(*gy)(gx)
+            if elements[table[index[xy]]] != gxgy:
                 return False
     return True
 

@@ -14,8 +14,9 @@ every element, and the conjugacy-merge check and the non-commuting
 pairs are plain scans over every element pair.  The map checks and the
 union-law harness at the end are the full-table checks the tests hold
 results to.  The
-cycle-notation parser and the closure come last, written as plain
-per-point and per-level loops, as references for the package's kernels.
+cycle-notation parser, the closure and the extension of a map pair come
+last, written as plain per-point, per-level and per-element loops, as
+references for the package's kernels.
 """
 
 from __future__ import annotations
@@ -490,3 +491,35 @@ def closure_reference(generators: Iterable[Permutation], degree: int,
                     nxt.append(y)
         frontier = nxt
     return FiniteGroup(tuple(sorted(seen)), tuple(gens), degree)
+
+
+def extend_reference(alpha: GroupMap, beta: GroupMap, pair: SubgroupPair):
+    """extend's answer in plain loops: (image table, None), or (None,
+    (element, image_a, image_b)) for the first element of the join
+    forced to two images.
+
+    A breadth-first search from the identity along x -> x * g for each
+    generator g of A and then of B, by Permutation products, carrying
+    gamma(x * g) = gamma(x) * alpha(g) or beta(g) and checking every
+    edge; then agreement with alpha on every element of A and with beta
+    on every element of B, one element at a time.  Visiting in the same
+    order as extend, it names the same first conflict.
+    """
+    j = pair.join
+    sides = ((pair.a, alpha), (pair.b, beta))
+    edges = [(g, m(g)) for sub, m in sides for g in sub.generators]
+    gamma = {j.identity: j.identity}
+    queue = [j.identity]
+    for x in queue:
+        for g, h in edges:
+            y, fy = x * g, gamma[x] * h
+            if y not in gamma:
+                gamma[y] = fy
+                queue.append(y)
+            elif gamma[y] != fy:
+                return None, (y, gamma[y], fy)
+    for sub, m in sides:
+        for x in sub.elements:
+            if gamma[x] != m(x):
+                return None, (x, gamma[x], m(x))
+    return tuple(j.index_of(gamma[x]) for x in j.elements), None

@@ -1,17 +1,28 @@
-"""The permutation kernels against the plain-loop references in oracles.
+"""The kernels against the plain-loop references in oracles.
 
-parse_cycles, closure and Permutation.order run their inner work in
-C-level passes; each must agree with a point-by-point or level-by-level
-reference on every input, including the ones it rejects.
+parse_cycles, closure, Permutation.order and extend run their inner
+work in C-level passes; each must agree with a point-by-point,
+level-by-level or element-by-element reference on every input,
+including the ones it rejects.
 """
 
 import math
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
-from oracles import closure_reference, parse_cycles_reference
-from subindep.groups import BudgetExceeded, closure
+from conftest import SWAP_VS_DOUBLE, make_pair
+from oracles import closure_reference, extend_reference, parse_cycles_reference
+from subindep.atlas import conjugation_orbits, enumerate_subgroups
+from subindep.groups import (
+    BudgetExceeded,
+    GroupMap,
+    SubgroupPair,
+    closure,
+    identity_map,
+    symmetric_group,
+)
+from subindep.homs import enumerate_endomorphisms, extend
 from subindep.perm import CycleParseError, Permutation, cycle_string, parse_cycles
 
 # Degrees on both sides of 9: below 10 a digit run is one point per digit.
@@ -106,3 +117,88 @@ class TestOrder:
         for _ in range(p.order() - 1):
             power = power * p
         assert power.is_identity()
+
+
+S4_SUBGROUPS = enumerate_subgroups(symmetric_group(4))
+
+
+def extension_outcome(alpha, beta, pair):
+    """extend's answer in the shape of extend_reference's."""
+    res = extend(alpha, beta, pair)
+    if res.exists:
+        return res.map.images, None
+    return None, tuple(res.conflict)
+
+
+def assert_extends_like_the_reference(pair: SubgroupPair, pairs_of_maps) -> int:
+    """Compare extend with the reference on each map pair; the number of
+    pairs that fail to extend."""
+    conflicts = 0
+    for alpha, beta in pairs_of_maps:
+        got = extension_outcome(alpha, beta, pair)
+        assert got == extend_reference(alpha, beta, pair)
+        conflicts += got[0] is None
+    return conflicts
+
+
+class TestExtend:
+    def test_agrees_on_every_s4_orbit_representative(self):
+        subs = S4_SUBGROUPS
+        rep = conjugation_orbits(symmetric_group(4), subs)
+        n, checked, conflicts = len(subs), 0, 0
+        for k in sorted(set(rep)):
+            pair = SubgroupPair(subs[k // n], subs[k % n])
+            endos_a, endos_b = enumerate_endomorphisms(pair.a), enumerate_endomorphisms(pair.b)
+            maps = [(alpha, beta) for alpha in endos_a for beta in endos_b]
+            conflicts += assert_extends_like_the_reference(pair, maps)
+            checked += len(maps)
+        # Both outcomes are exercised, not only one.
+        assert len(set(rep)) == 155 and 0 < conflicts < checked
+
+    @settings(max_examples=80, deadline=None)
+    @given(generator_lists(6), st.data())
+    def test_agrees_on_random_pairs(self, case, data):
+        # The first two generators span A and the rest B, so either side
+        # may be trivial.
+        n, gens = case
+        pair = SubgroupPair(closure(gens[:2], n), closure(gens[2:], n))
+        try:
+            endos_a, endos_b = enumerate_endomorphisms(pair.a), enumerate_endomorphisms(pair.b)
+        except BudgetExceeded:
+            reject()
+        index = st.tuples(st.integers(0, len(endos_a) - 1), st.integers(0, len(endos_b) - 1))
+        drawn = data.draw(st.lists(index, min_size=1, max_size=12))
+        assert_extends_like_the_reference(pair, [(endos_a[i], endos_b[k]) for i, k in drawn])
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_agrees_on_maps_that_are_not_homomorphisms(self, data):
+        # Arbitrary image tables: propagation reads only the generators'
+        # images, so the agreement check must name the first element of
+        # A, then of B, whose image disagrees.
+        subs = S4_SUBGROUPS
+        pair = SubgroupPair(data.draw(st.sampled_from(subs)), data.draw(st.sampled_from(subs)))
+
+        def any_map(g):
+            images = st.lists(st.integers(0, g.order - 1), min_size=g.order, max_size=g.order)
+            return GroupMap(g, g, tuple(data.draw(images)))
+
+        maps = [(any_map(pair.a), any_map(pair.b)) for _ in range(4)]
+        maps.append((identity_map(pair.a), any_map(pair.b)))
+        assert_extends_like_the_reference(pair, maps)
+
+    def test_accepts_an_equal_group_built_anew(self):
+        pair = make_pair(*SWAP_VS_DOUBLE)
+        anew = closure(pair.a.generators, pair.degree)
+        assert anew is not pair.a and anew == pair.a
+        res = extend(identity_map(anew), identity_map(pair.b), pair)
+        assert res.exists and res.map.images == tuple(range(pair.join.order))
+
+    def test_rejects_a_different_group(self):
+        pair = make_pair(*SWAP_VS_DOUBLE)
+        other = closure([Permutation((0, 1, 3, 2))], pair.degree)
+        assert other.order == pair.a.order and other != pair.a
+        with pytest.raises(ValueError, match="alpha"):
+            extend(identity_map(other), identity_map(pair.b), pair)
+        with pytest.raises(ValueError, match="beta"):
+            extend(identity_map(pair.a), GroupMap(pair.b, other, (0, 1)), pair)

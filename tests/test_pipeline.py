@@ -5,6 +5,7 @@ import signal
 import subprocess
 import sys
 import time
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -285,6 +286,19 @@ class TestDecisions:
         assert d.status == "Inconclusive" and d.step is Step.BUDGET
         assert d.witness.budget == "max_group_order"
 
+    def test_order_check_work_is_bounded_at_the_largest_degree(self):
+        # The same spec padded to degree 1,024, where each product and
+        # order() costs 1,024 steps: the pair cap shrinks with the
+        # degree, so Step2ii does no more work than at degree 8.
+        k = 12
+        spec = {"degree": MAX_SPEC_DEGREE,
+                "A": [f"({2 * i - 1} {2 * i})" for i in range(1, k + 1)],
+                "B": [f"({2 * i} {2 * i + 1})({2 * k + 2 * i - 1} {2 * k + 2 * i})"
+                      for i in range(1, k)]}
+        d = within_alarm(10, decide, spec)
+        assert d.status == "Inconclusive" and d.step is Step.BUDGET
+        assert d.witness.budget == "max_group_order"
+
 
 class TestStepAttributionHonesty:
     CHECKS = {
@@ -435,6 +449,30 @@ class TestDiagnostics:
                 rng.randrange(pair.join.order)
         assert (len(endos_a), len(endos_b), pair.join.order) == (10, 3, 18)
         assert asked == expected and len(expected) < 25
+
+    @pytest.mark.parametrize("spec", [LAW_SPEC, {"degree": 1, "A": ["e"], "B": ["e"]}],
+                             ids=["degree-6", "degree-1"])
+    def test_law_products_are_permutation_products(self, monkeypatch, spec):
+        # Every product the audit forms as an image gather equals the
+        # Permutation product of its factors; at degree 1 it forms none.
+        gathered = []
+
+        def spy(*y):
+            get = itemgetter(*y)
+
+            def gather(x):
+                xy = get(x)
+                gathered.append((x, y, xy))
+                return xy
+            return gather
+
+        monkeypatch.setattr(pipeline, "itemgetter", spy)
+        d = decide(spec, Config(run_diagnostics=True))
+        assert d.diagnostics["extension_law_sampled"] is True
+        for x, y, xy in gathered:
+            assert xy == Permutation(x) * Permutation(y)
+        # Two products for each of the 8 words of the 25 samples.
+        assert len(gathered) == (400 if spec["degree"] > 1 else 0)
 
     def test_exhaustive_recheck_runs_under_the_given_budget(self):
         pair = make_pair(*SWAP_VS_DOUBLE)
