@@ -7,26 +7,18 @@ side by side so that disagreements between shortcut theory and brute
 force are impossible to miss.  Those columns do not change when both
 subgroups are conjugated by the same permutation, so one representative
 pair per conjugation orbit is classified and its verdicts are copied to
-the other rows of the orbit.  Reports are byte-identical for any worker
-count.
+the other rows of the orbit.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import multiprocessing
-import os
 from itertools import combinations, product
 from operator import attrgetter
 from typing import NamedTuple, get_type_hints
 
-from .checks import (
-    Verdict,
-    brute_force_independent,
-    check_conjugacy_merge_a,
-    check_conjugacy_merge_b,
-)
+from .checks import Verdict, brute_force_independent
 from .groups import (
     FiniteGroup,
     SubgroupPair,
@@ -141,11 +133,11 @@ def _gens_string(sub: FiniteGroup) -> str:
 
 class _AtlasRun:
     """What one atlas run shares across its rows: the enumerated
-    subgroups, their generator strings, and a memo holding, for each
-    (side, join) pair of the lattice, the side's normal closure in the
-    join and whether the side is normal in it.  Many rows share a side
-    and a join, so each closure and each normality test runs once per
-    lattice pair, not once per row.
+    subgroups, their generator strings, the conjugacy class ids of each
+    subgroup, and a memo holding, for each (side, join) pair of the
+    lattice, the side's normal closure in the join, whether the side is
+    normal in it, and its merge column.  Many rows share a side and a
+    join, so each of those runs once per lattice pair, not once per row.
 
     The join of a pair is looked up, not closed.  Each subgroup is held
     as a bitset over the elements of the ambient group, and the join of
@@ -168,7 +160,8 @@ class _AtlasRun:
             for x in s.elements:
                 index.setdefault(x, len(index))
         self._bits = [sum(1 << index[x] for x in s.elements) for s in subs]
-        self._sides: dict[tuple[int, int], tuple[FiniteGroup, bool]] = {}
+        self._class_ids: list[dict[Permutation, Permutation] | None] = [None] * len(subs)
+        self._sides: dict[tuple[int, int], tuple[FiniteGroup, bool, str]] = {}
 
     def _join(self, i: int, j: int) -> int:
         """The index of the join of subs[i] and subs[j]."""
@@ -179,22 +172,69 @@ class _AtlasRun:
             k += 1
         return k
 
-    def _side(self, i: int, k: int) -> tuple[FiniteGroup, bool]:
-        """The normal closure of subs[i] in subs[k], and whether subs[i]
-        is normal in subs[k]."""
+    def _classes(self, k: int) -> dict[Permutation, Permutation]:
+        """The conjugacy class id of each element of subs[k]: the least
+        element of its class.  A class is an orbit under conjugation by
+        the generators, whose products give every conjugation."""
+        ids = self._class_ids[k]
+        if ids is None:
+            sub = self.subs[k]
+            ids = self._class_ids[k] = {}
+            for x in sub.elements:
+                if x not in ids:
+                    ids[x] = x
+                    orbit = [x]
+                    for y in orbit:  # orbit grows as the search runs
+                        for t in sub.generators:
+                            c = y.conjugated_by(t)
+                            if c not in ids:
+                                ids[c] = x
+                                orbit.append(c)
+        return ids
+
+    def _side(self, i: int, k: int) -> tuple[FiniteGroup, bool, str]:
+        """The normal closure of subs[i] in subs[k], whether subs[i] is
+        normal in subs[k], and the merge column of subs[i] as a side
+        whose join is subs[k].
+
+        The merge column is the paper's Step3iii (Step3iv for B):
+        dependent when two elements of the side that are not conjugate
+        in it are conjugate in the join.  Each class of the side lies in
+        one class of the join, so that happens exactly when fewer join
+        classes meet the side than it has classes.
+
+        It is a column, not a ladder stage, because once Step3i and
+        Step3ii have passed it can never fire.  Suppose x1, x2 in A are
+        conjugate in the join by some t but not conjugate in A.  A common
+        extension gamma of (id_A, triv_B) would fix A pointwise and kill
+        B, so gamma(t) lies in A, and conjugation by gamma(t) would carry
+        x1 to x2 inside A.  Hence (id_A, triv_B) cannot extend.  But if A
+        were B-separated, A would map isomorphically onto
+        join/<Conj(B)>, and the quotient map followed by that inverse
+        would extend (id_A, triv_B).  So A is not B-separated, and
+        Step3ii has already fired.  The mirror argument for B gives
+        Step3i.  The tests assert the subsumption row by row.
+        """
         side = self._sides.get((i, k))
         if side is None:
             sub, join = self.subs[i], self.subs[k]
-            side = self._sides[(i, k)] = (normal_closure(sub, join), is_normal_in(sub, join))
+            in_join = self._classes(k)
+            merged = (len(set(map(in_join.__getitem__, sub.elements)))
+                      < len(set(self._classes(i).values())))
+            side = self._sides[(i, k)] = (
+                normal_closure(sub, join), is_normal_in(sub, join),
+                (Verdict.DEPENDENT if merged else Verdict.INCONCLUSIVE).value)
         return side
 
-    def fill(self, pair: SubgroupPair, i: int, j: int) -> None:
+    def fill(self, pair: SubgroupPair, i: int, j: int) -> tuple[str, str]:
         """Set the lazy join, normal closures and normality of the pair
-        (subs[i], subs[j]) from the lattice and the memo."""
+        (subs[i], subs[j]) from the lattice and the memo, and return its
+        merge_a and merge_b columns."""
         k = self._join(i, j)
         pair._join = self.subs[k]
-        pair._ncl_a, pair.a_normal = self._side(i, k)
-        pair._ncl_b, pair.b_normal = self._side(j, k)
+        pair._ncl_a, pair.a_normal, merge_a = self._side(i, k)
+        pair._ncl_b, pair.b_normal, merge_b = self._side(j, k)
+        return merge_a, merge_b
 
 
 def _classify_one(run: _AtlasRun, task: tuple[str, int, int]) -> AtlasRow:
@@ -208,14 +248,18 @@ def _classify_one(run: _AtlasRun, task: tuple[str, int, int]) -> AtlasRow:
     pair_id, a_index, b_index = task
     a, b = run.subs[a_index], run.subs[b_index]
     pair = SubgroupPair(a, b)
-    run.fill(pair, a_index, b_index)
+    merge_a, merge_b = run.fill(pair, a_index, b_index)
     # Each stage runs once: its outcome fills its column, and the
     # pipeline's status and step are read from the same outcomes.
     outcomes = [check(pair) for _, check in LADDER]
     status, step, _, _ = ladder_decision(pair, outcomes=outcomes)
     checks = {name: out.verdict.value for name, out in zip(_LADDER_COLUMNS, outcomes)}
-    checks["merge_a"] = check_conjugacy_merge_a(pair).verdict.value
-    checks["merge_b"] = check_conjugacy_merge_b(pair).verdict.value
+    both_normal = pair.a_normal and pair.b_normal
+    if both_normal and pair.shared_element is None:
+        # The column reads independent here, though the stage abstains:
+        # A and B both normal with A ∩ B = 1 gives [A, B] ⊆ A ∩ B = 1, so
+        # A and B commute elementwise and Step2i decides first.
+        checks["normal_asymmetry"] = Verdict.INDEPENDENT.value
     # The definitional product scan, not Step4's sum scan.
     oracle = brute_force_independent(pair, use_shortcuts=False)
     sep_both = (checks["a_in_ncl_b"] == Verdict.INCONCLUSIVE.value
@@ -225,29 +269,15 @@ def _classify_one(run: _AtlasRun, task: tuple[str, int, int]) -> AtlasRow:
     return AtlasRow(pair_id=pair_id, a_index=a_index, b_index=b_index,
                     a_gens=run.gens[a_index], b_gens=run.gens[b_index],
                     order_a=a.order, order_b=b.order, order_join=pair.join.order,
-                    **checks,
+                    **checks, merge_a=merge_a, merge_b=merge_b,
                     oracle=oracle.verdict.value,
                     pipeline_status=status,
                     pipeline_step=step.value,
                     separated_both=sep_both,
                     ncl_intersection_trivial=not ncl_meet,
-                    both_normal=pair.a_normal and pair.b_normal,
+                    both_normal=both_normal,
                     gap_region=sep_both and ncl_meet,
                     budget="")
-
-
-# The per-process run of a pool worker, set by _init_worker.
-_worker_run: _AtlasRun | None = None
-
-
-def _init_worker(degree: int, sub_gens: list[tuple[Permutation, ...]]) -> None:
-    global _worker_run
-    subs = [closure(gens, degree) for gens in sub_gens]
-    _worker_run = _AtlasRun(subs)
-
-
-def _classify_in_worker(task: tuple[str, int, int]) -> AtlasRow:
-    return _classify_one(_worker_run, task)
 
 
 def conjugation_orbits(group: FiniteGroup, subs: list[FiniteGroup]) -> list[int]:
@@ -280,12 +310,16 @@ def conjugation_orbits(group: FiniteGroup, subs: list[FiniteGroup]) -> list[int]
 
 
 def classify_all_pairs(degree: int, jobs: int = 1) -> tuple[list[AtlasRow], dict]:
-    """(rows, summary) of run_atlas."""
-    rows, summary, _ = run_atlas(degree, jobs)
+    """(rows, summary) of run_atlas.  jobs must be 1: it is kept only for
+    the benchmark harness (perfbench/worker.py and build_catalogue.py),
+    which passes jobs=1, and goes once the harness stops passing it."""
+    if jobs != 1:
+        raise ValueError("the atlas runs in one process")
+    rows, summary, _ = run_atlas(degree)
     return rows, summary
 
 
-def run_atlas(degree: int, jobs: int = 1) -> tuple[list[AtlasRow], dict, int]:
+def run_atlas(degree: int) -> tuple[list[AtlasRow], dict, int]:
     """Classify every ordered pair of enumerated subgroups of the
     symmetric group of the given degree, at the default budgets.
 
@@ -300,29 +334,18 @@ def run_atlas(degree: int, jobs: int = 1) -> tuple[list[AtlasRow], dict, int]:
     orders agree.
 
     Returns (rows, summary, number of orbits classified).  Rows come back
-    in a fixed canonical order regardless of jobs, and carry no timing,
-    so emitted reports are reproducible byte for byte.  jobs above the
-    CPU count is clamped to it; each worker process rebuilds the
-    subgroups and keeps its own memos for the run.
+    in a fixed canonical order and carry no timing, so emitted reports
+    are reproducible byte for byte.
     """
     if not 2 <= degree <= MAX_ATLAS_DEGREE:
         raise ValueError(f"degree must be between 2 and {MAX_ATLAS_DEGREE}")
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
-    jobs = min(jobs, os.cpu_count() or 1)
     group = symmetric_group(degree)
     subs = enumerate_subgroups(group)
     n = len(subs)
     rep = conjugation_orbits(group, subs)
     tasks = [(f"s{degree}-{k:04d}", *divmod(k, n)) for k in range(n * n) if rep[k] == k]
     run = _AtlasRun(subs)
-    if jobs > 1:
-        sub_gens = [s.generators for s in subs]
-        with multiprocessing.Pool(processes=jobs, initializer=_init_worker,
-                                  initargs=(degree, sub_gens)) as pool:
-            classified = list(pool.imap(_classify_in_worker, tasks, chunksize=8))
-    else:
-        classified = [_classify_one(run, t) for t in tasks]
+    classified = [_classify_one(run, t) for t in tasks]
     # The columns conjugating both sides leaves unchanged.
     cells = {r.a_index * n + r.b_index: r[_OWN_CELLS:] for r in classified}
     gens = run.gens
@@ -380,7 +403,7 @@ class _Echo:
 
 def render_report(rows: list[AtlasRow], summary: dict, fmt: str = "csv") -> str:
     """Serialize an atlas run; rows ordered by generator strings so the
-    bytes depend only on the classification, never on worker scheduling.
+    bytes depend only on the classification.
 
     In csv the cells after b_gens are encoded once per distinct tuple of
     them (once per conjugation orbit), and each row's own five cells are

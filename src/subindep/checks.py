@@ -20,7 +20,6 @@ from .groups import (
     FiniteGroup,
     GroupMap,
     SubgroupPair,
-    conjugacy_classes,
     is_normal_in,
 )
 from .homs import ExtensionConflict, enumerate_endomorphisms, extend
@@ -97,22 +96,6 @@ class OrderViolationWitness(NamedTuple):
                 f"{bad} does not divide |ab|={self.order_ab} (ab={cycle_string(self.ab)})")
 
 
-class ConjugacyMergeWitness(NamedTuple):
-    """Two elements of one subgroup fused by conjugacy in the join only."""
-
-    x1: Permutation
-    x2: Permutation
-    side: str  # "A" or "B"
-
-    def to_json(self) -> dict:
-        return {"kind": "conjugacy_merge", "side": self.side,
-                "x1": cycle_string(self.x1), "x2": cycle_string(self.x2)}
-
-    def describe(self) -> str:
-        return (f"{cycle_string(self.x1)} and {cycle_string(self.x2)} are conjugate in the join "
-                f"but not in {self.side}")
-
-
 class NormalAsymmetryWitness(NamedTuple):
     """Exactly one subgroup is normal in the join; carries evidence that
     the other one is not."""
@@ -135,16 +118,6 @@ class NormalAsymmetryWitness(NamedTuple):
         return (f"{self.normal_side} is normal in the join but {other} is not: conjugating "
                 f"{cycle_string(self.moved_element)} by {cycle_string(self.conjugating_element)} "
                 f"gives {cycle_string(self.conjugate)}, outside {other}")
-
-
-class BothNormalWitness(NamedTuple):
-    """Both subgroups are normal in the join and intersect trivially."""
-
-    def to_json(self) -> dict:
-        return {"kind": "both_normal"}
-
-    def describe(self) -> str:
-        return "A and B are both normal in the join and intersect trivially"
 
 
 class IncompatiblePairWitness(NamedTuple):
@@ -289,46 +262,12 @@ def check_a_inside_ncl_b(pair: SubgroupPair) -> CheckOutcome:
     return _membership_check(pair.a, pair.ncl_b, REGION_A_IN_NCL_B)
 
 
-def _merge_on_side(sub: FiniteGroup, join_group: FiniteGroup, side: str) -> CheckOutcome:
-    """Dependent on the first (x1, x2) of the side, in element order,
-    that the join fuses and the side does not.  Each class of the side
-    lies in one class of the join, so some are fused exactly when fewer
-    join classes meet the side than it has classes; the pairwise scan
-    runs only to name the witness."""
-    sub_classes = conjugacy_classes(sub)
-    join_classes = conjugacy_classes(join_group)
-    els = sub.elements
-    if len(set(map(join_classes.class_index_of, els))) == len(sub_classes.classes):
-        return _INCONCLUSIVE
-    for i, x1 in enumerate(els):
-        jc = join_classes.class_index_of(x1)
-        sc = sub_classes.class_index_of(x1)
-        for x2 in els[i + 1:]:
-            if join_classes.class_index_of(x2) == jc and sub_classes.class_index_of(x2) != sc:
-                return CheckOutcome(Verdict.DEPENDENT, ConjugacyMergeWitness(x1, x2, side))
-    return _INCONCLUSIVE
-
-
-def check_conjugacy_merge_a(pair: SubgroupPair) -> CheckOutcome:
-    """Dependent if two elements of A are conjugate in the join but not in
-    A: conjugation in the join is an inner endomorphism source that a
-    would-be extension cannot reconcile with an A-endomorphism separating
-    the two."""
-    return _merge_on_side(pair.a, pair.join, "A")
-
-
-def check_conjugacy_merge_b(pair: SubgroupPair) -> CheckOutcome:
-    """Mirror of check_conjugacy_merge_a for B."""
-    return _merge_on_side(pair.b, pair.join, "B")
-
-
 def check_normal_asymmetry(pair: SubgroupPair) -> CheckOutcome:
-    """Exactly one of A, B normal in the join proves dependence; both
-    normal with trivial intersection proves independence."""
+    """Exactly one of A, B normal in the join proves dependence.  Both
+    normal with A ∩ B = 1 would prove independence, but then
+    [A, B] ⊆ A ∩ B = 1, and Step2i has already decided."""
     j = pair.join
     na, nb = pair.a_normal, pair.b_normal
-    if na and nb and pair.shared_element is None:
-        return CheckOutcome(Verdict.INDEPENDENT, BothNormalWitness())
     if na != nb:
         normal_side = "A" if na else "B"
         loose = pair.b if na else pair.a
@@ -426,12 +365,6 @@ def recheck_witness(pair: SubgroupPair, witness: object,
         return (witness.ab == ab
                 and (witness.order_a, witness.order_b, witness.order_ab) == (oa, ob, oab)
                 and (oab % oa != 0 or oab % ob != 0))
-    if isinstance(witness, ConjugacyMergeWitness):
-        sub = {"A": pair.a, "B": pair.b}.get(witness.side)
-        if sub is None or witness.x1 not in sub or witness.x2 not in sub:
-            return False
-        return (conjugacy_classes(pair.join).same_class(witness.x1, witness.x2)
-                and not conjugacy_classes(sub).same_class(witness.x1, witness.x2))
     if isinstance(witness, NormalAsymmetryWitness):
         j = pair.join
         na, nb = is_normal_in(pair.a, j), is_normal_in(pair.b, j)
@@ -445,12 +378,11 @@ def recheck_witness(pair: SubgroupPair, witness: object,
             return False
         moved = x.conjugated_by(t)
         return moved == witness.conjugate and moved not in loose
-    if isinstance(witness, BothNormalWitness):
-        j = pair.join
-        return (is_normal_in(pair.a, j) and is_normal_in(pair.b, j)
-                and pair.shared_element is None)
     if isinstance(witness, IncompatiblePairWitness):
-        conflict = extend(witness.alpha, witness.beta, pair).conflict
+        try:
+            conflict = extend(witness.alpha, witness.beta, pair).conflict
+        except ValueError:  # maps of another pair's sides
+            return False
         return conflict is not None and conflict == witness.conflict
     if isinstance(witness, ExhaustiveWitness):
         try:

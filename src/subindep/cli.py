@@ -62,9 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="symmetric group degree, 2..5")
     atl.add_argument("--out", metavar="FILE", required=True, help="report file to write")
     atl.add_argument("--format", choices=("csv", "json"), default="csv")
-    atl.add_argument("--jobs", type=int, default=1,
-                     help="worker processes, each classifying orbit representatives"
-                          " in chunks of 8; at most the CPU count")
     return parser
 
 
@@ -99,13 +96,12 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_atlas(args) -> int:
-    # Imported here so that decide never loads the atlas, csv or
-    # multiprocessing.
+    # Imported here so that decide never loads the atlas or csv.
     from .atlas import emit_report, run_atlas
 
     try:
         t0 = time.perf_counter()
-        rows, summary, orbits = run_atlas(args.degree, jobs=args.jobs)
+        rows, summary, orbits = run_atlas(args.degree)
         emit_report(rows, summary, args.out, args.format)
         elapsed = time.perf_counter() - t0
     except (ValueError, OSError) as exc:

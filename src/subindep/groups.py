@@ -39,10 +39,10 @@ class FiniteGroup:
     (possibly empty) tuple of non-identity elements whose closure is the
     element set.  Instances are immutable in intent; the only mutable
     state is lazy caches: the element index (element to position),
-    right-multiplication columns, conjugacy classes and endomorphisms.
+    right-multiplication columns and endomorphisms.
     """
 
-    __slots__ = ("degree", "elements", "generators", "_index", "_mul_cols", "_classes", "_endos")
+    __slots__ = ("degree", "elements", "generators", "_index", "_mul_cols", "_endos")
 
     def __init__(self, elements: tuple[Permutation, ...], generators: tuple[Permutation, ...], degree: int):
         self.degree = degree
@@ -50,7 +50,6 @@ class FiniteGroup:
         self.generators = generators
         self._index: dict[Permutation, int] | None = None
         self._mul_cols: dict[int, tuple[int, ...]] = {}
-        self._classes: "ConjClassPartition | None" = None
         self._endos: "tuple[GroupMap, ...] | None" = None
 
     @property
@@ -204,54 +203,6 @@ def is_normal_in(h: FiniteGroup, g: FiniteGroup) -> bool:
             if x.conjugated_by(t) not in h:
                 return False
     return True
-
-
-class ConjClassPartition:
-    """Conjugacy classes of a group: tuples of elements, each sorted, the
-    classes ordered by their least element (the identity class first)."""
-
-    def __init__(self, group: FiniteGroup, classes: tuple[tuple[Permutation, ...], ...]):
-        self.group = group
-        self.classes = classes
-
-    @cached_property
-    def _class_of(self) -> dict[Permutation, int]:
-        """The class index of each element."""
-        return {p: i for i, cls in enumerate(self.classes) for p in cls}
-
-    def class_index_of(self, p: Permutation) -> int:
-        try:
-            return self._class_of[p]
-        except KeyError:
-            raise KeyError(f"{p!r} is not an element") from None
-
-    def same_class(self, x: Permutation, y: Permutation) -> bool:
-        return self.class_index_of(x) == self.class_index_of(y)
-
-
-def conjugacy_classes(g: FiniteGroup) -> ConjClassPartition:
-    if g._classes is not None:
-        return g._classes
-    assigned: set[Permutation] = set()
-    classes: list[tuple[Permutation, ...]] = []
-    for x in g.elements:
-        if x in assigned:
-            continue
-        orbit = {x}
-        pending = [x]
-        while pending:
-            y = pending.pop()
-            for t in g.generators:
-                c = y.conjugated_by(t)
-                if c not in orbit:
-                    orbit.add(c)
-                    pending.append(c)
-        cls = tuple(sorted(orbit))
-        classes.append(cls)
-        assigned.update(orbit)
-    part = ConjClassPartition(g, tuple(classes))
-    g._classes = part
-    return part
 
 
 def propagate_images(domain: FiniteGroup, codomain: FiniteGroup,

@@ -168,20 +168,10 @@ LADDER = (
 
 
 def decide_pair(pair: SubgroupPair, config: Config = Config()) -> Decision:
-    """Run the LADDER stages on an already-built pair, then Step4.
-
-    The conjugacy-merge checks (check_conjugacy_merge_a/_b) are not
-    stages: once Step3i and Step3ii have passed they can never fire.
-    Suppose x1, x2 in A are conjugate in the join by some t but not
-    conjugate in A.  A common extension gamma of (id_A, triv_B) would fix
-    A pointwise and kill B, so gamma(t) lies in A, and conjugation by
-    gamma(t) would carry x1 to x2 inside A.  Hence (id_A, triv_B) cannot
-    extend.  But if A were B-separated, A would map isomorphically onto
-    join/<Conj(B)>, and the quotient map followed by that inverse would
-    extend (id_A, triv_B).  So A is not B-separated, and Step3ii has
-    already fired.  The mirror argument for B gives Step3i.  The atlas
-    records both checks as columns, and its tests assert the subsumption
-    row by row.
+    """Run the LADDER stages on an already-built pair, then Step4.  The
+    paper's Step3iii and Step3iv (conjugacy merges) are not stages: they
+    never fire once Step3i and Step3ii have passed, as the atlas code that
+    records them as columns (atlas._AtlasRun._side) proves.
     """
     t0 = time.perf_counter()
     try:

@@ -16,7 +16,9 @@ union-law harness at the end are the full-table checks the tests hold
 results to.  The
 cycle-notation parser, the closure and the extension of a map pair come
 last, written as plain per-point, per-level and per-element loops, as
-references for the package's kernels.
+references for the package's kernels.  Last is the definitional
+product scan of independence, which extends every endomorphism pair of
+End(A) x End(B) through dicts and Permutation products only.
 """
 
 from __future__ import annotations
@@ -523,3 +525,62 @@ def extend_reference(alpha: GroupMap, beta: GroupMap, pair: SubgroupPair):
             if gamma[x] != m(x):
                 return None, (x, gamma[x], m(x))
     return tuple(j.index_of(gamma[x]) for x in j.elements), None
+
+
+def _spread(identity: Permutation, edges) -> dict[Permutation, Permutation] | None:
+    """The map with phi(identity) = identity and phi(x * g) = phi(x) * h
+    for every edge (g, h), by a breadth-first search from the identity
+    along Permutation products that checks every edge, or None when some
+    element is forced to two images.  A map whose edges all agree is a
+    homomorphism on the group the g generate."""
+    phi = {identity: identity}
+    queue = [identity]
+    for x in queue:
+        for g, h in edges:
+            y, fy = x * g, phi[x] * h
+            if y not in phi:
+                phi[y] = fy
+                queue.append(y)
+            elif phi[y] != fy:
+                return None
+    return phi
+
+
+_PRODUCT_ENDO_CACHE: dict[tuple[Permutation, ...], list[dict[Permutation, Permutation]]] = {}
+
+
+def endomorphisms_by_products(group: FiniteGroup) -> list[dict[Permutation, Permutation]]:
+    """Every endomorphism of the group, as an element-to-image dict.
+
+    Each generator is sent to every element whose order divides its own,
+    and each choice is spread over the group by _spread.  Cached per
+    element tuple: a lattice sweep meets each subgroup many times."""
+    key = group.elements
+    if key not in _PRODUCT_ENDO_CACHE:
+        gens = group.generators
+        choices = [[y for y in group.elements if g.order() % y.order() == 0] for g in gens]
+        spread = (_spread(group.identity, list(zip(gens, images))) for images in product(*choices))
+        _PRODUCT_ENDO_CACHE[key] = [phi for phi in spread if phi is not None]
+    return _PRODUCT_ENDO_CACHE[key]
+
+
+def independent_by_product_scan(pair: SubgroupPair) -> bool:
+    """Independence by the definition, in dicts and Permutation products
+    only: every (alpha, beta) in End(A) x End(B) must extend to the join.
+
+    Each pair is extended by _spread over the generators of A and of B,
+    carrying alpha's and beta's images, which reaches the whole join;
+    the extension must then agree with alpha on every element of A and
+    with beta on every element of B.  Shares no code with Step4: no
+    enumerate_endomorphisms, extend, propagate_images or index columns.
+    """
+    a, b = pair.a, pair.b
+    identity = Permutation.identity(pair.degree)
+    for alpha in endomorphisms_by_products(a):
+        for beta in endomorphisms_by_products(b):
+            edges = [(g, alpha[g]) for g in a.generators] + [(g, beta[g]) for g in b.generators]
+            gamma = _spread(identity, edges)
+            if (gamma is None or any(gamma[x] != alpha[x] for x in a.elements)
+                    or any(gamma[x] != beta[x] for x in b.elements)):
+                return False
+    return True

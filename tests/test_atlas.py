@@ -14,10 +14,11 @@ from oracles import (
     find_isomorphism,
     first_conjugacy_merge,
     independent_by_global_search,
+    independent_by_product_scan,
     quotient,
     subgroups_from_all_pairs,
 )
-from subindep import atlas, checks, groups
+from subindep import atlas, groups
 from subindep.atlas import (
     ATLAS_FIELDS,
     classify_all_pairs,
@@ -25,8 +26,6 @@ from subindep.atlas import (
     render_report,
 )
 from subindep.checks import (
-    ConjugacyMergeWitness,
-    Verdict,
     check_a_inside_ncl_b,
     check_b_inside_ncl_a,
     verify_factoring,
@@ -237,24 +236,20 @@ class TestDegree4Atlas:
 
 class TestMergeByClassCounts:
     """The merge columns decide by counting conjugacy classes; the plain
-    pairwise scan must give the same verdict and the same witness on
-    every (side, join) pair of the lattice."""
+    pairwise scan must give the same verdict on every (side, join) pair
+    of the lattice."""
 
     @staticmethod
     def _assert_scan(subs):
+        run = atlas._AtlasRun(subs)
         merged = 0
-        for join in subs:
-            for sub in subs:
+        for k, join in enumerate(subs):
+            for i, sub in enumerate(subs):
                 if not sub.is_subgroup_of(join):
                     continue
-                out = checks._merge_on_side(sub, join, "B")
-                first = first_conjugacy_merge(sub, join)
-                if first is None:
-                    assert out.verdict is Verdict.INCONCLUSIVE, (sub, join)
-                else:
-                    assert out.verdict is Verdict.DEPENDENT, (sub, join)
-                    assert out.witness == ConjugacyMergeWitness(*first, "B"), (sub, join)
-                    merged += 1
+                dependent = first_conjugacy_merge(sub, join) is not None
+                assert run._side(i, k)[2] == ("dependent" if dependent else "inconclusive"), (sub, join)
+                merged += dependent
         return merged
 
     def test_every_s4_lattice_pair(self):
@@ -262,6 +257,34 @@ class TestMergeByClassCounts:
 
     def test_every_s5_lattice_pair(self, s5_subgroups):
         assert self._assert_scan(s5_subgroups) > 0
+
+
+class TestProductScanOracle:
+    """The oracle column against the definitional product scan of
+    tests/oracles.py, which shares no code with Step4, on every orbit
+    representative: the rows the atlas actually classifies."""
+
+    @staticmethod
+    def _assert_agrees(degree, rows, subs):
+        rep = atlas.conjugation_orbits(symmetric_group(degree), subs)
+        n = len(subs)
+        checked = 0
+        for r in rows:
+            k = r.a_index * n + r.b_index
+            if rep[k] != k:
+                continue
+            pair = SubgroupPair(subs[r.a_index], subs[r.b_index])
+            assert independent_by_product_scan(pair) == (r.oracle == "independent"), r.pair_id
+            checked += 1
+        return checked
+
+    def test_every_s4_representative(self, s4_atlas):
+        rows, _ = s4_atlas
+        assert self._assert_agrees(4, rows, enumerate_subgroups(symmetric_group(4))) == 155
+
+    def test_every_s5_representative(self, s5_atlas, s5_subgroups):
+        rows, _ = s5_atlas
+        assert self._assert_agrees(5, rows, s5_subgroups) == 679
 
 
 def nonidentity(group):
@@ -293,6 +316,10 @@ class TestTheoremSuite:
         for r in rows:
             if r.both_normal and r.almost_disjoint == "inconclusive":
                 assert r.oracle == "independent", r.pair_id
+                # [A, B] lies in A ∩ B = 1, so Step2i decides first; the
+                # normal_asymmetry column still reads independent.
+                assert r.pipeline_step == "Step2i", r.pair_id
+                assert r.normal_asymmetry == "independent", r.pair_id
                 hit += 1
         assert hit > 0
 
@@ -552,12 +579,6 @@ class TestReportRendering:
 
 
 class TestDeterminismAndBudgets:
-    def test_parallel_report_bytes_match(self):
-        r1, s1 = classify_all_pairs(3, jobs=1)
-        r2, s2 = classify_all_pairs(3, jobs=2)
-        assert render_report(r1, s1, "csv") == render_report(r2, s2, "csv")
-        assert render_report(r1, s1, "json") == render_report(r2, s2, "json")
-
     REPORT_SHA256 = {
         (3, "csv"): "acf091e7242f0d06ca35fcefdf65a16477b4d536d51c4aa25228a3efde5fa64d",
         (3, "json"): "bd5981b899d2de42e4ae849deeccd78b5bb3b2ea8bc8c8b857928217a905c6af",
@@ -601,32 +622,11 @@ class TestDeterminismAndBudgets:
         with pytest.raises(ValueError):
             classify_all_pairs(3, jobs=0)
 
-    def test_jobs_clamped_to_cpu_count(self, monkeypatch):
-        # A fake pool records the worker count and runs the tasks in-process,
-        # so no process is ever started.
-        seen = []
-
-        class FakePool:
-            def __init__(self, processes, initializer, initargs):
-                seen.append(processes)
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def imap(self, func, tasks, chunksize=1):
-                return map(func, tasks)
-
-        monkeypatch.setattr(atlas.multiprocessing, "Pool", FakePool)
-        monkeypatch.setattr(atlas.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(atlas, "_worker_run", None)
-        rows, summary = classify_all_pairs(3, jobs=100000)
-        assert seen == [2]
-        serial_rows, serial_summary = classify_all_pairs(3)
-        assert render_report(rows, summary) == render_report(serial_rows, serial_summary)
+    def test_only_one_job_accepted(self):
+        # The atlas has no worker pool; the keyword accepts only 1.
+        for jobs in (2, 100000):
+            with pytest.raises(ValueError, match="the atlas runs in one process"):
+                classify_all_pairs(3, jobs=jobs)
 
     def test_degree_bounds(self):
         with pytest.raises(ValueError):

@@ -7,18 +7,18 @@ from hypothesis import given, settings, strategies as st
 from oracles import (
     all_subgroups,
     check_homomorphism,
+    conjugacy_class_ids,
     find_isomorphism,
     is_bijective,
     normal_subgroups_containing,
     quotient,
     semigroup_closure,
 )
-from subindep import groups
+from subindep import atlas, groups
 from subindep.groups import (
     BudgetExceeded,
     SubgroupPair,
     closure,
-    conjugacy_classes,
     identity_map,
     is_normal_in,
     join,
@@ -187,32 +187,42 @@ class TestNormality:
             is_normal_in(outside, s3)
 
 
+def class_ids(group) -> dict:
+    """The atlas's conjugacy class id of each element of group."""
+    return atlas._AtlasRun([group])._classes(0)
+
+
+def class_sizes(group) -> list[int]:
+    ids = list(class_ids(group).values())
+    return sorted(ids.count(c) for c in set(ids))
+
+
 class TestConjugacyClasses:
     def test_s3_class_sizes(self):
-        part = conjugacy_classes(symmetric_group(3))
-        assert sorted(len(c) for c in part.classes) == [1, 2, 3]
+        assert class_sizes(symmetric_group(3)) == [1, 2, 3]
 
     def test_s4_class_sizes(self):
-        part = conjugacy_classes(symmetric_group(4))
-        assert sorted(len(c) for c in part.classes) == [1, 3, 6, 6, 8]
+        assert class_sizes(symmetric_group(4)) == [1, 3, 6, 6, 8]
 
     def test_classes_partition_the_group(self):
         g = symmetric_group(4)
-        part = conjugacy_classes(g)
-        everything = [x for cls in part.classes for x in cls]
-        assert sorted(everything) == list(g.elements)
+        ids = class_ids(g)
+        assert sorted(ids) == list(g.elements)
+        # Each class is named by its least element.
+        assert all(ids[c] == c <= x for x, c in ids.items())
+        assert len(set(ids.values())) == 5
 
     def test_same_class_matches_explicit_conjugation(self):
         g = symmetric_group(4)
-        part = conjugacy_classes(g)
+        ids = class_ids(g)
         x, y = P("(1 2)", 4), P("(3 4)", 4)
-        assert part.same_class(x, y)
+        assert ids[x] == ids[y]
         assert any(x.conjugated_by(h) == y for h in g.elements)
-        assert not part.same_class(x, P("(1 2)(3 4)", 4))
+        assert ids[x] != ids[P("(1 2)(3 4)", 4)]
 
     def test_abelian_groups_have_singleton_classes(self):
         c4 = closure([P("(1 2 3 4)", 4)], 4)
-        assert [len(c) for c in conjugacy_classes(c4).classes] == [1, 1, 1, 1]
+        assert class_sizes(c4) == [1, 1, 1, 1]
 
 
 class TestQuotient:
@@ -413,10 +423,9 @@ class TestEngineProperties:
         assert other not in g
         with pytest.raises(KeyError):
             g.index_of(other)
-        part = conjugacy_classes(g)
+        # The atlas's classes, by orbits under the generators, against
+        # conjugation by every element.
+        ids, expected = class_ids(g), conjugacy_class_ids(g)
         for x in g.elements:
-            expected = next(i for i, cls in enumerate(part.classes)
-                            if any(x == y for y in cls))
-            assert part.class_index_of(x) == expected
-        with pytest.raises(KeyError):
-            part.class_index_of(other)
+            for y in g.elements:
+                assert (ids[x] == ids[y]) == (expected[x] == expected[y])

@@ -4,16 +4,15 @@ from conftest import SHARED_POINT, ORDER_CLASH, SWAP_VS_DOUBLE, FAR_SWAPS, MERGE
 from oracles import (
     all_subgroups,
     check_union_independent_sets,
+    first_conjugacy_merge,
     independent_by_global_search,
     is_independent_set,
     noncommuting_pairs,
 )
-from subindep import checks
+from subindep import atlas, checks
 from subindep.checks import (
-    BothNormalWitness,
     BudgetWitness,
     CommutingWitness,
-    ConjugacyMergeWitness,
     ExhaustiveWitness,
     IncompatiblePairWitness,
     MembershipWitness,
@@ -25,8 +24,6 @@ from subindep.checks import (
     check_almost_disjoint,
     check_b_inside_ncl_a,
     check_commuting,
-    check_conjugacy_merge_a,
-    check_conjugacy_merge_b,
     check_normal_asymmetry,
     check_order_divisibility,
     recheck_witness,
@@ -138,24 +135,26 @@ class TestSeparated:
         assert brute_force_independent(pair).verdict is Verdict.DEPENDENT
 
 
+def merge_column(sub, join) -> str:
+    """The atlas's merge column for sub as a side whose join is join."""
+    return atlas._AtlasRun([sub, join])._side(0, 1)[2]
+
+
 class TestConjugacyMerge:
     def test_merge_example_on_side_a(self):
-        out = check_conjugacy_merge_a(make_pair(*MERGE_PAIR))
-        assert out.verdict is Verdict.DEPENDENT
-        w = out.witness
-        assert isinstance(w, ConjugacyMergeWitness)
-        assert w.side == "A"
-        assert {w.x1, w.x2} == {P("(1 2)", 4), P("(3 4)", 4)}
+        pair = make_pair(*MERGE_PAIR)
+        assert merge_column(pair.a, pair.join) == "dependent"
+        assert set(first_conjugacy_merge(pair.a, pair.join)) == {P("(1 2)", 4), P("(3 4)", 4)}
 
     def test_main_example_has_no_merge(self):
         pair = make_pair(*SWAP_VS_DOUBLE)
-        assert check_conjugacy_merge_a(pair).verdict is Verdict.INCONCLUSIVE
-        assert check_conjugacy_merge_b(pair).verdict is Verdict.INCONCLUSIVE
+        assert merge_column(pair.a, pair.join) == "inconclusive"
+        assert merge_column(pair.b, pair.join) == "inconclusive"
 
     def test_trivial_side_is_vacuous(self):
         pair = make_pair(3, [], ["(1 2 3)"])
-        assert check_conjugacy_merge_a(pair).verdict is Verdict.INCONCLUSIVE
-        assert check_conjugacy_merge_b(pair).verdict is Verdict.INCONCLUSIVE
+        assert merge_column(pair.a, pair.join) == "inconclusive"
+        assert merge_column(pair.b, pair.join) == "inconclusive"
 
 
 class TestNormalAsymmetry:
@@ -173,9 +172,12 @@ class TestNormalAsymmetry:
         assert check_normal_asymmetry(make_pair(*SWAP_VS_DOUBLE)).verdict is Verdict.INCONCLUSIVE
 
     def test_both_normal_disjoint_proves_independent(self):
-        out = check_normal_asymmetry(make_pair(4, ["(1 2)"], ["(3 4)"]))
-        assert out.verdict is Verdict.INDEPENDENT
-        assert isinstance(out.witness, BothNormalWitness)
+        # Both normal and disjoint: [A, B] lies in A ∩ B = 1, so Step2i
+        # proves independence and this stage abstains.
+        pair = make_pair(4, ["(1 2)"], ["(3 4)"])
+        assert pair.a_normal and pair.b_normal and pair.shared_element is None
+        assert check_normal_asymmetry(pair).verdict is Verdict.INCONCLUSIVE
+        assert check_commuting(pair).verdict is Verdict.INDEPENDENT
 
     def test_both_normal_with_shared_elements_stays_inconclusive(self):
         sub = closure([P("(1 2)", 3)], 3)
@@ -298,10 +300,9 @@ class TestWitnessRecheck:
         for spec, check in [
             (SHARED_POINT, check_a_inside_ncl_b),
             (ORDER_CLASH, check_order_divisibility),
-            (MERGE_PAIR, check_conjugacy_merge_a),
+            (MERGE_PAIR, check_order_divisibility),
             ((3, ["(1 2 3)"], ["(1 2)"]), check_normal_asymmetry),
             ((4, ["(1 2)"], ["(3 4)"]), check_commuting),
-            ((4, ["(1 2)"], ["(3 4)"]), check_normal_asymmetry),
             (SWAP_VS_DOUBLE, brute_force_independent),
             (FAR_SWAPS, brute_force_independent),
         ]:
@@ -324,15 +325,6 @@ class TestWitnessRecheck:
         assert not recheck_witness(pair, tampered)
         commuting_claim = CommutingWitness()
         assert not recheck_witness(pair, commuting_claim)
-
-    def test_conjugacy_merge_side_must_be_a_or_b(self):
-        pair = make_pair(*MERGE_PAIR)
-        w = check_conjugacy_merge_a(pair).witness
-        assert recheck_witness(pair, w)
-        mirrored = make_pair(MERGE_PAIR[0], MERGE_PAIR[2], MERGE_PAIR[1])
-        wb = check_conjugacy_merge_b(mirrored).witness
-        assert wb.side == "B" and recheck_witness(mirrored, wb)
-        assert not recheck_witness(mirrored, wb._replace(side="Z"))
 
     def test_order_violation_orders_must_match(self):
         pair = make_pair(*ORDER_CLASH)
@@ -369,6 +361,13 @@ class TestWitnessRecheck:
         assert isinstance(w, IncompatiblePairWitness) and recheck_witness(pair, w)
         e = Permutation.identity(3)
         assert not recheck_witness(pair, w._replace(conflict=ExtensionConflict(e, e, e)))
+
+    def test_incompatible_pair_of_another_pair_fails(self):
+        # FAR_SWAPS's maps live on its own sides, which this pair's A does
+        # not equal: the witness does not fit, and the recheck says so.
+        w = brute_force_independent(make_pair(*FAR_SWAPS)).witness
+        assert isinstance(w, IncompatiblePairWitness)
+        assert not recheck_witness(make_pair(6, ["(1 2)"], ["(1 3)(2 4)"]), w)
 
     def test_unknown_witness_type_raises(self):
         with pytest.raises(TypeError):

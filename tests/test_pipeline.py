@@ -12,14 +12,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import SHARED_POINT, ORDER_CLASH, SWAP_VS_DOUBLE, FAR_SWAPS, MERGE_PAIR, make_pair
+from oracles import first_conjugacy_merge
 from subindep.checks import (
-    Verdict,
     brute_force_independent,
     check_a_inside_ncl_b,
     check_almost_disjoint,
     check_b_inside_ncl_a,
     check_commuting,
-    check_conjugacy_merge_a,
     check_normal_asymmetry,
     check_order_divisibility,
     recheck_witness,
@@ -214,14 +213,12 @@ class TestDecisions:
         assert cycle_string(d.witness.conflict.element) == "(1 3)(2 4)(5 6)"
 
     def test_merge_example_decided_by_the_earlier_order_check(self):
-        # The order check fires before the conjugacy stages ever run;
-        # the merge itself is asserted through the standalone check.
+        # The order check fires on the merge example; the merge itself is
+        # asserted through the plain conjugacy scan.
         d = decide(spec_dict(MERGE_PAIR))
         assert d.status == "Dependent" and d.step is Step.ORDER
         pair = make_pair(*MERGE_PAIR)
-        merged = check_conjugacy_merge_a(pair)
-        assert merged.verdict is Verdict.DEPENDENT
-        assert {merged.witness.x1, merged.witness.x2} == {P("(1 2)", 4), P("(3 4)", 4)}
+        assert set(first_conjugacy_merge(pair.a, pair.join)) == {P("(1 2)", 4), P("(3 4)", 4)}
 
     def test_commuting_pair_independent_without_join(self):
         d = decide({"degree": 4, "A": ["(1 2)"], "B": ["(3 4)"]})
@@ -637,13 +634,8 @@ class TestCli:
         assert report["gap_region_ids"] == []
         assert {k: v for k, v in report.items() if k != "gap_region_ids"} == summary
 
-    def test_atlas_rejects_jobs_below_one(self, tmp_path, capsys):
-        assert cli.main(["atlas", "--degree", "3", "--jobs", "0",
-                         "--out", str(tmp_path / "s3.csv")]) == 1
-        assert "jobs" in capsys.readouterr().err
-
     @pytest.mark.parametrize("flags", [["--full-lattice"], ["--endo-budget", "1"],
-                                       ["--max-group-order", "2"]])
+                                       ["--max-group-order", "2"], ["--jobs", "2"]])
     def test_atlas_has_no_budget_or_lattice_flags(self, tmp_path, flags, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["atlas", "--degree", "3", *flags, "--out", str(tmp_path / "s3.csv")])
