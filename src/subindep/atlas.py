@@ -4,10 +4,12 @@ symmetric groups.
 Every ordered pair of enumerated subgroups gets a row holding every
 individual check, the full staged pipeline, and the exhaustive oracle,
 side by side so that disagreements between shortcut theory and brute
-force are impossible to miss.  Those columns do not change when both
-subgroups are conjugated by the same permutation, so one representative
-pair per conjugation orbit is classified and its verdicts are copied to
-the other rows of the orbit.
+force are impossible to miss.  The oracle counts the endomorphisms of
+the join that map each side into itself; it extends no map pair, so it
+shares no code with Step4 beyond enumerate_endomorphisms.  The columns
+do not change when both subgroups are conjugated by the same
+permutation, so one representative pair per conjugation orbit is
+classified and its verdicts are copied to the other rows of the orbit.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from itertools import combinations, product
 from operator import attrgetter
 from typing import NamedTuple, get_type_hints
 
-from .checks import Verdict, brute_force_independent
+from .checks import Verdict
 from .groups import (
     FiniteGroup,
     SubgroupPair,
@@ -27,6 +29,7 @@ from .groups import (
     normal_closure,
     symmetric_group,
 )
+from .homs import enumerate_endomorphisms
 from .perm import Permutation, cycle_string
 from .pipeline import LADDER, ladder_decision
 
@@ -136,8 +139,9 @@ class _AtlasRun:
     subgroups, their generator strings, the conjugacy class ids of each
     subgroup, and a memo holding, for each (side, join) pair of the
     lattice, the side's normal closure in the join, whether the side is
-    normal in it, and its merge column.  Many rows share a side and a
-    join, so each of those runs once per lattice pair, not once per row.
+    normal in it, its merge column and the endomorphisms of the join
+    that map the side into itself.  Many rows share a side and a join,
+    so each of those runs once per lattice pair, not once per row.
 
     The join of a pair is looked up, not closed.  Each subgroup is held
     as a bitset over the elements of the ambient group, and the join of
@@ -161,7 +165,7 @@ class _AtlasRun:
                 index.setdefault(x, len(index))
         self._bits = [sum(1 << index[x] for x in s.elements) for s in subs]
         self._class_ids: list[dict[Permutation, Permutation] | None] = [None] * len(subs)
-        self._sides: dict[tuple[int, int], tuple[FiniteGroup, bool, str]] = {}
+        self._sides: dict[tuple[int, int], tuple[FiniteGroup, bool, str, int]] = {}
 
     def _join(self, i: int, j: int) -> int:
         """The index of the join of subs[i] and subs[j]."""
@@ -192,10 +196,14 @@ class _AtlasRun:
                                 orbit.append(c)
         return ids
 
-    def _side(self, i: int, k: int) -> tuple[FiniteGroup, bool, str]:
+    def _side(self, i: int, k: int) -> tuple[FiniteGroup, bool, str, int]:
         """The normal closure of subs[i] in subs[k], whether subs[i] is
-        normal in subs[k], and the merge column of subs[i] as a side
-        whose join is subs[k].
+        normal in subs[k], the merge column of subs[i] as a side whose
+        join is subs[k], and the bitmask over enumerate_endomorphisms of
+        subs[k] whose bit t is set when the t-th endomorphism maps
+        subs[i] into itself.  An endomorphism is a homomorphism, so it
+        does that exactly when it maps each generator of subs[i] into
+        subs[i].
 
         The merge column is the paper's Step3iii (Step3iv for B):
         dependent when two elements of the side that are not conjugate
@@ -221,24 +229,41 @@ class _AtlasRun:
             in_join = self._classes(k)
             merged = (len(set(map(in_join.__getitem__, sub.elements)))
                       < len(set(self._classes(i).values())))
+            inside = set(map(join.index_of, sub.elements))
+            gens = list(map(join.index_of, sub.generators))
+            keeps = sum(1 << t for t, gamma in enumerate(enumerate_endomorphisms(join))
+                        if all(gamma.images[g] in inside for g in gens))
             side = self._sides[(i, k)] = (
                 normal_closure(sub, join), is_normal_in(sub, join),
-                (Verdict.DEPENDENT if merged else Verdict.INCONCLUSIVE).value)
+                (Verdict.DEPENDENT if merged else Verdict.INCONCLUSIVE).value, keeps)
         return side
 
-    def fill(self, pair: SubgroupPair, i: int, j: int) -> tuple[str, str]:
+    def fill(self, pair: SubgroupPair, i: int, j: int) -> tuple[str, str, str]:
         """Set the lazy join, normal closures and normality of the pair
         (subs[i], subs[j]) from the lattice and the memo, and return its
-        merge_a and merge_b columns."""
+        merge_a, merge_b and oracle columns.
+
+        The oracle is the definition of independence, counted.  Let S be
+        the endomorphisms gamma of the join with gamma(A) in A and
+        gamma(B) in B.  Restriction maps S into End(A) x End(B), and it
+        is injective because A and B generate the join.  Every pair in
+        End(A) x End(B) extends exactly when it is onto, that is when
+        |S| = |End(A)| |End(B)|.
+        """
         k = self._join(i, j)
         pair._join = self.subs[k]
-        pair._ncl_a, pair.a_normal, merge_a = self._side(i, k)
-        pair._ncl_b, pair.b_normal, merge_b = self._side(j, k)
-        return merge_a, merge_b
+        pair._ncl_a, pair.a_normal, merge_a, keeps_a = self._side(i, k)
+        pair._ncl_b, pair.b_normal, merge_b, keeps_b = self._side(j, k)
+        extending = (keeps_a & keeps_b).bit_count()
+        independent = extending == (len(enumerate_endomorphisms(pair.a))
+                                    * len(enumerate_endomorphisms(pair.b)))
+        return merge_a, merge_b, (Verdict.INDEPENDENT if independent else Verdict.DEPENDENT).value
 
 
 def _classify_one(run: _AtlasRun, task: tuple[str, int, int]) -> AtlasRow:
-    """Run every check, the pipeline and the oracle on one ordered pair.
+    """Run every check and the pipeline on one ordered pair, and count
+    its oracle from the run's memo (see _AtlasRun.fill): Step4 rows
+    extend map pairs, the oracle extends none.
 
     Every atlas group is far inside the default budgets (S5 has order
     120, and its largest endomorphism search is 1,456 candidate maps), so
@@ -248,7 +273,7 @@ def _classify_one(run: _AtlasRun, task: tuple[str, int, int]) -> AtlasRow:
     pair_id, a_index, b_index = task
     a, b = run.subs[a_index], run.subs[b_index]
     pair = SubgroupPair(a, b)
-    merge_a, merge_b = run.fill(pair, a_index, b_index)
+    merge_a, merge_b, oracle = run.fill(pair, a_index, b_index)
     # Each stage runs once: its outcome fills its column, and the
     # pipeline's status and step are read from the same outcomes.
     outcomes = [check(pair) for _, check in LADDER]
@@ -260,8 +285,6 @@ def _classify_one(run: _AtlasRun, task: tuple[str, int, int]) -> AtlasRow:
         # A and B both normal with A ∩ B = 1 gives [A, B] ⊆ A ∩ B = 1, so
         # A and B commute elementwise and Step2i decides first.
         checks["normal_asymmetry"] = Verdict.INDEPENDENT.value
-    # The definitional product scan, not Step4's sum scan.
-    oracle = brute_force_independent(pair, use_shortcuts=False)
     sep_both = (checks["a_in_ncl_b"] == Verdict.INCONCLUSIVE.value
                 and checks["b_in_ncl_a"] == Verdict.INCONCLUSIVE.value)
     ncl_b = pair.ncl_b
@@ -270,7 +293,7 @@ def _classify_one(run: _AtlasRun, task: tuple[str, int, int]) -> AtlasRow:
                     a_gens=run.gens[a_index], b_gens=run.gens[b_index],
                     order_a=a.order, order_b=b.order, order_join=pair.join.order,
                     **checks, merge_a=merge_a, merge_b=merge_b,
-                    oracle=oracle.verdict.value,
+                    oracle=oracle,
                     pipeline_status=status,
                     pipeline_step=step.value,
                     separated_both=sep_both,

@@ -26,7 +26,6 @@ from subindep.checks import (
 )
 from subindep.groups import (
     GroupMap,
-    SubgroupPair,
     propagate_images,
     symmetric_group,
 )

@@ -11,6 +11,7 @@ from conftest import pair_from_row
 from oracles import (
     all_subgroups,
     check_union_independent_sets,
+    endomorphisms_by_products,
     find_isomorphism,
     first_conjugacy_merge,
     independent_by_global_search,
@@ -18,7 +19,7 @@ from oracles import (
     quotient,
     subgroups_from_all_pairs,
 )
-from subindep import atlas, groups
+from subindep import atlas, checks, groups, pipeline
 from subindep.atlas import (
     ATLAS_FIELDS,
     classify_all_pairs,
@@ -26,6 +27,7 @@ from subindep.atlas import (
     render_report,
 )
 from subindep.checks import (
+    brute_force_independent,
     check_a_inside_ncl_b,
     check_b_inside_ncl_a,
     verify_factoring,
@@ -260,21 +262,33 @@ class TestMergeByClassCounts:
 
 
 class TestProductScanOracle:
-    """The oracle column against the definitional product scan of
-    tests/oracles.py, which shares no code with Step4, on every orbit
-    representative: the rows the atlas actually classifies."""
+    """The oracle column counts S, the endomorphisms of the join that map
+    each side into itself.  On every orbit representative, the rows the
+    atlas actually classifies, it must agree with the definitional
+    product scan of tests/oracles.py, which shares no code with Step4,
+    and with brute_force_independent without shortcuts; and S can never
+    outnumber End(A) x End(B), into which restriction embeds it."""
 
     @staticmethod
     def _assert_agrees(degree, rows, subs):
         rep = atlas.conjugation_orbits(symmetric_group(degree), subs)
+        run = atlas._AtlasRun(subs)
         n = len(subs)
         checked = 0
         for r in rows:
-            k = r.a_index * n + r.b_index
+            i, j = r.a_index, r.b_index
+            k = i * n + j
             if rep[k] != k:
                 continue
-            pair = SubgroupPair(subs[r.a_index], subs[r.b_index])
+            pair = SubgroupPair(subs[i], subs[j])
             assert independent_by_product_scan(pair) == (r.oracle == "independent"), r.pair_id
+            scan = brute_force_independent(pair, use_shortcuts=False)
+            assert r.oracle == scan.verdict.value, r.pair_id
+            join = run._join(i, j)
+            kept = (run._side(i, join)[3] & run._side(j, join)[3]).bit_count()
+            assert kept <= scan.details["endo_a"] * scan.details["endo_b"], r.pair_id
+            # Every endomorphism of the join maps the join into itself.
+            assert run._side(join, join)[3] == (1 << len(enumerate_endomorphisms(subs[join]))) - 1
             checked += 1
         return checked
 
@@ -285,6 +299,18 @@ class TestProductScanOracle:
     def test_every_s5_representative(self, s5_atlas, s5_subgroups):
         rows, _ = s5_atlas
         assert self._assert_agrees(5, rows, s5_subgroups) == 679
+
+    def test_each_s4_mask_counts_the_maps_keeping_its_side(self):
+        # Against the endomorphisms tests/oracles.py builds from
+        # Permutation products, on every (side, join) pair of the lattice.
+        subs = enumerate_subgroups(symmetric_group(4))
+        run = atlas._AtlasRun(subs)
+        for k, join in enumerate(subs):
+            endos = endomorphisms_by_products(join)
+            for i, sub in enumerate(subs):
+                if sub.is_subgroup_of(join):
+                    keeping = sum(all(phi[g] in sub for g in sub.generators) for phi in endos)
+                    assert run._side(i, k)[3].bit_count() == keeping, (sub, join)
 
 
 def nonidentity(group):
@@ -594,20 +620,27 @@ class TestDeterminismAndBudgets:
                 digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
                 assert digest == self.REPORT_SHA256[(degree, fmt)], (degree, fmt)
 
-    def test_oracle_never_uses_the_step4_shortcuts(self, monkeypatch):
-        calls = []
-        real = atlas.brute_force_independent
-
-        def spy(*args, **kwargs):
-            calls.append(kwargs.get("use_shortcuts", True))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(atlas, "brute_force_independent", spy)
-        rows, _ = classify_all_pairs(3)
-        # One oracle scan per conjugation orbit: 17 orbits cover 36 rows.
-        assert len(rows) == 36
-        assert len(calls) == 17
-        assert not any(calls)
+    def test_oracle_extends_no_map_pair(self, monkeypatch):
+        # The oracle counts endomorphisms of the join; only the Step4 rows
+        # extend map pairs, through the ladder's own scan.
+        assert not hasattr(atlas, "brute_force_independent")
+        real_extend, real_scan = checks.extend, pipeline.brute_force_independent
+        extended, scanned = [], []
+        monkeypatch.setattr(checks, "extend", lambda *args: extended.append(args) or real_extend(*args))
+        monkeypatch.setattr(pipeline, "brute_force_independent",
+                            lambda *args: scanned.append(args[0]) or real_scan(*args))
+        for degree in (3, 4):
+            extended.clear()
+            scanned.clear()
+            rows, _ = classify_all_pairs(degree)
+            subs = enumerate_subgroups(symmetric_group(degree))
+            rep = atlas.conjugation_orbits(symmetric_group(degree), subs)
+            step4 = [SubgroupPair(subs[r.a_index], subs[r.b_index]) for k, r in enumerate(rows)
+                     if rep[k] == k and r.pipeline_step == Step.BRUTE_FORCE.value]
+            calls = len(extended)
+            assert len(scanned) == len(step4)
+            assert calls == sum(real_scan(p).details["pairs_checked"] for p in step4)
+        assert calls > 0  # S4 has Step4 rows
 
     def test_s5_report_bytes_are_pinned(self, s5_atlas):
         rows, summary = s5_atlas

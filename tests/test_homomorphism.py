@@ -12,7 +12,6 @@ from subindep.groups import (
     BudgetExceeded,
     FiniteGroup,
     GroupMap,
-    SubgroupPair,
     closure,
     identity_map,
     propagate_images,

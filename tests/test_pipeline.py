@@ -9,10 +9,10 @@ from operator import itemgetter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, find, given, settings, strategies as st
 
 from conftest import SHARED_POINT, ORDER_CLASH, SWAP_VS_DOUBLE, FAR_SWAPS, MERGE_PAIR, make_pair
-from oracles import first_conjugacy_merge
+from oracles import endomorphisms_by_products, first_conjugacy_merge, independent_by_product_scan
 from subindep.checks import (
     brute_force_independent,
     check_a_inside_ncl_b,
@@ -36,7 +36,6 @@ from subindep.pipeline import (
     PairSpecError,
     Step,
     decide,
-    decide_pair,
     format_decision,
     parse_pair_spec,
 )
@@ -511,6 +510,52 @@ class TestFuzz:
                 assert recheck_witness(parse_pair_spec(spec), d.witness)
             if diagnostics and d.status == "Independent":
                 assert d.diagnostics["factoring_isomorphisms"] is True
+
+
+@st.composite
+def far_swap_specs(draw):
+    """Degree 6 or 7: one or two transpositions against a double
+    transposition, half the time beside a transposition, in the shape of
+    FAR_SWAPS.  Such pairs often get past every ladder stage to Step4."""
+    degree = draw(st.sampled_from((6, 7)))
+    points = st.permutations(range(1, degree + 1))
+
+    def swap() -> str:
+        p = draw(points)
+        return f"({p[0]} {p[1]})"
+
+    p = draw(points)
+    a = [swap() for _ in range(draw(st.integers(1, 2)))]
+    b = [f"({p[0]} {p[1]})({p[2]} {p[3]})"] + [swap() for _ in range(draw(st.integers(0, 1)))]
+    return {"degree": degree, "A": a, "B": b}
+
+
+class TestVerdictFuzz:
+    """decide against the definitional product scan of tests/oracles.py,
+    which shares no code with Step4, past the atlas's degree 5.  The scan
+    extends every pair in End(A) x End(B) over the whole join, so only
+    pairs whose endomorphism sets and join stay small are compared."""
+
+    MAX_ENDOS = 16
+    MAX_JOIN = 720
+
+    @settings(max_examples=60, deadline=None)
+    @given(far_swap_specs())
+    def test_decide_agrees_with_the_product_scan(self, spec):
+        pair = parse_pair_spec(spec)
+        assume(pair.join.order <= self.MAX_JOIN)
+        assume(len(endomorphisms_by_products(pair.a)) <= self.MAX_ENDOS)
+        assume(len(endomorphisms_by_products(pair.b)) <= self.MAX_ENDOS)
+        d = within_alarm(20, decide, spec)
+        assert d.status == ("Independent" if independent_by_product_scan(pair) else "Dependent")
+
+    def test_the_strategy_reaches_step4_dependence(self):
+        def step4_dependent(spec):
+            d = decide(spec)
+            return d.step is Step.BRUTE_FORCE and d.status == "Dependent"
+        spec = find(far_swap_specs(), step4_dependent,
+                    settings=settings(max_examples=500, derandomize=True, database=None))
+        assert not independent_by_product_scan(parse_pair_spec(spec))
 
 
 def strip_elapsed(doc: str) -> str:
