@@ -338,10 +338,12 @@ def recheck_witness(pair: SubgroupPair, witness: object,
     """Re-establish a certificate from scratch against the pair: every
     field the witness carries must match what the pair gives.  An
     exhaustive witness is re-established by a fresh scan under
-    endo_budget, and fails when that scan trips the budget.  A
-    BudgetWitness is no certificate, and raises TypeError like an unknown
-    witness: a budget outcome is re-established only by running the
-    pipeline again under the same Config."""
+    endo_budget, which must be independent with the pair count of the
+    shortcut scan or of the full product scan, and fails when that scan
+    trips the budget.  A BudgetWitness is no
+    certificate, and raises TypeError like an unknown witness: a budget
+    outcome is re-established only by running the pipeline again under
+    the same Config."""
     if isinstance(witness, MembershipWitness):
         x = witness.element
         if x.is_identity():
@@ -386,7 +388,12 @@ def recheck_witness(pair: SubgroupPair, witness: object,
         return conflict is not None and conflict == witness.conflict
     if isinstance(witness, ExhaustiveWitness):
         try:
-            return brute_force_independent(pair, endo_budget).verdict is Verdict.INDEPENDENT
+            out = brute_force_independent(pair, endo_budget)
         except BudgetExceeded:
             return False
+        # A shortcut scan extends |End A| + |End B| - 2 pairs, the full
+        # product scan |End A| * |End B|; either count certifies.
+        return (out.verdict is Verdict.INDEPENDENT
+                and witness.pairs_checked in (out.witness.pairs_checked,
+                                              out.details["endo_a"] * out.details["endo_b"]))
     raise TypeError(f"unknown witness type {type(witness).__name__}")

@@ -27,6 +27,12 @@ from .groups import (
 )
 from .perm import Permutation
 
+# Each candidate map propagates over all of g, so the search costs about
+# candidates * |g| steps.  32 * endo_budget ** 2 admits Step4 on C2^4
+# (65,536 candidates over 16 elements, 16 * 256 ** 2) and End(S5) (1,456
+# over 120), and stops C16 x C16 (65,536 over 256) before it searches.
+ENDO_WORK_FACTOR = 32
+
 
 def enumerate_endomorphisms(g: FiniteGroup, endo_budget: int = DEFAULT_ENDO_BUDGET) -> list[GroupMap]:
     """All endomorphisms of g, deduplicated and sorted by their full image
@@ -40,8 +46,10 @@ def enumerate_endomorphisms(g: FiniteGroup, endo_budget: int = DEFAULT_ENDO_BUDG
     propagation over the whole multiplication table, so every returned
     map is a genuine homomorphism and none is missed.  Raises
     BudgetExceeded when the order of g exceeds endo_budget, or, before
-    searching, when the number of choices exceeds endo_budget ** 2.  The
-    maps are cached on g, and a cached list is returned without a search.
+    searching, when the number of choices exceeds endo_budget ** 2 or the
+    propagation work, choices times |g|, exceeds ENDO_WORK_FACTOR *
+    endo_budget ** 2.  The maps are cached on g, and a cached list is
+    returned without a search.
     """
     if g.order > endo_budget:
         raise BudgetExceeded("endo_budget", endo_budget, "enumerating endomorphisms")
@@ -61,6 +69,9 @@ def enumerate_endomorphisms(g: FiniteGroup, endo_budget: int = DEFAULT_ENDO_BUDG
         search = math.prod(map(len, candidates))
         if search > endo_budget ** 2:
             raise BudgetExceeded("endo_budget", endo_budget, f"searching {search} candidate maps")
+        if search * g.order > ENDO_WORK_FACTOR * endo_budget ** 2:
+            raise BudgetExceeded("endo_budget", endo_budget,
+                                 f"propagating {search} candidate maps over {g.order} elements")
         tables = set()
         for combo in itertools.product(*candidates):
             table, conflict = propagate_images(g, g, gen_idx, combo)

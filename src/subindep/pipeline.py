@@ -238,45 +238,69 @@ def _unless_budget(audit, *args):
         return None
 
 
-def _sample_extension_law(pair: SubgroupPair, config: Config,
-                          samples: int = 25, seed: int = 0) -> bool:
+# The sampled extension law: LAW_SAMPLES endomorphism pairs drawn from a
+# generator seeded with LAW_SEED, each checked on LAW_WORDS words x, y.
+LAW_SAMPLES = 25
+LAW_WORDS = 8
+LAW_SEED = 0
+
+
+def _sample_extension_law(pair: SubgroupPair, config: Config) -> bool:
     """For random endomorphism pairs of an independent pair, confirm the
     extension restricts correctly and respects products on sampled words.
 
-    Each distinct pair is extended once; gamma is read from its image
-    table by element index.  Both products, x * y and gamma(x) *
-    gamma(y), are permutation products formed as image gathers (x * y
+    The draws are those of random.Random(LAW_SEED).randrange: for n >= 1,
+    randrange(n) draws k = n.bit_length() bits and draws again while the
+    result is n or more, and so does this loop, over the same generator's
+    getrandbits.  Each distinct pair is extended once; gamma is read from
+    its image table by element index.  Both products, x * y and gamma(x)
+    * gamma(y), are permutation products formed as image gathers (x * y
     has images x[y[i]]), not the join's multiplication columns that
     extend propagates along, so the law is checked independently of the
     code that built the table."""
     endos_a = enumerate_endomorphisms(pair.a, config.endo_budget)
     endos_b = enumerate_endomorphisms(pair.b, config.endo_budget)
-    randrange = random.Random(seed).randrange
     j = pair.join
-    elements, order, index = j.elements, j.order, j._image_index()
-    # itemgetter of one index returns the item, not a tuple; the only
-    # permutation of degree 1 is the identity, so x * y is x there.
-    degree_one = j.degree == 1
+    elements, index = j.elements, j._image_index()
+    # Join index -> itemgetter of that element's images, so that x * y,
+    # whose images are x[y[i]], is gathers[index of y](x).  Each getter is
+    # built the first time its element is drawn: a law forms at most
+    # 2 * LAW_SAMPLES * LAW_WORDS products, on joins of up to thousands of
+    # elements.  itemgetter of one index returns the item, not a tuple;
+    # the only permutation of degree 1 is the identity, and x * e is x.
+    gathers: dict = {}
+    one_point = j.degree == 1
+    bits = random.Random(LAW_SEED).getrandbits
+    na, nb, nj = len(endos_a), len(endos_b), j.order
+    ka, kb, kj = na.bit_length(), nb.bit_length(), nj.bit_length()
     tables: dict[tuple[int, int], tuple[int, ...]] = {}
-    for _ in range(samples):
-        # randrange(len(s)) draws what choice(s) would: the stream, and
-        # with it every pair and word sampled, is that of choosing maps.
-        key = (randrange(len(endos_a)), randrange(len(endos_b)))
-        table = tables.get(key)
+    for _ in range(LAW_SAMPLES):
+        ia = bits(ka)
+        while ia >= na:
+            ia = bits(ka)
+        ib = bits(kb)
+        while ib >= nb:
+            ib = bits(kb)
+        table = tables.get((ia, ib))
         if table is None:
-            res = extend(endos_a[key[0]], endos_b[key[1]], pair)
+            res = extend(endos_a[ia], endos_b[ib], pair)
             if not res.exists:
                 return False
-            table = tables[key] = res.map.images
-        for _ in range(8):
-            ix = randrange(order)
-            iy = randrange(order)
-            x, y = elements[ix], elements[iy]
-            gx, gy = elements[table[ix]], elements[table[iy]]
-            if degree_one:
-                xy, gxgy = x, gx
-            else:
-                xy, gxgy = itemgetter(*y)(x), itemgetter(*gy)(gx)
+            table = tables[ia, ib] = res.map.images
+        for _ in range(LAW_WORDS):
+            ix = bits(kj)
+            while ix >= nj:
+                ix = bits(kj)
+            iy = bits(kj)
+            while iy >= nj:
+                iy = bits(kj)
+            igy = table[iy]
+            get_y = gathers.get(iy) or gathers.setdefault(
+                iy, tuple if one_point else itemgetter(*elements[iy]))
+            get_gy = gathers.get(igy) or gathers.setdefault(
+                igy, tuple if one_point else itemgetter(*elements[igy]))
+            xy = get_y(elements[ix])
+            gxgy = get_gy(elements[table[ix]])
             if elements[table[index[xy]]] != gxgy:
                 return False
     return True

@@ -114,6 +114,25 @@ class TestEnumerationAgainstOracles:
         assert len(enumerate_endomorphisms(g, endo_budget=23)) == 512  # 23 ** 2 = 529
         assert len(calls) == 512
 
+    def test_propagation_work_is_budgeted(self, monkeypatch):
+        # C8 x C8: 64 ** 2 candidate maps, each propagated over 64
+        # elements, against ENDO_WORK_FACTOR * endo_budget ** 2.
+        g = closure([P("(1 2 3 4 5 6 7 8)", 16), P("(9 10 11 12 13 14 15 16)", 16)], 16)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return propagate_images(*args)
+
+        monkeypatch.setattr(homs, "propagate_images", counting)
+        assert 4096 * 64 > homs.ENDO_WORK_FACTOR * 90 ** 2
+        with pytest.raises(BudgetExceeded, match="propagating 4096 candidate maps over 64"):
+            enumerate_endomorphisms(g, endo_budget=90)
+        assert calls == []
+        assert 4096 * 64 <= homs.ENDO_WORK_FACTOR * 91 ** 2
+        assert len(enumerate_endomorphisms(g, endo_budget=91)) == 4096
+        assert len(calls) == 4096
+
     def test_search_keeps_few_of_many_generators(self, monkeypatch):
         # C2^8 from its eight transpositions: eight closures at most, then
         # 256 ** 8 candidate maps trip the budget before any search.

@@ -362,6 +362,28 @@ class TestWitnessRecheck:
         e = Permutation.identity(3)
         assert not recheck_witness(pair, w._replace(conflict=ExtensionConflict(e, e, e)))
 
+    def test_exhaustive_pair_count_must_match(self):
+        # The scan on this pair extends (triv, id_B) and (id_A, triv).
+        pair = make_pair(5, ["(1 2)"], ["(3 4)(5 1)"])
+        assert brute_force_independent(pair).witness == ExhaustiveWitness(2)
+        assert recheck_witness(pair, ExhaustiveWitness(2))
+        for count in (999, -1, 1, 3):
+            assert not recheck_witness(pair, ExhaustiveWitness(count))
+
+    @pytest.mark.parametrize("spec", [
+        (5, ["(1 2)"], ["(3 4)(5 1)"]),
+        (6, ["(1 2)"], ["(3 4 5 6)", "(3 4)"]),  # C2 x S4: join of order 48
+    ])
+    def test_full_scan_witness_rechecks(self, spec):
+        # The full product scan extends |End A| * |End B| pairs, not the
+        # shortcut scan's |End A| + |End B| - 2; its count certifies too.
+        pair = make_pair(*spec)
+        out = brute_force_independent(pair, use_shortcuts=False)
+        assert out.verdict is Verdict.INDEPENDENT
+        assert out.witness.pairs_checked == out.details["endo_a"] * out.details["endo_b"]
+        assert recheck_witness(pair, out.witness)
+        assert not recheck_witness(pair, ExhaustiveWitness(out.witness.pairs_checked + 1))
+
     def test_incompatible_pair_of_another_pair_fails(self):
         # FAR_SWAPS's maps live on its own sides, which this pair's A does
         # not equal: the witness does not fit, and the recheck says so.

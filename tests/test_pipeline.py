@@ -366,6 +366,18 @@ class TestDiagnostics:
         assert d.diagnostics["witness_rechecked"] is True
         assert d.diagnostics["extension_law_sampled"] is None
 
+    def test_audit_of_c16_squared_trips_the_search_work_budget(self):
+        # End(C16 x C16) has 65,536 maps, within endo_budget ** 2, but
+        # each would propagate over 256 elements: the sampled law trips
+        # the work bound before searching.
+        a = [f"({' '.join(map(str, range(1, 17)))})", f"({' '.join(map(str, range(17, 33)))})"]
+        spec = {"degree": 34, "A": a, "B": ["(33 34)"]}
+        d = within_alarm(10, decide, spec, Config(run_diagnostics=True))
+        assert d.status == "Independent" and d.step is Step.COMMUTING
+        assert d.diagnostics == {"witness_rechecked": True,
+                                 "factoring_isomorphisms": True,
+                                 "extension_law_sampled": None}
+
     @pytest.mark.parametrize("k", [6, 9])
     def test_factoring_audit_of_c2_powers_is_bounded_in_time(self, k):
         # A = C2^k against a disjoint transposition.  The factoring audit
@@ -446,8 +458,10 @@ class TestDiagnostics:
         assert (len(endos_a), len(endos_b), pair.join.order) == (10, 3, 18)
         assert asked == expected and len(expected) < 25
 
-    @pytest.mark.parametrize("spec", [LAW_SPEC, {"degree": 1, "A": ["e"], "B": ["e"]}],
-                             ids=["degree-6", "degree-1"])
+    @pytest.mark.parametrize("spec", [LAW_SPEC, {"degree": 1, "A": ["e"], "B": ["e"]},
+                                      spec_dict(SWAP_VS_DOUBLE),
+                                      {"degree": 3, "A": ["(1 2)", "(1 2 3)"], "B": ["e"]}],
+                             ids=["degree-6", "degree-1", "join-order-8", "trivial-b"])
     def test_law_products_are_permutation_products(self, monkeypatch, spec):
         # Every product the audit forms as an image gather equals the
         # Permutation product of its factors; at degree 1 it forms none.
@@ -469,6 +483,25 @@ class TestDiagnostics:
             assert xy == Permutation(x) * Permutation(y)
         # Two products for each of the 8 words of the 25 samples.
         assert len(gathered) == (400 if spec["degree"] > 1 else 0)
+        if spec["degree"] == 1:
+            return
+        # The words, and the maps applied to them, are those that
+        # random.Random(0).randrange draws: a map of A, a map of B, then 8
+        # words of two join elements, 25 times.  A side with one map still
+        # draws, since randrange(1) consumes bits.
+        pair = parse_pair_spec(spec)
+        endos_a, endos_b = enumerate_endomorphisms(pair.a), enumerate_endomorphisms(pair.b)
+        elements = pair.join.elements
+        randrange = random.Random(0).randrange
+        expected = []
+        for _ in range(25):
+            alpha, beta = endos_a[randrange(len(endos_a))], endos_b[randrange(len(endos_b))]
+            gamma = extend(alpha, beta, pair).map.images
+            for _ in range(8):
+                ix, iy = randrange(len(elements)), randrange(len(elements))
+                expected.append((elements[ix], elements[iy]))
+                expected.append((elements[gamma[ix]], elements[gamma[iy]]))
+        assert [(x, y) for x, y, _ in gathered] == expected
 
     def test_exhaustive_recheck_runs_under_the_given_budget(self):
         pair = make_pair(*SWAP_VS_DOUBLE)
