@@ -77,7 +77,8 @@ def _load_pair_spec(args) -> dict:
             text = fh.read()
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # The decoder recurses once per nesting level.
         raise PairSpecError(f"input is not valid JSON: {exc}") from exc
 
 

@@ -27,10 +27,12 @@ from .groups import (
 )
 from .perm import Permutation
 
-# Each candidate map propagates over all of g, so the search costs about
-# candidates * |g| steps.  32 * endo_budget ** 2 admits Step4 on C2^4
-# (65,536 candidates over 16 elements, 16 * 256 ** 2) and End(S5) (1,456
-# over 120), and stops C16 x C16 (65,536 over 256) before it searches.
+# Each candidate map propagates over all of g, so the search costs at
+# most candidates * |g| steps (fewer when g is not abelian: one candidate
+# per conjugation orbit propagates).  32 * endo_budget ** 2 admits Step4
+# on C2^4 (65,536 candidates over 16 elements, 16 * 256 ** 2) and End(S5)
+# (1,456 over 120), and stops C16 x C16 (65,536 over 256) before it
+# searches.
 ENDO_WORK_FACTOR = 32
 
 
@@ -40,14 +42,25 @@ def enumerate_endomorphisms(g: FiniteGroup, endo_budget: int = DEFAULT_ENDO_BUDG
 
     The search runs over g's own generators, keeping each one that lies
     outside the subgroup the kept ones generate.  Every kept generator at
-    least doubles that subgroup, so at most log2|g| are kept, for at most
-    one closure per generator.  Each kept generator is sent to every
-    element whose order divides its own, and each choice is validated by
-    propagation over the whole multiplication table, so every returned
-    map is a genuine homomorphism and none is missed.  Raises
-    BudgetExceeded when the order of g exceeds endo_budget, or, before
-    searching, when the number of choices exceeds endo_budget ** 2 or the
-    propagation work, choices times |g|, exceeds ENDO_WORK_FACTOR *
+    least doubles that subgroup, so at most log2|g| are kept, and the
+    subgroup is closed only when a later generator is tested against it.
+    Each kept generator is sent to every element whose order divides its
+    own, and each choice is validated by propagation over the whole
+    multiplication table, so every returned map is a genuine homomorphism
+    and none is missed.
+
+    Choices are propagated one per orbit under conjugation: for t in g,
+    c_t . phi is an endomorphism exactly when phi is, and conjugation
+    keeps orders, so it maps the choices onto themselves.  The first
+    choice met in each orbit is propagated; the rest of the orbit is
+    reached through the conjugation maps of the kept generators that are
+    not central, and when the choice extends, each member's table is the
+    representative's gathered through the same maps.  When g is abelian
+    every orbit is a single choice, and each is propagated as it comes.
+
+    Raises BudgetExceeded when the order of g exceeds endo_budget, or,
+    before searching, when the number of choices exceeds endo_budget ** 2
+    or the propagation work, choices times |g|, exceeds ENDO_WORK_FACTOR *
     endo_budget ** 2.  The maps are cached on g, and a cached list is
     returned without a search.
     """
@@ -57,11 +70,11 @@ def enumerate_endomorphisms(g: FiniteGroup, endo_budget: int = DEFAULT_ENDO_BUDG
         gens: list[Permutation] = []
         span = None
         for x in g.generators:
-            if span is None or x not in span:
-                gens.append(x)
+            if gens and span is None:
                 span = closure(gens, g.degree, max_order=g.order)
-                if span.order == g.order:
-                    break
+            if not gens or x not in span:
+                gens.append(x)
+                span = None
         gen_idx = [g.index_of(x) for x in gens]
         orders = [y.order() for y in g.elements]
         candidates = [[j for j, oy in enumerate(orders) if ox % oy == 0]
@@ -72,11 +85,33 @@ def enumerate_endomorphisms(g: FiniteGroup, endo_budget: int = DEFAULT_ENDO_BUDG
         if search * g.order > ENDO_WORK_FACTOR * endo_budget ** 2:
             raise BudgetExceeded("endo_budget", endo_budget,
                                  f"propagating {search} candidate maps over {g.order} elements")
+        index = g._image_index()
+        conj = [tuple([index[x.conjugated_by(t)] for x in g.elements])
+                for t in gens if any(t * u != u * t for u in gens if u is not t)]
         tables = set()
-        for combo in itertools.product(*candidates):
-            table, conflict = propagate_images(g, g, gen_idx, combo)
-            if conflict is None:
-                tables.add(table)
+        if not conj:
+            for combo in itertools.product(*candidates):
+                table, conflict = propagate_images(g, g, gen_idx, combo)
+                if conflict is None:
+                    tables.add(table)
+        else:
+            # g is not abelian, so at least two generators are kept and
+            # each gather below returns a tuple.
+            seen = set()
+            for combo in itertools.product(*candidates):
+                if combo in seen:
+                    continue
+                table, conflict = propagate_images(g, g, gen_idx, combo)
+                seen.add(combo)
+                orbit = [(combo, table)]
+                for member, member_table in orbit:  # orbit grows: breadth-first
+                    for c in conj:
+                        image = itemgetter(*member)(c)
+                        if image not in seen:
+                            seen.add(image)
+                            orbit.append((image, None if conflict else itemgetter(*member_table)(c)))
+                if conflict is None:
+                    tables.update(t for _, t in orbit)
         g._endos = tuple(GroupMap(g, g, t) for t in sorted(tables))
     return list(g._endos)
 

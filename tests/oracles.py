@@ -16,9 +16,11 @@ union-law harness at the end are the full-table checks the tests hold
 results to.  The
 cycle-notation parser, the closure and the extension of a map pair come
 last, written as plain per-point, per-level and per-element loops, as
-references for the package's kernels.  Last is the definitional
-product scan of independence, which extends every endomorphism pair of
-End(A) x End(B) through dicts and Permutation products only.
+references for the package's kernels.  Last are the per-candidate
+endomorphism search, which spreads every choice of generator images on
+its own, and the definitional product scan of independence, which
+extends every endomorphism pair of End(A) x End(B) through dicts and
+Permutation products only.
 """
 
 from __future__ import annotations
@@ -562,6 +564,16 @@ def endomorphisms_by_products(group: FiniteGroup) -> list[dict[Permutation, Perm
         spread = (_spread(group.identity, list(zip(gens, images))) for images in product(*choices))
         _PRODUCT_ENDO_CACHE[key] = [phi for phi in spread if phi is not None]
     return _PRODUCT_ENDO_CACHE[key]
+
+
+def endomorphism_tables_by_candidates(group: FiniteGroup) -> list[tuple[int, ...]]:
+    """The per-candidate search with no pruning by conjugation: every
+    choice of generator images spread on its own, as
+    endomorphisms_by_products does, returned as sorted index tables, the
+    form enumerate_endomorphisms returns."""
+    index = {x: i for i, x in enumerate(group.elements)}
+    return sorted({tuple(index[phi[x]] for x in group.elements)
+                   for phi in endomorphisms_by_products(group)})
 
 
 def independent_by_product_scan(pair: SubgroupPair) -> bool:

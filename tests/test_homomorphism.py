@@ -46,6 +46,15 @@ class TestEnumerationCounts:
         # 6 inner automorphisms + 3 sign-like maps + the trivial map.
         assert len(enumerate_endomorphisms(symmetric_group(3))) == 10
 
+    def test_s6_and_a6(self):
+        # Aut(S6) and Aut(A6) both have order 1,440.  Every other map of
+        # S6 factors through the sign, onto one of 75 involutions or the
+        # identity; A6 is simple, so its only other map is the trivial one.
+        assert len(enumerate_endomorphisms(symmetric_group(6), endo_budget=1024)) == 1516
+        a6 = closure([P("(1 2 3)", 6), P("(2 3 4 5 6)", 6)], 6)
+        assert a6.order == 360
+        assert len(enumerate_endomorphisms(a6, endo_budget=1024)) == 1441
+
     def test_trivial_group_has_1(self):
         g = closure([], 3)
         endos = enumerate_endomorphisms(g)
@@ -63,6 +72,9 @@ class TestEnumerationAgainstOracles:
             closure([P("(1 2 3 4)", 4)], 4),
             closure([P("(1 2)", 4), P("(1 3)(2 4)", 4)], 4),  # dihedral of order 8
             closure([P("(1 2 3)", 4), P("(1 2)(3 4)", 4)], 4),  # alternating, order 12
+            symmetric_group(4),
+            # C2 x S3, whose first generator is central.
+            closure([P("(1 2)", 5), P("(3 4 5)", 5), P("(3 4)", 5)], 5),
         ]
         for g in cases:
             assert tables(enumerate_endomorphisms(g)) == endomorphism_tables_by_words(g)
@@ -114,6 +126,26 @@ class TestEnumerationAgainstOracles:
         assert len(enumerate_endomorphisms(g, endo_budget=23)) == 512  # 23 ** 2 = 529
         assert len(calls) == 512
 
+    def test_one_propagation_per_conjugation_orbit(self, monkeypatch):
+        # S4 from (1 2) and (1 2 3 4): 10 * 16 candidate image pairs,
+        # propagated once per orbit under simultaneous conjugation by S4.
+        g = symmetric_group(4)
+        x, y = g.generators
+        pairs = [(u, v) for u in g.elements if x.order() % u.order() == 0
+                 for v in g.elements if y.order() % v.order() == 0]
+        assert len(pairs) == 160
+        orbits = {frozenset((u.conjugated_by(t), v.conjugated_by(t)) for t in g.elements)
+                  for u, v in pairs}
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return propagate_images(*args)
+
+        monkeypatch.setattr(homs, "propagate_images", counting)
+        assert len(enumerate_endomorphisms(g)) == 58
+        assert len(calls) == len(orbits) < 160
+
     def test_propagation_work_is_budgeted(self, monkeypatch):
         # C8 x C8: 64 ** 2 candidate maps, each propagated over 64
         # elements, against ENDO_WORK_FACTOR * endo_budget ** 2.
@@ -147,6 +179,20 @@ class TestEnumerationAgainstOracles:
         with pytest.raises(BudgetExceeded) as exc:
             enumerate_endomorphisms(g)
         assert exc.value.budget == "endo_budget" and len(calls) <= 8
+
+    def test_span_closed_only_to_test_a_later_generator(self, monkeypatch):
+        closed = []
+
+        def recording(*args, **kwargs):
+            sub = closure(*args, **kwargs)
+            closed.append(sub.order)
+            return sub
+
+        monkeypatch.setattr(homs, "closure", recording)
+        assert len(enumerate_endomorphisms(closure([P("(1 2 3 4)", 4)], 4))) == 4
+        assert closed == []
+        assert len(enumerate_endomorphisms(symmetric_group(4))) == 58
+        assert closed == [2]  # <(1 2)>, to test (1 2 3 4)
 
     def test_search_runs_over_the_groups_own_generators(self):
         # S4 from its nine involutions keeps three of them, 10 ** 3

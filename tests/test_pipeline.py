@@ -668,6 +668,20 @@ class TestCli:
         r = run_cli("decide", "--inline", "--degree", "3", "--a", "(1 2", "--b", "e")
         assert r.returncode == 1 and "error" in r.stderr
 
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_deeply_nested_input_exits_1(self, tmp_path, source):
+        # json.loads recurses once per level and raises RecursionError.
+        text = "[" * 100_000 + "]" * 100_000
+        if source == "file":
+            f = tmp_path / "deep.json"
+            f.write_text(text)
+            r = run_cli("decide", "--input", str(f))
+        else:
+            r = run_cli("decide", "--input", "-", stdin=text)
+        assert r.returncode == 1
+        assert r.stderr.startswith("subindep: error: input is not valid JSON: ")
+        assert "Traceback" not in r.stderr
+
     def test_missing_input_exits_1(self):
         r = run_cli("decide", "--input", "/nonexistent/pair.json")
         assert r.returncode == 1
