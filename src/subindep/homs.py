@@ -89,29 +89,24 @@ def enumerate_endomorphisms(g: FiniteGroup, endo_budget: int = DEFAULT_ENDO_BUDG
         conj = [tuple([index[x.conjugated_by(t)] for x in g.elements])
                 for t in gens if any(t * u != u * t for u in gens if u is not t)]
         tables = set()
-        if not conj:
-            for combo in itertools.product(*candidates):
-                table, conflict = propagate_images(g, g, gen_idx, combo)
-                if conflict is None:
-                    tables.add(table)
-        else:
-            # g is not abelian, so at least two generators are kept and
-            # each gather below returns a tuple.
-            seen = set()
-            for combo in itertools.product(*candidates):
-                if combo in seen:
-                    continue
-                table, conflict = propagate_images(g, g, gen_idx, combo)
-                seen.add(combo)
-                orbit = [(combo, table)]
-                for member, member_table in orbit:  # orbit grows: breadth-first
-                    for c in conj:
-                        image = itemgetter(*member)(c)
-                        if image not in seen:
-                            seen.add(image)
-                            orbit.append((image, None if conflict else itemgetter(*member_table)(c)))
-                if conflict is None:
-                    tables.update(t for _, t in orbit)
+        # Product order never returns to a tuple, so only the orbit
+        # members reached through conj are recorded as seen; when g is
+        # abelian, conj is empty and so is seen.  Otherwise at least two
+        # generators are kept, so each gather below returns a tuple.
+        seen = set()
+        for combo in itertools.product(*candidates):
+            if combo in seen:
+                continue
+            table, conflict = propagate_images(g, g, gen_idx, combo)
+            orbit = [(combo, table)]
+            for member, member_table in orbit:  # orbit grows: breadth-first
+                for c in conj:
+                    image = itemgetter(*member)(c)
+                    if image not in seen:
+                        seen.add(image)
+                        orbit.append((image, None if conflict else itemgetter(*member_table)(c)))
+            if conflict is None:
+                tables.update(t for _, t in orbit)
         g._endos = tuple(GroupMap(g, g, t) for t in sorted(tables))
     return list(g._endos)
 
