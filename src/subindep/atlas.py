@@ -17,14 +17,14 @@ from __future__ import annotations
 import csv
 import json
 from itertools import combinations, product
-from operator import attrgetter
+from operator import attrgetter, itemgetter
+from time import perf_counter
 from typing import NamedTuple, get_type_hints
 
 from .checks import Verdict
 from .groups import (
     FiniteGroup,
     SubgroupPair,
-    closure,
     is_normal_in,
     normal_closure,
     symmetric_group,
@@ -34,6 +34,21 @@ from .perm import Permutation, cycle_string
 from .pipeline import LADDER, ladder_decision
 
 MAX_ATLAS_DEGREE = 5
+
+
+def _close(gens: list[int], cols: list[tuple[int, ...]]) -> set[int]:
+    """The indices of the subgroup generated by the given indices."""
+    times = [cols[g] for g in gens]
+    seen = {0}
+    found = [0]
+    add, append = seen.add, found.append
+    for x in found:  # found grows as the search runs: breadth-first
+        for col in times:
+            y = col[x]
+            if y not in seen:
+                add(y)
+                append(y)
+    return seen
 
 
 def enumerate_subgroups(group: FiniteGroup) -> list[FiniteGroup]:
@@ -53,34 +68,43 @@ def enumerate_subgroups(group: FiniteGroup) -> list[FiniteGroup]:
     that an earlier set already generated, and the first set to reach
     each group is never skipped: the generators are those of the plain
     all-pairs scan.
+
+    The search runs on element indices, whose order is the sorted
+    element order, so a subgroup is keyed by its sorted index tuple.
     """
-    degree, order = group.degree, group.order
-    seen: dict[tuple[Permutation, ...], FiniteGroup] = {}
-    trivial = closure([], degree, max_order=order)
-    seen[trivial.elements] = trivial
-    nontrivial = group.elements[1:]
-    # The cyclic subgroup of each non-identity element, one object per
-    # subgroup, and that subgroup's index among the distinct ones.
-    cyclic: list[FiniteGroup] = []
-    cyclic_id: list[int] = []
-    ids: dict[tuple[Permutation, ...], int] = {}
+    cols = list(map(group._col, range(group.order)))
+    nontrivial = range(1, group.order)
+    # The first generator indices to reach each subgroup, keyed by its
+    # sorted index tuple.
+    found: dict[tuple[int, ...], tuple[int, ...]] = {(0,): ()}
+    # The cyclic subgroup of each element, by index, and that subgroup's
+    # index among the distinct ones.
+    cyclic: list[set[int]] = [{0}]
+    cyclic_id: list[int] = [0]
+    ids: dict[tuple[int, ...], int] = {(0,): 0}
     for x in nontrivial:
-        c = closure([x], degree, max_order=order)
-        cyclic.append(seen.setdefault(c.elements, c))
-        cyclic_id.append(ids.setdefault(c.elements, len(ids)))
+        c = _close([x], cols)
+        key = tuple(sorted(c))
+        found.setdefault(key, (x,))
+        cyclic.append(c)
+        cyclic_id.append(ids.setdefault(key, len(ids)))
     closed: set[tuple[int, int]] = set()
-    for i, j in combinations(range(len(nontrivial)), 2):
-        ci, cj = cyclic_id[i], cyclic_id[j]
-        key = (ci, cj) if ci < cj else (cj, ci)
+    for x, y in combinations(nontrivial, 2):
+        cx, cy = cyclic_id[x], cyclic_id[y]
+        key = (cx, cy) if cx < cy else (cy, cx)
         if key in closed:
             continue
         closed.add(key)
-        x, y = nontrivial[i], nontrivial[j]
-        if y in cyclic[i] or x in cyclic[j]:
+        if y in cyclic[x] or x in cyclic[y]:
             continue
-        sub = closure([x, y], degree, max_order=order)
-        seen.setdefault(sub.elements, sub)
-    return sorted(seen.values(), key=lambda s: (s.order, s.elements))
+        found.setdefault(tuple(sorted(_close([x, y], cols))), (x, y))
+    elements, degree = group.elements, group.degree
+    subs = []
+    for key in sorted(found, key=lambda k: (len(k), k)):
+        # A one-index itemgetter returns the item, not a tuple.
+        members = itemgetter(*key)(elements) if len(key) > 1 else (elements[0],)
+        subs.append(FiniteGroup(members, tuple(elements[g] for g in found[key]), degree))
+    return subs
 
 
 class AtlasRow(NamedTuple):
@@ -159,10 +183,8 @@ class _AtlasRun:
     def __init__(self, subs: list[FiniteGroup]):
         self.subs = subs
         self.gens = [_gens_string(s) for s in subs]
-        index: dict[Permutation, int] = {}
-        for s in subs:
-            for x in s.elements:
-                index.setdefault(x, len(index))
+        # The last, largest subgroup holds every element: bits follow its order.
+        index = subs[-1]._image_index()
         self._bits = [sum(1 << index[x] for x in s.elements) for s in subs]
         self._class_ids: list[dict[Permutation, Permutation] | None] = [None] * len(subs)
         self._sides: dict[tuple[int, int], tuple[FiniteGroup, bool, str, int]] = {}
@@ -311,10 +333,17 @@ def conjugation_orbits(group: FiniteGroup, subs: list[FiniteGroup]) -> list[int]
     Returns, for each flat index, the least flat index of its orbit, its
     representative.  subs must be closed under conjugation by the group,
     as every enumerate_subgroups list is.
+
+    A subgroup is its sorted tuple of element indices, and its conjugate
+    by a generator is that tuple mapped through the generator's
+    conjugation table and sorted.
     """
-    index = {s.elements: i for i, s in enumerate(subs)}
-    actions = [[index[tuple(sorted(x.conjugated_by(t) for x in s.elements))] for s in subs]
-               for t in group.generators]
+    at = group.index_of
+    keys = [tuple(map(at, s.elements)) for s in subs]
+    index = dict(zip(keys, range(len(keys))))
+    tables = [[at(x.conjugated_by(t)) for x in group.elements] for t in group.generators]
+    actions = [[index[tuple(sorted(map(table.__getitem__, key)))] for key in keys]
+               for table in tables]
     n = len(subs)
     rep = [-1] * (n * n)
     for k in range(n * n):
@@ -338,11 +367,11 @@ def classify_all_pairs(degree: int, jobs: int = 1) -> tuple[list[AtlasRow], dict
     which passes jobs=1, and goes once the harness stops passing it."""
     if jobs != 1:
         raise ValueError("the atlas runs in one process")
-    rows, summary, _ = run_atlas(degree)
+    rows, summary, _, _ = run_atlas(degree)
     return rows, summary
 
 
-def run_atlas(degree: int) -> tuple[list[AtlasRow], dict, int]:
+def run_atlas(degree: int) -> tuple[list[AtlasRow], dict, int, tuple[float, float]]:
     """Classify every ordered pair of enumerated subgroups of the
     symmetric group of the given degree, at the default budgets.
 
@@ -356,25 +385,32 @@ def run_atlas(degree: int) -> tuple[list[AtlasRow], dict, int]:
     which the ladder decides give the same answer on both pairs, and the
     orders agree.
 
-    Returns (rows, summary, number of orbits classified).  Rows come back
-    in a fixed canonical order and carry no timing, so emitted reports
-    are reproducible byte for byte.
+    Returns (rows, summary, number of orbits classified, seconds), where
+    seconds holds the wall time of building the lattice (the subgroups
+    and their conjugation orbits) and of classifying the representatives
+    (with the row expansion and the summary).  Rows come back in a fixed
+    canonical order and carry no timing, so emitted reports are
+    reproducible byte for byte.
     """
     if not 2 <= degree <= MAX_ATLAS_DEGREE:
         raise ValueError(f"degree must be between 2 and {MAX_ATLAS_DEGREE}")
+    start = perf_counter()
     group = symmetric_group(degree)
     subs = enumerate_subgroups(group)
     n = len(subs)
     rep = conjugation_orbits(group, subs)
+    lattice = perf_counter()
     tasks = [(f"s{degree}-{k:04d}", *divmod(k, n)) for k in range(n * n) if rep[k] == k]
     run = _AtlasRun(subs)
     classified = [_classify_one(run, t) for t in tasks]
     # The columns conjugating both sides leaves unchanged.
     cells = {r.a_index * n + r.b_index: r[_OWN_CELLS:] for r in classified}
     gens = run.gens
-    rows = [AtlasRow(f"s{degree}-{k:04d}", i, j, gens[i], gens[j], *cells[rep[k]])
+    new = tuple.__new__
+    rows = [new(AtlasRow, (f"s{degree}-{k:04d}", i, j, gens[i], gens[j]) + cells[rep[k]])
             for k, (i, j) in enumerate(product(range(n), repeat=2))]
-    return rows, _summarize(degree, group, subs, rows), len(tasks)
+    summary = _summarize(degree, group, subs, rows)
+    return rows, summary, len(tasks), (lattice - start, perf_counter() - lattice)
 
 
 def _summarize(degree: int, group: FiniteGroup,

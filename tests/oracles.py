@@ -10,10 +10,11 @@ isomorphisms come from the same word search, and the subgroup lattice
 is saturated one element at a time.  The atlas's two-generator
 enumeration is replayed as the plain scan over every element pair that
 its skips must agree with.  Conjugacy classes come from conjugating by
-every element, and the conjugacy-merge check and the non-commuting
-pairs are plain scans over every element pair.  The map checks and the
-union-law harness at the end are the full-table checks the tests hold
-results to.  The
+every element, and so do the orbits of subgroup pairs under
+simultaneous conjugation; the conjugacy-merge check and the
+non-commuting pairs are plain scans over every element pair.  The map
+checks and the union-law harness at the end are the full-table checks
+the tests hold results to.  The
 cycle-notation parser, the closure and the extension of a map pair come
 last, written as plain per-point, per-level and per-element loops, as
 references for the package's kernels.  Last are the per-candidate
@@ -344,6 +345,20 @@ def conjugacy_class_ids(group: FiniteGroup) -> dict[Permutation, int]:
                 ids[x.conjugated_by(t)] = classes
             classes += 1
     return ids
+
+
+def pair_orbit_representatives(group: FiniteGroup, subs: list[FiniteGroup]) -> list[int]:
+    """For each ordered pair (subs[i], subs[j]), at flat index
+    i * len(subs) + j, the least flat index of a pair it is conjugate to.
+    Each subgroup's element set is conjugated by every element of the
+    group, so the conjugates by t of all subgroups are found at once and
+    a pair's orbit is read off directly, with no walk over generators."""
+    position = {frozenset(s.elements): i for i, s in enumerate(subs)}
+    images = [[position[frozenset(x.conjugated_by(t) for x in s.elements)] for s in subs]
+              for t in group.elements]
+    n = len(subs)
+    return [min(image[i] * n + image[j] for image in images)
+            for i in range(n) for j in range(n)]
 
 
 def first_conjugacy_merge(sub: FiniteGroup, join: FiniteGroup) -> tuple[Permutation, Permutation] | None:

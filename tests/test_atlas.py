@@ -17,6 +17,7 @@ from oracles import (
     first_conjugacy_merge,
     independent_by_global_search,
     independent_by_product_scan,
+    pair_orbit_representatives,
     quotient,
     subgroups_from_all_pairs,
 )
@@ -103,22 +104,35 @@ class TestSubgroupEnumeration:
 
     def test_each_pair_of_cyclic_subgroups_closed_once(self, monkeypatch):
         closed = []
-        real = atlas.closure
+        real = atlas._close
 
         def recording(gens, *args, **kwargs):
             closed.append(list(gens))
             return real(gens, *args, **kwargs)
 
-        monkeypatch.setattr(atlas, "closure", recording)
+        monkeypatch.setattr(atlas, "_close", recording)
         group = symmetric_group(4)
         assert len(enumerate_subgroups(group)) == 30
-        assert [len(g) for g in closed[:24]] == [0] + [1] * 23
-        pairs = closed[24:]
+        # The trivial group needs no closure: the 23 non-identity elements
+        # come first, then pairs only.
+        assert closed[:23] == [[x] for x in range(1, 24)]
+        pairs = [tuple(group.elements[i] for i in g) for g in closed[23:]]
         assert all(len(g) == 2 for g in pairs)
         cyclic = {x: closure([x], 4).elements for x in group.elements[1:]}
         assert not any(y in cyclic[x] or x in cyclic[y] for x, y in pairs)
         keys = [frozenset((cyclic[x], cyclic[y])) for x, y in pairs]
         assert len(keys) == len(set(keys)) < 253
+
+    def test_subgroups_hold_the_ambient_elements(self):
+        # Each subgroup's elements are gathered from the ambient group, not
+        # rebuilt; the trivial group too, through its one-index case.
+        for degree in (1, 2, 4):
+            group = symmetric_group(degree)
+            ambient = {id(x) for x in group.elements}
+            for sub in enumerate_subgroups(group):
+                assert type(sub.elements) is tuple
+                assert all(id(x) in ambient for x in sub.elements + sub.generators)
+                assert sub.elements == closure(sub.generators, degree).elements
 
 
 class TestDegree3Atlas:
@@ -502,6 +516,12 @@ class TestOrbitExpansion:
             assert all(rep[k] <= k and rep[rep[k]] == rep[k] for k in range(len(rep)))
             assert sum(rep[k] == k for k in range(len(rep))) == count, degree
 
+    def test_orbits_match_conjugation_by_every_element(self):
+        for degree in (2, 3, 4):
+            subs, rep = self._orbits(degree)
+            assert rep == pair_orbit_representatives(symmetric_group(degree), subs), degree
+            assert len(set(rep)) == self.ORBITS[degree]
+
     def test_every_s3_and_s4_row_matches_direct_classification(self, s3_atlas, s4_atlas):
         for degree, (rows, _) in ((3, s3_atlas), (4, s4_atlas)):
             subs = enumerate_subgroups(symmetric_group(degree))
@@ -651,6 +671,9 @@ class TestDeterminismAndBudgets:
         text = render_report(rows, summary, "csv")
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
             "298260513243325251ce8e9bc29d88066e8d3c3dc21381b5837ec2b4aabd0dc1"
+        text = render_report(rows, summary, "json")
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
+            "4e96c485dbe08e476b7b1e028344e256ea4b870d96746e4fb958ba1854192245"
         assert summary["oracle_disagreements"] == []
         assert summary["symmetry_violations"] == []
         assert summary["budget_trips"] == []

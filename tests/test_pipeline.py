@@ -24,7 +24,7 @@ from subindep.checks import (
     recheck_witness,
 )
 from subindep import cli, pipeline
-from subindep.atlas import MAX_ATLAS_DEGREE
+from subindep.atlas import MAX_ATLAS_DEGREE, classify_all_pairs, render_report
 from subindep.groups import GroupMap
 from subindep.homs import ExtensionConflict, ExtensionResult, enumerate_endomorphisms, extend
 from subindep.perm import Permutation, cycle_string, parse_cycles
@@ -714,6 +714,20 @@ class TestCli:
         assert r.stderr.startswith(f"wrote 36 rows (17 orbits classified) to {out} in ")
         header = out.read_text().splitlines()[0]
         assert header.startswith("pair_id,a_index,b_index,a_gens,b_gens,")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_atlas_stderr_times_each_phase(self, tmp_path, capsys, fmt):
+        # The phase times go to stderr only: the report holds the same
+        # bytes as a render of the same classification, and stdout is the
+        # summary alone.
+        out = tmp_path / f"s3.{fmt}"
+        assert cli.main(["atlas", "--degree", "3", "--format", fmt, "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        line = (rf"wrote 36 rows \(17 orbits classified\) to {re.escape(str(out))} in \d+\.\ds "
+                r"\(lattice \d+ ms, classify \d+ ms, write \d+ ms\)\n")
+        assert re.fullmatch(line, captured.err), captured.err
+        assert out.read_text(encoding="utf-8") == render_report(*classify_all_pairs(3), fmt)
+        assert "lattice" not in captured.out and json.loads(captured.out)["pairs"] == 36
 
     def test_atlas_stdout_summary_omits_gap_region_ids(self, tmp_path, capsys):
         out = tmp_path / "s3.json"
