@@ -16,21 +16,17 @@ from __future__ import annotations
 
 import csv
 import json
-from itertools import combinations, product
+from collections import Counter
+from functools import partial
+from itertools import chain, combinations, product
 from operator import attrgetter, itemgetter
 from time import perf_counter
 from typing import NamedTuple, get_type_hints
 
 from .checks import Verdict
-from .groups import (
-    FiniteGroup,
-    SubgroupPair,
-    is_normal_in,
-    normal_closure,
-    symmetric_group,
-)
+from .groups import FiniteGroup, SubgroupPair, symmetric_group
 from .homs import enumerate_endomorphisms
-from .perm import Permutation, cycle_string
+from .perm import cycle_string
 from .pipeline import LADDER, ladder_decision
 
 MAX_ATLAS_DEGREE = 5
@@ -49,6 +45,16 @@ def _close(gens: list[int], cols: list[tuple[int, ...]]) -> set[int]:
                 add(y)
                 append(y)
     return seen
+
+
+def _conjugation_table(group: FiniteGroup, inverse: list[int], t: int) -> list[int]:
+    """Conjugation by elements[t] on element indices: entry x is the
+    index of elements[x].conjugated_by(elements[t]), t x t^-1.  inverse
+    holds the index of each element's inverse.  With c the column of
+    t^-1, c[x] is x t^-1, and t y is the inverse of y^-1 t^-1, so
+    t x t^-1 is inverse[c[inverse[c[x]]]]."""
+    c = group._col(inverse[t])
+    return [inverse[c[inverse[y]]] for y in c]
 
 
 def enumerate_subgroups(group: FiniteGroup) -> list[FiniteGroup]:
@@ -167,26 +173,51 @@ class _AtlasRun:
     that map the side into itself.  Many rows share a side and a join,
     so each of those runs once per lattice pair, not once per row.
 
-    The join of a pair is looked up, not closed.  Each subgroup is held
-    as a bitset over the elements of the ambient group, and the join of
-    subs[i] and subs[j] is the first subgroup in the list whose bitset
-    covers both.  That needs the list to be the full subgroup lattice,
-    sorted by order, as every enumerate_subgroups list up to degree 5
-    is: the join is then in the list, every subgroup containing both
-    sides contains the join, and the only one of the join's order that
-    does is the join itself.  No earlier entry has a larger order, so
-    the scan starts at the larger index.  The join is the listed group
-    itself, with its generators; the rows record verdicts only, and no
-    verdict depends on which generators a group carries.
+    Everything runs on one numbering of the ambient group, the last and
+    largest subgroup: an element is its index there.  Each subgroup is
+    held as its sorted index tuple, its generators' indices and a bitset
+    over the indices, and a conjugation is a lookup in the table of the
+    conjugating element (_conjugation_table).
+
+    The join of a pair is looked up, not closed: it is the first
+    subgroup in the list whose bitset covers both sides.  The normal
+    closure of subs[i] in subs[k] is looked up too: it is the first
+    subgroup in the list that contains subs[i] and is closed under
+    conjugation by subs[k], which is a bit test of each of its
+    generators conjugated by each generator of subs[k] (closure under
+    conjugation by the generators gives closure under every conjugation,
+    as t^-1 is a power of t).  Such a subgroup holds every conjugate of
+    subs[i] by subs[k], so it contains the normal closure.  Both lookups
+    need the list to be the full subgroup lattice, sorted by order, as
+    every enumerate_subgroups list up to degree 5 is.  The join, or the
+    normal closure, is then in the list; every listed subgroup that
+    passes the test contains it, so has at least its order; and the only
+    one of its order that does is itself.  No earlier entry has a larger
+    order, so the first to pass is the one sought, and a scan may start
+    at the larger side's index.  subs[i] is normal in subs[k] exactly
+    when it is its own normal closure.  The join and the closure are the
+    listed groups themselves, with their generators; the rows record
+    verdicts only, and no verdict depends on which generators a group
+    carries.
     """
 
     def __init__(self, subs: list[FiniteGroup]):
         self.subs = subs
         self.gens = [_gens_string(s) for s in subs]
-        # The last, largest subgroup holds every element: bits follow its order.
-        index = subs[-1]._image_index()
-        self._bits = [sum(1 << index[x] for x in s.elements) for s in subs]
-        self._class_ids: list[dict[Permutation, Permutation] | None] = [None] * len(subs)
+        ambient = subs[-1]
+        at = ambient._image_index().__getitem__
+        self._members = [tuple(map(at, s.elements)) for s in subs]
+        self._gen_ids = [tuple(map(at, s.generators)) for s in subs]
+        self._bits = [sum(1 << x for x in m) for m in self._members]
+        inverse = [at(x.inverse()) for x in ambient.elements]
+        tables = {t: _conjugation_table(ambient, inverse, t)
+                  for t in set(chain.from_iterable(self._gen_ids))}
+        # The conjugation table of each generator of each subgroup.
+        self._conj = [[tables[t] for t in g] for g in self._gen_ids]
+        self._class_ids: list[tuple[dict[int, int], int] | None] = [None] * len(subs)
+        # Per (join, generator index): the endomorphisms of the join, as
+        # a bitmask, that send the generator to each image index.
+        self._images: dict[tuple[int, int], dict[int, int]] = {}
         self._sides: dict[tuple[int, int], tuple[FiniteGroup, bool, str, int]] = {}
 
     def _join(self, i: int, j: int) -> int:
@@ -198,25 +229,24 @@ class _AtlasRun:
             k += 1
         return k
 
-    def _classes(self, k: int) -> dict[Permutation, Permutation]:
-        """The conjugacy class id of each element of subs[k]: the least
-        element of its class.  A class is an orbit under conjugation by
-        the generators, whose products give every conjugation."""
-        ids = self._class_ids[k]
-        if ids is None:
-            sub = self.subs[k]
-            ids = self._class_ids[k] = {}
-            for x in sub.elements:
+    def _classes(self, k: int) -> tuple[dict[int, int], int]:
+        """The conjugacy class id of each element index of subs[k], the
+        least index in its class, and the number of classes.  A class is
+        an orbit under conjugation by the generators, whose products
+        give every conjugation."""
+        if self._class_ids[k] is None:
+            ids: dict[int, int] = {}
+            for x in self._members[k]:  # ascending, so x is its class's least
                 if x not in ids:
                     ids[x] = x
                     orbit = [x]
                     for y in orbit:  # orbit grows as the search runs
-                        for t in sub.generators:
-                            c = y.conjugated_by(t)
-                            if c not in ids:
-                                ids[c] = x
-                                orbit.append(c)
-        return ids
+                        for table in self._conj[k]:
+                            if table[y] not in ids:
+                                ids[table[y]] = x
+                                orbit.append(table[y])
+            self._class_ids[k] = ids, len(set(ids.values()))
+        return self._class_ids[k]
 
     def _side(self, i: int, k: int) -> tuple[FiniteGroup, bool, str, int]:
         """The normal closure of subs[i] in subs[k], whether subs[i] is
@@ -225,7 +255,8 @@ class _AtlasRun:
         subs[k] whose bit t is set when the t-th endomorphism maps
         subs[i] into itself.  An endomorphism is a homomorphism, so it
         does that exactly when it maps each generator of subs[i] into
-        subs[i].
+        subs[i]: the mask is the AND, over the generators, of the masks
+        of their images inside subs[i].
 
         The merge column is the paper's Step3iii (Step3iv for B):
         dependent when two elements of the side that are not conjugate
@@ -247,16 +278,28 @@ class _AtlasRun:
         """
         side = self._sides.get((i, k))
         if side is None:
-            sub, join = self.subs[i], self.subs[k]
-            in_join = self._classes(k)
-            merged = (len(set(map(in_join.__getitem__, sub.elements)))
-                      < len(set(self._classes(i).values())))
-            inside = set(map(join.index_of, sub.elements))
-            gens = list(map(join.index_of, sub.generators))
-            keeps = sum(1 << t for t, gamma in enumerate(enumerate_endomorphisms(join))
-                        if all(gamma.images[g] in inside for g in gens))
+            in_join = self._classes(k)[0]
+            merged = len(set(map(in_join.__getitem__, self._members[i]))) < self._classes(i)[1]
+            bits, members = self._bits, self._members[k]
+            endos = enumerate_endomorphisms(self.subs[k])
+            keeps = (1 << len(endos)) - 1
+            for g in self._gen_ids[i]:
+                masks = self._images.get((k, g))
+                if masks is None:
+                    at = members.index(g)
+                    masks = self._images[(k, g)] = {}
+                    for t, gamma in enumerate(endos):
+                        y = members[gamma.images[at]]
+                        masks[y] = masks.get(y, 0) | 1 << t
+                keeps &= sum(mask for y, mask in masks.items() if bits[i] >> y & 1)
+            # The normal closure: see the class docstring.
+            m = i
+            while not (bits[m] & bits[i] == bits[i]
+                       and all(bits[m] >> table[g] & 1
+                               for table in self._conj[k] for g in self._gen_ids[m])):
+                m += 1
             side = self._sides[(i, k)] = (
-                normal_closure(sub, join), is_normal_in(sub, join),
+                self.subs[m], m == i,
                 (Verdict.DEPENDENT if merged else Verdict.INCONCLUSIVE).value, keeps)
         return side
 
@@ -338,10 +381,11 @@ def conjugation_orbits(group: FiniteGroup, subs: list[FiniteGroup]) -> list[int]
     by a generator is that tuple mapped through the generator's
     conjugation table and sorted.
     """
-    at = group.index_of
+    at = group._image_index().__getitem__
     keys = [tuple(map(at, s.elements)) for s in subs]
     index = dict(zip(keys, range(len(keys))))
-    tables = [[at(x.conjugated_by(t)) for x in group.elements] for t in group.generators]
+    inverse = [at(x.inverse()) for x in group.elements]
+    tables = [_conjugation_table(group, inverse, at(t)) for t in group.generators]
     actions = [[index[tuple(sorted(map(table.__getitem__, key)))] for key in keys]
                for table in tables]
     n = len(subs)
@@ -388,9 +432,9 @@ def run_atlas(degree: int) -> tuple[list[AtlasRow], dict, int, tuple[float, floa
     Returns (rows, summary, number of orbits classified, seconds), where
     seconds holds the wall time of building the lattice (the subgroups
     and their conjugation orbits) and of classifying the representatives
-    (with the row expansion and the summary).  Rows come back in a fixed
-    canonical order and carry no timing, so emitted reports are
-    reproducible byte for byte.
+    (with the row expansion and the summary, which is counted per orbit).
+    Rows come back in a fixed canonical order and carry no timing, so
+    emitted reports are reproducible byte for byte.
     """
     if not 2 <= degree <= MAX_ATLAS_DEGREE:
         raise ValueError(f"degree must be between 2 and {MAX_ATLAS_DEGREE}")
@@ -409,43 +453,57 @@ def run_atlas(degree: int) -> tuple[list[AtlasRow], dict, int, tuple[float, floa
     new = tuple.__new__
     rows = [new(AtlasRow, (f"s{degree}-{k:04d}", i, j, gens[i], gens[j]) + cells[rep[k]])
             for k, (i, j) in enumerate(product(range(n), repeat=2))]
-    summary = _summarize(degree, group, subs, rows)
+    summary = _summarize(degree, group, subs, classified, rep)
     return rows, summary, len(tasks), (lattice - start, perf_counter() - lattice)
 
 
-def _summarize(degree: int, group: FiniteGroup,
-               subs: list[FiniteGroup], rows: list[AtlasRow]) -> dict:
+def _summarize(degree: int, group: FiniteGroup, subs: list[FiniteGroup],
+               classified: list[AtlasRow], rep: list[int]) -> dict:
+    """The run's summary, counted per orbit: each representative's row
+    counts once per pair of its orbit, as every row of the orbit copies
+    its columns.  An orbit's pair ids are listed only when it is flagged.
+
+    Swapping the sides commutes with conjugation, so the mirror of each
+    pair of an orbit lies in one orbit, the mirror orbit; a pair (i, j)
+    with i < j is a symmetry violation when its orbit and the mirror
+    orbit are both decided, differently."""
+    n = len(subs)
+    size = Counter(rep)
+    status = {r.a_index * n + r.b_index: r.pipeline_status for r in classified}
     verdicts = {"Independent": 0, "Dependent": 0, "Inconclusive": 0}
     oracle_counts = {v.value: 0 for v in Verdict}
     steps: dict[str, int] = {}
-    disagreements = []
-    symmetry_violations = []
-    gap_ids = []
-    by_pos = {(r.a_index, r.b_index): r for r in rows}
-    for r in rows:
-        verdicts[r.pipeline_status] = verdicts.get(r.pipeline_status, 0) + 1
-        oracle_counts[r.oracle] += 1
-        steps[r.pipeline_step] = steps.get(r.pipeline_step, 0) + 1
+    disagreeing, asymmetric, gap = set(), set(), set()
+    for r in classified:
+        k = r.a_index * n + r.b_index
+        count = size[k]
+        verdicts[r.pipeline_status] = verdicts.get(r.pipeline_status, 0) + count
+        oracle_counts[r.oracle] += count
+        steps[r.pipeline_step] = steps.get(r.pipeline_step, 0) + count
         if r.pipeline_status != "Inconclusive" and r.oracle != r.pipeline_status.lower():
-            disagreements.append(r.pair_id)
-        mirror = by_pos.get((r.b_index, r.a_index))
-        if (mirror is not None and r.a_index < r.b_index
-                and r.pipeline_status != "Inconclusive"
-                and mirror.pipeline_status != "Inconclusive"
-                and r.pipeline_status != mirror.pipeline_status):
-            symmetry_violations.append(r.pair_id)
+            disagreeing.add(k)
+        mirror = status[rep[r.b_index * n + r.a_index]]
+        if "Inconclusive" not in (r.pipeline_status, mirror) and r.pipeline_status != mirror:
+            asymmetric.add(k)
         if r.gap_region:
-            gap_ids.append(r.pair_id)
+            gap.add(k)
+
+    def ids(orbits: set[int], above_diagonal: bool = False) -> list[str]:
+        """The pair ids of the given orbits, in row order."""
+        return [f"s{degree}-{k:04d}" for k, r in enumerate(rep)
+                if r in orbits and (not above_diagonal or k // n < k % n)]
+
+    gap_ids = ids(gap)
     return {
         "degree": degree,
         "group_order": group.order,
-        "subgroups": len(subs),
-        "pairs": len(rows),
+        "subgroups": n,
+        "pairs": n * n,
         "verdicts": verdicts,
         "oracle_verdicts": oracle_counts,
         "deciding_steps": dict(sorted(steps.items())),
-        "oracle_disagreements": disagreements,
-        "symmetry_violations": symmetry_violations,
+        "oracle_disagreements": ids(disagreeing),
+        "symmetry_violations": ids(asymmetric, above_diagonal=True),
         "gap_region_count": len(gap_ids),
         "gap_region_ids": gap_ids,
         # Always empty, like the budget column: kept for the schema.
@@ -460,33 +518,71 @@ class _Echo:
     write = str
 
 
+_encode_csv = csv.writer(_Echo(), lineterminator="\n").writerow
+# The key of each column as a row of the indent=2 JSON report prints it.
+_JSON_KEYS = [f"      {json.dumps(f)}: " for f in ATLAS_FIELDS]
+
+
+def _encoded_rows(ordered: list[AtlasRow], encode_cells, encode_tail):
+    """Each row's own cell texts, and the text of its cells after b_gens.
+
+    encode_cells returns the texts of a list of cells: it is given the
+    distinct own cells, so each is encoded once.  encode_tail encodes the
+    cells after b_gens, once per distinct tuple of them (once per
+    conjugation orbit)."""
+    own = list(chain.from_iterable(map(itemgetter(slice(_OWN_CELLS)), ordered)))
+    distinct = list(dict.fromkeys(own))
+    cells = iter(map(dict(zip(distinct, encode_cells(distinct))).__getitem__, own))
+    tails: dict[tuple, str] = {}
+    for r, *head in zip(ordered, *[cells] * _OWN_CELLS):
+        tail = r[_OWN_CELLS:]
+        text = tails.get(tail)
+        if text is None:
+            text = tails[tail] = encode_tail(tail)
+        yield head, text
+
+
+def _csv_cells(cells: list) -> list[str]:
+    line = _encode_csv(cells)[:-1]
+    if '"' not in line:  # nothing quoted, so no cell holds a comma
+        return line.split(",")
+    # Two cells to a row: a lone empty cell would be quoted.
+    return [_encode_csv((c, ""))[:-2] for c in cells]
+
+
+def _csv_tail(tail: tuple) -> str:
+    cells = list(tail)
+    for p in _BOOL_CELLS:
+        cells[p] = "true" if cells[p] else "false"
+    return "," + _encode_csv(cells)
+
+
+def _json_tail(tail: tuple) -> str:
+    return ",\n" + ",\n".join(map(str.__add__, _JSON_KEYS[_OWN_CELLS:],
+                                     map(json.dumps, tail))) + "\n    }"
+
+
 def render_report(rows: list[AtlasRow], summary: dict, fmt: str = "csv") -> str:
     """Serialize an atlas run; rows ordered by generator strings so the
     bytes depend only on the classification.
 
-    In csv the cells after b_gens are encoded once per distinct tuple of
-    them (once per conjugation orbit), and each row's own five cells are
-    prefixed to that.  csv quotes each field on its own, so the split
-    changes no byte."""
+    Each format encodes the cells a conjugation orbit shares once per
+    orbit and each distinct own cell once (_encoded_rows).  csv quotes
+    each field on its own, and every cell is a scalar, which JSON
+    encodes alone as it does inside the document, so the splits change
+    no byte of csv.writer's or json.dumps(..., indent=2)'s output."""
     ordered = sorted(rows, key=attrgetter("a_gens", "b_gens"))
     if fmt == "csv":
-        encode = csv.writer(_Echo(), lineterminator="\n").writerow
-        lines = [encode(ATLAS_FIELDS)]
-        tails: dict[tuple, str] = {}
-        for r in ordered:
-            tail = r[_OWN_CELLS:]
-            text = tails.get(tail)
-            if text is None:
-                cells = list(tail)
-                for p in _BOOL_CELLS:
-                    cells[p] = "true" if cells[p] else "false"
-                text = tails[tail] = "," + encode(cells)
-            lines.append(encode(r[:_OWN_CELLS])[:-1] + text)
-        return "".join(lines)
+        return "".join([_encode_csv(ATLAS_FIELDS)] + [
+            ",".join(head) + tail for head, tail in _encoded_rows(ordered, _csv_cells, _csv_tail)])
     if fmt == "json":
-        doc = {"summary": summary,
-               "rows": [r._asdict() for r in ordered]}
-        return json.dumps(doc, indent=2) + "\n"
+        text = json.dumps({"summary": summary, "rows": []}, indent=2)
+        if ordered:  # the empty rows list closes the document: "[]\n}"
+            text = text[:-4] + "[\n" + ",\n".join([
+                "    {\n" + ",\n".join(map(str.__add__, _JSON_KEYS, head)) + tail
+                for head, tail in _encoded_rows(ordered, partial(map, json.dumps), _json_tail)
+            ]) + "\n  ]\n}"
+        return text + "\n"
     raise ValueError(f"unknown report format {fmt!r}")
 
 

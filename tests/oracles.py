@@ -21,11 +21,13 @@ references for the package's kernels.  Last are the per-candidate
 endomorphism search, which spreads every choice of generator images on
 its own, and the definitional product scan of independence, which
 extends every endomorphism pair of End(A) x End(B) through dicts and
-Permutation products only.
+Permutation products only.  The atlas summary is last, counted row by
+row where the atlas counts once per conjugation orbit.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from functools import lru_cache
 from itertools import combinations, product
@@ -611,3 +613,43 @@ def independent_by_product_scan(pair: SubgroupPair) -> bool:
                     or any(gamma[x] != beta[x] for x in b.elements)):
                 return False
     return True
+
+
+def summary_by_rows(degree: int, rows) -> dict:
+    """An atlas summary counted row by row, the reference for the
+    atlas's count per conjugation orbit: every row adds itself to the
+    counts, and each row's mirror is looked up by position.  rows must
+    hold every ordered pair of the degree's subgroup list."""
+    verdicts = {"Independent": 0, "Dependent": 0, "Inconclusive": 0}
+    oracle_counts = {"dependent": 0, "independent": 0, "inconclusive": 0}
+    steps: dict[str, int] = {}
+    disagreements, symmetry_violations, gap_ids = [], [], []
+    by_pos = {(r.a_index, r.b_index): r for r in rows}
+    for r in rows:
+        verdicts[r.pipeline_status] += 1
+        oracle_counts[r.oracle] += 1
+        steps[r.pipeline_step] = steps.get(r.pipeline_step, 0) + 1
+        if r.pipeline_status != "Inconclusive" and r.oracle != r.pipeline_status.lower():
+            disagreements.append(r.pair_id)
+        mirror = by_pos[(r.b_index, r.a_index)]
+        statuses = (r.pipeline_status, mirror.pipeline_status)
+        if r.a_index < r.b_index and "Inconclusive" not in statuses and statuses[0] != statuses[1]:
+            symmetry_violations.append(r.pair_id)
+        if r.gap_region:
+            gap_ids.append(r.pair_id)
+    subgroups = math.isqrt(len(rows))
+    assert subgroups * subgroups == len(rows)
+    return {
+        "degree": degree,
+        "group_order": math.factorial(degree),
+        "subgroups": subgroups,
+        "pairs": len(rows),
+        "verdicts": verdicts,
+        "oracle_verdicts": oracle_counts,
+        "deciding_steps": dict(sorted(steps.items())),
+        "oracle_disagreements": disagreements,
+        "symmetry_violations": symmetry_violations,
+        "gap_region_count": len(gap_ids),
+        "gap_region_ids": gap_ids,
+        "budget_trips": [],
+    }

@@ -4,6 +4,7 @@ import io
 import json
 import random
 import sys
+from collections import Counter
 
 import pytest
 
@@ -20,6 +21,7 @@ from oracles import (
     pair_orbit_representatives,
     quotient,
     subgroups_from_all_pairs,
+    summary_by_rows,
 )
 from subindep import atlas, checks, groups, pipeline
 from subindep.atlas import (
@@ -201,24 +203,31 @@ class TestDegree4Atlas:
         assert set(summary["deciding_steps"]) <= {s.value for s in Step}
         assert sum(summary["deciding_steps"].values()) == 900
 
-    def test_normality_tested_at_most_twice_per_row(self, monkeypatch):
-        real = groups.is_normal_in
+    def test_atlas_calls_neither_normal_closure_nor_is_normal_in(self, monkeypatch):
+        # The run looks normal closures and normality up in its lattice
+        # (TestNormalClosureLookup checks it against both functions).
+        assert not hasattr(atlas, "normal_closure") and not hasattr(atlas, "is_normal_in")
         calls = []
+        for name in ("normal_closure", "is_normal_in"):
+            real = getattr(groups, name)
 
-        def counting(h, g):
-            calls.append((h.elements, g.elements))
-            return real(h, g)
+            def spy(*args, name=name, real=real):
+                calls.append(name)
+                return real(*args)
 
-        # Every module that binds the name, so a direct call is counted too.
-        for mod in list(sys.modules.values()):
-            if mod is not None and mod.__name__.startswith("subindep") \
-                    and getattr(mod, "is_normal_in", None) is real:
-                monkeypatch.setattr(mod, "is_normal_in", counting)
+            # Every module that binds the name, so a direct call is counted too.
+            for mod in list(sys.modules.values()):
+                if mod is not None and mod.__name__.startswith("subindep") \
+                        and getattr(mod, name, None) is real:
+                    monkeypatch.setattr(mod, name, spy)
         rows, _ = classify_all_pairs(4)
         assert len(rows) == 900
-        assert 0 < len(calls) <= 2 * len(rows)
-        # The run memoises normality per (side, join) lattice pair.
-        assert len(calls) == len(set(calls))
+        assert calls == []
+        # The spies do count: a pair outside the atlas closes and tests.
+        pair = pair_from_row(rows[1], 4)
+        fresh = SubgroupPair(pair.a, pair.b)
+        assert pair.a.is_subgroup_of(fresh.ncl_a) and isinstance(fresh.a_normal, bool)
+        assert calls == ["normal_closure", "is_normal_in"]
 
     def test_filled_normality_matches_a_fresh_pair(self):
         subs = enumerate_subgroups(symmetric_group(4))
@@ -252,6 +261,36 @@ class TestDegree4Atlas:
         # Gap rows are exactly the separated pairs with entangled closures.
         for r in flagged:
             assert r.separated_both and not r.ncl_intersection_trivial
+
+
+class TestNormalClosureLookup:
+    """The run looks each side's normal closure in its join up in the
+    lattice, and reads normality off it; groups.normal_closure closes
+    conjugates and groups.is_normal_in conjugates generators.  They must
+    agree on every (side, join) pair of the lattice."""
+
+    @staticmethod
+    def _assert_lookup(subs):
+        run = atlas._AtlasRun(subs)
+        checked = normal = 0
+        for k, join in enumerate(subs):
+            for i, sub in enumerate(subs):
+                if not sub.is_subgroup_of(join):
+                    continue
+                ncl, is_normal = run._side(i, k)[:2]
+                assert ncl.elements == groups.normal_closure(sub, join).elements, (i, k)
+                assert is_normal == groups.is_normal_in(sub, join), (i, k)
+                checked += 1
+                normal += is_normal
+        # Both answers occur, and the closure is often a larger group.
+        assert 0 < normal < checked
+        return checked
+
+    def test_every_s4_lattice_pair(self):
+        assert self._assert_lookup(enumerate_subgroups(symmetric_group(4))) == 150
+
+    def test_every_s5_lattice_pair(self, s5_subgroups):
+        assert self._assert_lookup(s5_subgroups) == 1245
 
 
 class TestMergeByClassCounts:
@@ -535,6 +574,51 @@ class TestOrbitExpansion:
         self._assert_direct(subs, rows, random.Random(11).sample(copied, 200))
 
 
+class TestSummaryPerOrbit:
+    """The summary counts each orbit representative once per pair of its
+    orbit; tests/oracles.py counts every row."""
+
+    def test_matches_the_per_row_summary(self, s3_atlas, s4_atlas, s5_atlas):
+        for degree, (rows, summary) in ((3, s3_atlas), (4, s4_atlas), (5, s5_atlas)):
+            assert summary == summary_by_rows(degree, rows), degree
+            assert summary["gap_region_count"] > 0 or degree == 3
+
+    @pytest.mark.parametrize("corrupt", [
+        {"oracle": "independent"},
+        {"pipeline_status": "Independent"},
+    ])
+    def test_flagged_orbits_list_every_pair(self, s4_atlas, monkeypatch, corrupt):
+        # A healthy run flags no disagreement and no asymmetry, so one
+        # representative is corrupted: every pair of its orbit must then
+        # be listed, as the per-row summary lists it.
+        rows, _ = s4_atlas
+        subs = enumerate_subgroups(symmetric_group(4))
+        n = len(subs)
+        rep = atlas.conjugation_orbits(symmetric_group(4), subs)
+        sizes = Counter(rep)
+        target = next(r for k, r in enumerate(rows)
+                      if rep[k] == k and sizes[k] > 1 and r.pipeline_status == "Dependent"
+                      and rep[r.b_index * n + r.a_index] != k)
+        real = atlas._classify_one
+
+        def corrupted(run, task):
+            row = real(run, task)
+            return row._replace(**corrupt) if row.pair_id == target.pair_id else row
+
+        monkeypatch.setattr(atlas, "_classify_one", corrupted)
+        rows, summary = classify_all_pairs(4)
+        assert summary == summary_by_rows(4, rows)
+        target_rep = rep[target.a_index * n + target.b_index]
+        orbit = [r.pair_id for k, r in enumerate(rows) if rep[k] == target_rep]
+        assert summary["oracle_disagreements"] == orbit
+        if "pipeline_status" in corrupt:
+            assert summary["symmetry_violations"]
+            assert summary["verdicts"]["Independent"] == 107 + len(orbit)
+        else:
+            assert summary["symmetry_violations"] == []
+            assert summary["oracle_verdicts"]["independent"] == 107 + len(orbit)
+
+
 class TestJoinLookup:
     """The atlas looks joins up in the subgroup list; the package's
     join closes the union of the generators.  They must agree."""
@@ -617,6 +701,29 @@ class TestReportRendering:
         assert '"odd,""id""",' in text and '"a ""b"", c"' in text
         parsed = list(csv.reader(io.StringIO(text)))
         assert [p[-1] for p in parsed].count('a "b", c') == 2
+
+    def test_csv_empty_own_cells(self, s3_atlas):
+        # An empty own cell is written empty whether or not another own
+        # cell needs quotes.
+        rows, summary = s3_atlas
+        for extra in ([rows[3]._replace(a_gens="")],
+                      [rows[3]._replace(a_gens=""), rows[4]._replace(pair_id="x,y")]):
+            assert render_report(rows + extra, summary, "csv") == self._plain_csv(rows + extra)
+
+    @staticmethod
+    def _plain_json(rows, summary):
+        ordered = sorted(rows, key=lambda r: (r.a_gens, r.b_gens))
+        doc = {"summary": summary, "rows": [r._asdict() for r in ordered]}
+        return json.dumps(doc, indent=2) + "\n"
+
+    def test_json_matches_plain_dumps(self, s3_atlas, s4_atlas):
+        for rows, summary in (s3_atlas, s4_atlas):
+            assert render_report(rows, summary, "json") == self._plain_json(rows, summary)
+        rows, summary = s3_atlas
+        odd = rows[7]._replace(pair_id='odd,"id"', a_gens="é", b_gens="x\ny", budget='a "b" \\ é')
+        rows = rows + [odd, odd._replace(pair_id="plain"), rows[2]._replace(merge_a=None)]
+        assert render_report(rows, summary, "json") == self._plain_json(rows, summary)
+        assert render_report([], summary, "json") == self._plain_json([], summary)
 
     def test_empty_rows_render_header_only(self):
         text = render_report([], {"pairs": 0}, "csv")

@@ -187,8 +187,11 @@ class TestNormality:
 
 
 def class_ids(group) -> dict:
-    """The atlas's conjugacy class id of each element of group."""
-    return atlas._AtlasRun([group])._classes(0)
+    """The atlas's conjugacy class id of each element of group, as
+    elements: the run numbers elements by their index in group."""
+    ids, count = atlas._AtlasRun([group])._classes(0)
+    assert count == len(set(ids.values()))
+    return {group.elements[x]: group.elements[c] for x, c in ids.items()}
 
 
 def class_sizes(group) -> list[int]:
