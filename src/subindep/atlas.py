@@ -24,7 +24,7 @@ from time import perf_counter
 from typing import NamedTuple, get_type_hints
 
 from .checks import Verdict
-from .groups import FiniteGroup, SubgroupPair, symmetric_group
+from .groups import FiniteGroup, SubgroupPair, conjugation_tables, symmetric_group
 from .homs import enumerate_endomorphisms
 from .perm import cycle_string
 from .pipeline import LADDER, ladder_decision
@@ -32,34 +32,28 @@ from .pipeline import LADDER, ladder_decision
 MAX_ATLAS_DEGREE = 5
 
 
-def _close(gens: list[int], cols: list[tuple[int, ...]]) -> set[int]:
-    """The indices of the subgroup generated by the given indices."""
-    times = [cols[g] for g in gens]
-    seen = {0}
-    found = [0]
+def _orbit(start: int, maps: list) -> set[int]:
+    """The indices that products of the maps send start to, each map a
+    sequence of image indices.  Under the right-multiplication columns
+    of some elements, the orbit of the identity, index 0, is the subgroup
+    they generate."""
+    seen = {start}
+    found = [start]
     add, append = seen.add, found.append
     for x in found:  # found grows as the search runs: breadth-first
-        for col in times:
-            y = col[x]
+        for m in maps:
+            y = m[x]
             if y not in seen:
                 add(y)
                 append(y)
     return seen
 
 
-def _conjugation_table(group: FiniteGroup, inverse: list[int], t: int) -> list[int]:
-    """Conjugation by elements[t] on element indices: entry x is the
-    index of elements[x].conjugated_by(elements[t]), t x t^-1.  inverse
-    holds the index of each element's inverse.  With c the column of
-    t^-1, c[x] is x t^-1, and t y is the inverse of y^-1 t^-1, so
-    t x t^-1 is inverse[c[inverse[c[x]]]]."""
-    c = group._col(inverse[t])
-    return [inverse[c[inverse[y]]] for y in c]
-
-
-def enumerate_subgroups(group: FiniteGroup) -> list[FiniteGroup]:
-    """Distinct subgroups generated by at most two elements, sorted by
-    (order, element list).
+def enumerate_subgroups(group: FiniteGroup) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Distinct subgroups generated by at most two elements, as element
+    indices of group: each subgroup's sorted index tuple and its
+    generators' indices, sorted by (order, index tuple).  Indices follow
+    the sorted element order, so that is (order, element list).
 
     For symmetric groups of degree up to 5 two generators reach every
     subgroup: 2, 6, 30 and 156 of them.  The tests check that against a
@@ -74,9 +68,6 @@ def enumerate_subgroups(group: FiniteGroup) -> list[FiniteGroup]:
     that an earlier set already generated, and the first set to reach
     each group is never skipped: the generators are those of the plain
     all-pairs scan.
-
-    The search runs on element indices, whose order is the sorted
-    element order, so a subgroup is keyed by its sorted index tuple.
     """
     cols = list(map(group._col, range(group.order)))
     nontrivial = range(1, group.order)
@@ -89,7 +80,7 @@ def enumerate_subgroups(group: FiniteGroup) -> list[FiniteGroup]:
     cyclic_id: list[int] = [0]
     ids: dict[tuple[int, ...], int] = {(0,): 0}
     for x in nontrivial:
-        c = _close([x], cols)
+        c = _orbit(0, [cols[x]])
         key = tuple(sorted(c))
         found.setdefault(key, (x,))
         cyclic.append(c)
@@ -103,14 +94,9 @@ def enumerate_subgroups(group: FiniteGroup) -> list[FiniteGroup]:
         closed.add(key)
         if y in cyclic[x] or x in cyclic[y]:
             continue
-        found.setdefault(tuple(sorted(_close([x, y], cols))), (x, y))
-    elements, degree = group.elements, group.degree
-    subs = []
-    for key in sorted(found, key=lambda k: (len(k), k)):
-        # A one-index itemgetter returns the item, not a tuple.
-        members = itemgetter(*key)(elements) if len(key) > 1 else (elements[0],)
-        subs.append(FiniteGroup(members, tuple(elements[g] for g in found[key]), degree))
-    return subs
+        found.setdefault(tuple(sorted(_orbit(0, [cols[x], cols[y]]))), (x, y))
+    members = sorted(found, key=lambda k: (len(k), k))
+    return members, [found[k] for k in members]
 
 
 class AtlasRow(NamedTuple):
@@ -165,7 +151,8 @@ def _gens_string(sub: FiniteGroup) -> str:
 
 
 class _AtlasRun:
-    """What one atlas run shares across its rows: the enumerated
+    """The lattice of one atlas run, built once from the symmetric group
+    it is given, and what the run shares across its rows: the enumerated
     subgroups, their generator strings, the conjugacy class ids of each
     subgroup, and a memo holding, for each (side, join) pair of the
     lattice, the side's normal closure in the join, whether the side is
@@ -173,11 +160,15 @@ class _AtlasRun:
     that map the side into itself.  Many rows share a side and a join,
     so each of those runs once per lattice pair, not once per row.
 
-    Everything runs on one numbering of the ambient group, the last and
-    largest subgroup: an element is its index there.  Each subgroup is
-    held as its sorted index tuple, its generators' indices and a bitset
-    over the indices, and a conjugation is a lookup in the table of the
-    conjugating element (_conjugation_table).
+    Everything runs on the group's own numbering: an element is its
+    index in the group, and products are lookups in the group's
+    right-multiplication columns.  enumerate_subgroups returns each
+    subgroup as its sorted index tuple and its generators' indices; the
+    run keeps both, with a bitset over the indices, and gathers each
+    subgroup's FiniteGroup from the group's elements.  No subgroup is
+    numbered again.  A conjugation is a lookup in the table of the
+    conjugating element (groups.conjugation_tables), one per element
+    that generates a subgroup.
 
     The join of a pair is looked up, not closed: it is the first
     subgroup in the list whose bitset covers both sides.  The normal
@@ -201,24 +192,47 @@ class _AtlasRun:
     carries.
     """
 
-    def __init__(self, subs: list[FiniteGroup]):
-        self.subs = subs
-        self.gens = [_gens_string(s) for s in subs]
-        ambient = subs[-1]
-        at = ambient._image_index().__getitem__
-        self._members = [tuple(map(at, s.elements)) for s in subs]
-        self._gen_ids = [tuple(map(at, s.generators)) for s in subs]
+    def __init__(self, group: FiniteGroup):
+        self._members, self._gen_ids = enumerate_subgroups(group)
+        at = group.elements.__getitem__
+        self.subs = [FiniteGroup(tuple(map(at, m)), tuple(map(at, g)), group.degree)
+                     for m, g in zip(self._members, self._gen_ids)]
+        self.gens = [_gens_string(s) for s in self.subs]
         self._bits = [sum(1 << x for x in m) for m in self._members]
-        inverse = [at(x.inverse()) for x in ambient.elements]
-        tables = {t: _conjugation_table(ambient, inverse, t)
-                  for t in set(chain.from_iterable(self._gen_ids))}
+        ts = sorted(set(chain.from_iterable(self._gen_ids)))
+        tables = dict(zip(ts, conjugation_tables(group, ts)))
         # The conjugation table of each generator of each subgroup.
         self._conj = [[tables[t] for t in g] for g in self._gen_ids]
-        self._class_ids: list[tuple[dict[int, int], int] | None] = [None] * len(subs)
+        self._class_ids: list[tuple[dict[int, int], int] | None] = [None] * len(self.subs)
         # Per (join, generator index): the endomorphisms of the join, as
         # a bitmask, that send the generator to each image index.
         self._images: dict[tuple[int, int], dict[int, int]] = {}
         self._sides: dict[tuple[int, int], tuple[FiniteGroup, bool, str, int]] = {}
+
+    def orbits(self) -> list[int]:
+        """The orbits of ordered subgroup pairs under simultaneous
+        conjugation by the group.
+
+        Pair (subs[i], subs[j]) has the flat index i * len(subs) + j.
+        Returns, for each flat index, the least flat index of its orbit,
+        its representative.  The last subgroup is the whole group, so
+        its generators' conjugation tables generate every conjugation.
+        A subgroup's conjugate by one of them is its index tuple mapped
+        through the table and sorted, and the list is closed under
+        conjugation, so each table acts on the subgroup indices, and on
+        the flat pair indices.
+        """
+        n = len(self.subs)
+        index = dict(zip(self._members, range(n)))
+        acts = [[index[tuple(sorted(map(table.__getitem__, m)))] for m in self._members]
+                for table in self._conj[-1]]
+        pair_acts = [[x + y for x in [a * n for a in act] for y in act] for act in acts]
+        rep = [-1] * (n * n)
+        for k in range(n * n):
+            if rep[k] < 0:
+                for m in _orbit(k, pair_acts):
+                    rep[m] = k
+        return rep
 
     def _join(self, i: int, j: int) -> int:
         """The index of the join of subs[i] and subs[j]."""
@@ -238,13 +252,7 @@ class _AtlasRun:
             ids: dict[int, int] = {}
             for x in self._members[k]:  # ascending, so x is its class's least
                 if x not in ids:
-                    ids[x] = x
-                    orbit = [x]
-                    for y in orbit:  # orbit grows as the search runs
-                        for table in self._conj[k]:
-                            if table[y] not in ids:
-                                ids[table[y]] = x
-                                orbit.append(table[y])
+                    ids.update(dict.fromkeys(_orbit(x, self._conj[k]), x))
             self._class_ids[k] = ids, len(set(ids.values()))
         return self._class_ids[k]
 
@@ -368,43 +376,6 @@ def _classify_one(run: _AtlasRun, task: tuple[str, int, int]) -> AtlasRow:
                     budget="")
 
 
-def conjugation_orbits(group: FiniteGroup, subs: list[FiniteGroup]) -> list[int]:
-    """The orbits of ordered subgroup pairs under simultaneous
-    conjugation by the group.
-
-    Pair (subs[i], subs[j]) has the flat index i * len(subs) + j.
-    Returns, for each flat index, the least flat index of its orbit, its
-    representative.  subs must be closed under conjugation by the group,
-    as every enumerate_subgroups list is.
-
-    A subgroup is its sorted tuple of element indices, and its conjugate
-    by a generator is that tuple mapped through the generator's
-    conjugation table and sorted.
-    """
-    at = group._image_index().__getitem__
-    keys = [tuple(map(at, s.elements)) for s in subs]
-    index = dict(zip(keys, range(len(keys))))
-    inverse = [at(x.inverse()) for x in group.elements]
-    tables = [_conjugation_table(group, inverse, at(t)) for t in group.generators]
-    actions = [[index[tuple(sorted(map(table.__getitem__, key)))] for key in keys]
-               for table in tables]
-    n = len(subs)
-    rep = [-1] * (n * n)
-    for k in range(n * n):
-        if rep[k] >= 0:
-            continue
-        rep[k] = k
-        frontier = [k]
-        while frontier:
-            i, j = divmod(frontier.pop(), n)
-            for act in actions:
-                image = act[i] * n + act[j]
-                if rep[image] < 0:
-                    rep[image] = k
-                    frontier.append(image)
-    return rep
-
-
 def classify_all_pairs(degree: int, jobs: int = 1) -> tuple[list[AtlasRow], dict]:
     """(rows, summary) of run_atlas.  jobs must be 1: it is kept only for
     the benchmark harness (perfbench/worker.py and build_catalogue.py),
@@ -430,9 +401,10 @@ def run_atlas(degree: int) -> tuple[list[AtlasRow], dict, int, tuple[float, floa
     orders agree.
 
     Returns (rows, summary, number of orbits classified, seconds), where
-    seconds holds the wall time of building the lattice (the subgroups
-    and their conjugation orbits) and of classifying the representatives
-    (with the row expansion and the summary, which is counted per orbit).
+    seconds holds the wall time of building the lattice (the run: the
+    subgroups, their conjugation tables and orbits) and of classifying
+    the representatives (with the row expansion and the summary, which is
+    counted per orbit).
     Rows come back in a fixed canonical order and carry no timing, so
     emitted reports are reproducible byte for byte.
     """
@@ -440,12 +412,12 @@ def run_atlas(degree: int) -> tuple[list[AtlasRow], dict, int, tuple[float, floa
         raise ValueError(f"degree must be between 2 and {MAX_ATLAS_DEGREE}")
     start = perf_counter()
     group = symmetric_group(degree)
-    subs = enumerate_subgroups(group)
+    run = _AtlasRun(group)
+    subs = run.subs
     n = len(subs)
-    rep = conjugation_orbits(group, subs)
+    rep = run.orbits()
     lattice = perf_counter()
     tasks = [(f"s{degree}-{k:04d}", *divmod(k, n)) for k in range(n * n) if rep[k] == k]
-    run = _AtlasRun(subs)
     classified = [_classify_one(run, t) for t in tasks]
     # The columns conjugating both sides leaves unchanged.
     cells = {r.a_index * n + r.b_index: r[_OWN_CELLS:] for r in classified}

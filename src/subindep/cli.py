@@ -15,7 +15,7 @@ import sys
 import time
 
 from .groups import DEFAULT_ENDO_BUDGET, DEFAULT_MAX_GROUP_ORDER
-from .pipeline import Config, PairSpecError, decide, format_decision
+from .pipeline import MAX_SPEC_INPUT_CHARS, Config, PairSpecError, decide, format_decision
 
 EXIT_DECIDED = 0
 EXIT_ERROR = 1
@@ -70,11 +70,15 @@ def _load_pair_spec(args) -> dict:
         if args.degree is None or not args.a or not args.b:
             raise PairSpecError("--inline requires --degree, at least one --a and one --b")
         return {"degree": args.degree, "A": args.a, "B": args.b}
+    # One character past the bound is enough to reject the input, and
+    # no more is read.
     if args.input == "-":
-        text = sys.stdin.read()
+        text = sys.stdin.read(MAX_SPEC_INPUT_CHARS + 1)
     else:
         with open(args.input, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            text = fh.read(MAX_SPEC_INPUT_CHARS + 1)
+    if len(text) > MAX_SPEC_INPUT_CHARS:
+        raise PairSpecError(f"input is longer than {MAX_SPEC_INPUT_CHARS} characters")
     try:
         return json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:

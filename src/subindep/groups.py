@@ -205,6 +205,24 @@ def is_normal_in(h: FiniteGroup, g: FiniteGroup) -> bool:
     return True
 
 
+def conjugation_tables(g: FiniteGroup, ts: Sequence[int]) -> list[list[int]]:
+    """Conjugation by elements[t] on element indices, for each index t in
+    ts: entry x of t's table is the index of
+    elements[x].conjugated_by(elements[t]), t x t^-1.
+
+    With inverse the index of each element's inverse and c the column of
+    t^-1, c[x] is x t^-1, and t y is the inverse of y^-1 t^-1, so t x t^-1
+    is inverse[c[inverse[c[x]]]].  The inverse list is built only when ts
+    is not empty.
+    """
+    if not ts:
+        return []
+    at = g._image_index().__getitem__
+    inverse = [at(x.inverse()) for x in g.elements]
+    return [[inverse[c[inverse[y]]] for y in c]
+            for c in map(g._col, map(inverse.__getitem__, ts))]
+
+
 def propagate_images(domain: FiniteGroup, codomain: FiniteGroup,
                      gen_idx: Sequence[int], image_idx: Sequence[int]):
     """Build the unique map f with f(identity) = identity and

@@ -21,6 +21,7 @@ from .groups import (
     GroupMap,
     SubgroupPair,
     closure,
+    conjugation_tables,
     identity_map,
     propagate_images,
     trivial_map,
@@ -85,9 +86,8 @@ def enumerate_endomorphisms(g: FiniteGroup, endo_budget: int = DEFAULT_ENDO_BUDG
         if search * g.order > ENDO_WORK_FACTOR * endo_budget ** 2:
             raise BudgetExceeded("endo_budget", endo_budget,
                                  f"propagating {search} candidate maps over {g.order} elements")
-        index = g._image_index()
-        conj = [tuple([index[x.conjugated_by(t)] for x in g.elements])
-                for t in gens if any(t * u != u * t for u in gens if u is not t)]
+        conj = conjugation_tables(g, [i for i, t in zip(gen_idx, gens)
+                                      if any(t * u != u * t for u in gens if u is not t)])
         tables = set()
         # Product order never returns to a tuple, so only the orbit
         # members reached through conj are recorded as seen; when g is

@@ -115,6 +115,10 @@ class PairSpecError(ValueError):
 MAX_SPEC_DEGREE = 1024
 MAX_SPEC_GENERATORS = 64
 MAX_SPEC_CHARS_PER_POINT = 6
+# The longest spec text read before decoding: both sides' generator
+# strings at the limits above, with as much again for quotes,
+# separators, keys and whitespace.
+MAX_SPEC_INPUT_CHARS = 2 * (2 * MAX_SPEC_GENERATORS * MAX_SPEC_DEGREE * MAX_SPEC_CHARS_PER_POINT)
 
 
 def parse_pair_spec(obj: dict, max_group_order: int = DEFAULT_MAX_GROUP_ORDER) -> SubgroupPair:
@@ -331,15 +335,8 @@ def format_decision(decision: Decision, fmt: str = "json") -> str:
             "status": decision.status.lower(),
             "step": decision.step.value,
             "witness": _witness_to_json(decision.witness),
-            "stats": {
-                "join_order": decision.stats.join_order,
-                "ncl_a_order": decision.stats.ncl_a_order,
-                "ncl_b_order": decision.stats.ncl_b_order,
-                "endo_a": decision.stats.endo_a,
-                "endo_b": decision.stats.endo_b,
-                "pairs_checked": decision.stats.pairs_checked,
-                "elapsed_ms": round(decision.stats.elapsed_ms, 3),
-            },
+            "stats": {**decision.stats._asdict(),
+                      "elapsed_ms": round(decision.stats.elapsed_ms, 3)},
             "diagnostics": decision.diagnostics,
         }
         return json.dumps(doc, indent=2)

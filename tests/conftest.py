@@ -4,8 +4,8 @@ from functools import lru_cache
 
 import pytest
 
-from subindep.atlas import classify_all_pairs
-from subindep.groups import SubgroupPair, closure
+from subindep.atlas import _AtlasRun, classify_all_pairs
+from subindep.groups import SubgroupPair, closure, symmetric_group
 from subindep.perm import parse_cycles
 
 
@@ -33,6 +33,18 @@ def pair_from_row(row, degree: int) -> SubgroupPair:
     def gens(field: str) -> tuple[str, ...]:
         return () if field == "e" else tuple(field.split(";"))
     return _pair_cached(degree, gens(row.a_gens), gens(row.b_gens))
+
+
+@lru_cache(maxsize=None)
+def atlas_run(degree: int) -> _AtlasRun:
+    """The atlas lattice of the symmetric group of the given degree, with
+    its memo, shared by the tests that look inside it."""
+    return _AtlasRun(symmetric_group(degree))
+
+
+def lattice_index(run: _AtlasRun, group) -> int:
+    """The position of group among the run's subgroups."""
+    return [s.elements for s in run.subs].index(group.elements)
 
 
 @pytest.fixture(scope="session")

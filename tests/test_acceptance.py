@@ -7,7 +7,9 @@ when its assertions hold, so a verbose run reads as a checklist.
 import random
 import time
 
-from conftest import SHARED_POINT, ORDER_CLASH, SWAP_VS_DOUBLE, FAR_SWAPS, MERGE_PAIR, make_pair, pair_from_row
+from conftest import (
+    SHARED_POINT, ORDER_CLASH, SWAP_VS_DOUBLE, FAR_SWAPS, MERGE_PAIR, atlas_run, make_pair, pair_from_row,
+)
 from oracles import (
     all_subgroups,
     check_union_independent_sets,
@@ -18,7 +20,7 @@ from oracles import (
     first_conjugacy_merge,
     quotient,
 )
-from subindep.atlas import classify_all_pairs, enumerate_subgroups, render_report
+from subindep.atlas import classify_all_pairs, render_report
 from subindep.checks import (
     check_a_inside_ncl_b,
     check_b_inside_ncl_a,
@@ -237,7 +239,7 @@ def test_criterion_09_endomorphism_enumeration_exact():
 
     seen = set()
     checked = literal_checked = 0
-    for sub in enumerate_subgroups(symmetric_group(4)):
+    for sub in atlas_run(4).subs:
         if sub.order > 8 or sub.elements in seen:
             continue
         seen.add(sub.elements)

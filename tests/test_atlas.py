@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import pair_from_row
+from conftest import atlas_run, pair_from_row
 from oracles import (
     all_subgroups,
     check_union_independent_sets,
@@ -48,7 +48,7 @@ from subindep.pipeline import Step
 
 @pytest.fixture(scope="module")
 def s5_subgroups():
-    return enumerate_subgroups(symmetric_group(5))
+    return atlas_run(5).subs
 
 
 @pytest.fixture(scope="module")
@@ -58,17 +58,15 @@ def s5_atlas():
 
 class TestSubgroupEnumeration:
     def test_s3_lattice_complete(self):
-        s3 = symmetric_group(3)
-        subs = enumerate_subgroups(s3)
+        subs = atlas_run(3).subs
         assert [h.order for h in subs] == [1, 2, 2, 2, 3, 6]
-        brute = all_subgroups(s3)
+        brute = all_subgroups(symmetric_group(3))
         assert [h.elements for h in subs] == [h.elements for h in brute]
 
     def test_s4_lattice_complete(self):
-        s4 = symmetric_group(4)
-        subs = enumerate_subgroups(s4)
+        subs = atlas_run(4).subs
         assert len(subs) == 30
-        brute = all_subgroups(s4)
+        brute = all_subgroups(symmetric_group(4))
         assert [h.elements for h in subs] == [h.elements for h in brute]
 
     def test_s5_has_156_subgroups(self, s5_subgroups):
@@ -92,29 +90,33 @@ class TestSubgroupEnumeration:
 
     def test_trivial_group(self):
         s1 = symmetric_group(1)
-        assert len(enumerate_subgroups(s1)) == 1
+        assert enumerate_subgroups(s1) == ([(0,)], [()])
+        assert len(atlas._AtlasRun(s1).subs) == 1
 
     def test_skips_keep_elements_and_generators(self, s5_subgroups):
         # The report's a_gens/b_gens come from these generators, so the
         # skipped pairs must not change which set reaches a group first.
         for degree in (2, 3, 4, 5):
             group = symmetric_group(degree)
-            subs = s5_subgroups if degree == 5 else enumerate_subgroups(group)
+            subs = s5_subgroups if degree == 5 else atlas_run(degree).subs
             plain = subgroups_from_all_pairs(group)
             assert [h.elements for h in subs] == [h.elements for h in plain], degree
             assert [h.generators for h in subs] == [h.generators for h in plain], degree
 
     def test_each_pair_of_cyclic_subgroups_closed_once(self, monkeypatch):
         closed = []
-        real = atlas._close
+        real = atlas._orbit
 
-        def recording(gens, *args, **kwargs):
-            closed.append(list(gens))
-            return real(gens, *args, **kwargs)
+        def recording(start, maps):
+            # Each closure is the orbit of the identity under the
+            # generators' columns, and a column's entry 0 is e * x = x.
+            assert start == 0
+            closed.append([m[0] for m in maps])
+            return real(start, maps)
 
-        monkeypatch.setattr(atlas, "_close", recording)
+        monkeypatch.setattr(atlas, "_orbit", recording)
         group = symmetric_group(4)
-        assert len(enumerate_subgroups(group)) == 30
+        assert len(enumerate_subgroups(group)[0]) == 30
         # The trivial group needs no closure: the 23 non-identity elements
         # come first, then pairs only.
         assert closed[:23] == [[x] for x in range(1, 24)]
@@ -131,10 +133,28 @@ class TestSubgroupEnumeration:
         for degree in (1, 2, 4):
             group = symmetric_group(degree)
             ambient = {id(x) for x in group.elements}
-            for sub in enumerate_subgroups(group):
+            for sub in atlas._AtlasRun(group).subs:
                 assert type(sub.elements) is tuple
                 assert all(id(x) in ambient for x in sub.elements + sub.generators)
                 assert sub.elements == closure(sub.generators, degree).elements
+
+    def test_run_numbers_elements_on_the_group_alone(self, monkeypatch):
+        # The run builds the lattice on the group's own index and columns:
+        # no subgroup, not even the last one (the whole group again), is
+        # indexed while the lattice and its orbits are built.
+        indexed = []
+        real = groups.FiniteGroup._image_index
+
+        def recording(self):
+            indexed.append(self)
+            return real(self)
+
+        expected = atlas_run(4).orbits()
+        monkeypatch.setattr(groups.FiniteGroup, "_image_index", recording)
+        group = symmetric_group(4)
+        rep = atlas._AtlasRun(group).orbits()
+        assert indexed and all(g is group for g in indexed)
+        assert rep == expected
 
 
 class TestDegree3Atlas:
@@ -230,8 +250,8 @@ class TestDegree4Atlas:
         assert calls == ["normal_closure", "is_normal_in"]
 
     def test_filled_normality_matches_a_fresh_pair(self):
-        subs = enumerate_subgroups(symmetric_group(4))
-        run = atlas._AtlasRun(subs)
+        run = atlas_run(4)
+        subs = run.subs
         for i, a in enumerate(subs):
             for j, b in enumerate(subs):
                 filled = SubgroupPair(a, b)
@@ -270,8 +290,8 @@ class TestNormalClosureLookup:
     agree on every (side, join) pair of the lattice."""
 
     @staticmethod
-    def _assert_lookup(subs):
-        run = atlas._AtlasRun(subs)
+    def _assert_lookup(run):
+        subs = run.subs
         checked = normal = 0
         for k, join in enumerate(subs):
             for i, sub in enumerate(subs):
@@ -287,10 +307,10 @@ class TestNormalClosureLookup:
         return checked
 
     def test_every_s4_lattice_pair(self):
-        assert self._assert_lookup(enumerate_subgroups(symmetric_group(4))) == 150
+        assert self._assert_lookup(atlas_run(4)) == 150
 
-    def test_every_s5_lattice_pair(self, s5_subgroups):
-        assert self._assert_lookup(s5_subgroups) == 1245
+    def test_every_s5_lattice_pair(self):
+        assert self._assert_lookup(atlas_run(5)) == 1245
 
 
 class TestMergeByClassCounts:
@@ -299,8 +319,8 @@ class TestMergeByClassCounts:
     of the lattice."""
 
     @staticmethod
-    def _assert_scan(subs):
-        run = atlas._AtlasRun(subs)
+    def _assert_scan(run):
+        subs = run.subs
         merged = 0
         for k, join in enumerate(subs):
             for i, sub in enumerate(subs):
@@ -312,10 +332,10 @@ class TestMergeByClassCounts:
         return merged
 
     def test_every_s4_lattice_pair(self):
-        assert self._assert_scan(enumerate_subgroups(symmetric_group(4))) > 0
+        assert self._assert_scan(atlas_run(4)) > 0
 
-    def test_every_s5_lattice_pair(self, s5_subgroups):
-        assert self._assert_scan(s5_subgroups) > 0
+    def test_every_s5_lattice_pair(self):
+        assert self._assert_scan(atlas_run(5)) > 0
 
 
 class TestProductScanOracle:
@@ -327,9 +347,9 @@ class TestProductScanOracle:
     outnumber End(A) x End(B), into which restriction embeds it."""
 
     @staticmethod
-    def _assert_agrees(degree, rows, subs):
-        rep = atlas.conjugation_orbits(symmetric_group(degree), subs)
-        run = atlas._AtlasRun(subs)
+    def _assert_agrees(rows, run):
+        subs = run.subs
+        rep = run.orbits()
         n = len(subs)
         checked = 0
         for r in rows:
@@ -351,17 +371,17 @@ class TestProductScanOracle:
 
     def test_every_s4_representative(self, s4_atlas):
         rows, _ = s4_atlas
-        assert self._assert_agrees(4, rows, enumerate_subgroups(symmetric_group(4))) == 155
+        assert self._assert_agrees(rows, atlas_run(4)) == 155
 
-    def test_every_s5_representative(self, s5_atlas, s5_subgroups):
+    def test_every_s5_representative(self, s5_atlas):
         rows, _ = s5_atlas
-        assert self._assert_agrees(5, rows, s5_subgroups) == 679
+        assert self._assert_agrees(rows, atlas_run(5)) == 679
 
     def test_each_s4_mask_counts_the_maps_keeping_its_side(self):
         # Against the endomorphisms tests/oracles.py builds from
         # Permutation products, on every (side, join) pair of the lattice.
-        subs = enumerate_subgroups(symmetric_group(4))
-        run = atlas._AtlasRun(subs)
+        run = atlas_run(4)
+        subs = run.subs
         for k, join in enumerate(subs):
             endos = endomorphisms_by_products(join)
             for i, sub in enumerate(subs):
@@ -536,22 +556,21 @@ class TestOrbitExpansion:
     ORBITS = {2: 4, 3: 17, 4: 155, 5: 679}
 
     @staticmethod
-    def _orbits(degree, subs=None):
-        group = symmetric_group(degree)
-        subs = subs if subs is not None else enumerate_subgroups(group)
-        return subs, atlas.conjugation_orbits(group, subs)
+    def _orbits(degree):
+        run = atlas_run(degree)
+        return run.subs, run.orbits()
 
     @staticmethod
-    def _assert_direct(subs, rows, flat_indices):
-        run = atlas._AtlasRun(subs)
+    def _assert_direct(run, rows, flat_indices):
+        subs = run.subs
         for k in flat_indices:
             row = rows[k]
             assert row.a_index * len(subs) + row.b_index == k
             assert row == atlas._classify_one(run, (row.pair_id, row.a_index, row.b_index))
 
-    def test_orbit_counts_pinned(self, s5_subgroups):
+    def test_orbit_counts_pinned(self):
         for degree, count in self.ORBITS.items():
-            _, rep = self._orbits(degree, s5_subgroups if degree == 5 else None)
+            _, rep = self._orbits(degree)
             assert all(rep[k] <= k and rep[rep[k]] == rep[k] for k in range(len(rep)))
             assert sum(rep[k] == k for k in range(len(rep))) == count, degree
 
@@ -563,15 +582,15 @@ class TestOrbitExpansion:
 
     def test_every_s3_and_s4_row_matches_direct_classification(self, s3_atlas, s4_atlas):
         for degree, (rows, _) in ((3, s3_atlas), (4, s4_atlas)):
-            subs = enumerate_subgroups(symmetric_group(degree))
-            assert len(rows) == len(subs) ** 2
-            self._assert_direct(subs, rows, range(len(rows)))
+            run = atlas_run(degree)
+            assert len(rows) == len(run.subs) ** 2
+            self._assert_direct(run, rows, range(len(rows)))
 
-    def test_sampled_s5_rows_match_direct_classification(self, s5_subgroups, s5_atlas):
+    def test_sampled_s5_rows_match_direct_classification(self, s5_atlas):
         rows, _ = s5_atlas
-        subs, rep = self._orbits(5, s5_subgroups)
+        _, rep = self._orbits(5)
         copied = [k for k in range(len(rep)) if rep[k] != k]
-        self._assert_direct(subs, rows, random.Random(11).sample(copied, 200))
+        self._assert_direct(atlas_run(5), rows, random.Random(11).sample(copied, 200))
 
 
 class TestSummaryPerOrbit:
@@ -592,9 +611,8 @@ class TestSummaryPerOrbit:
         # representative is corrupted: every pair of its orbit must then
         # be listed, as the per-row summary lists it.
         rows, _ = s4_atlas
-        subs = enumerate_subgroups(symmetric_group(4))
-        n = len(subs)
-        rep = atlas.conjugation_orbits(symmetric_group(4), subs)
+        n = len(atlas_run(4).subs)
+        rep = atlas_run(4).orbits()
         sizes = Counter(rep)
         target = next(r for k, r in enumerate(rows)
                       if rep[k] == k and sizes[k] > 1 and r.pipeline_status == "Dependent"
@@ -624,23 +642,22 @@ class TestJoinLookup:
     join closes the union of the generators.  They must agree."""
 
     @staticmethod
-    def _assert_lookup(subs, index_pairs):
-        run = atlas._AtlasRun(subs)
+    def _assert_lookup(run, index_pairs):
+        subs = run.subs
         for i, j in index_pairs:
             closed = groups.join(subs[i], subs[j])
             assert subs[run._join(i, j)].elements == closed.elements, (i, j)
 
     def test_every_ordered_s4_pair(self):
-        subs = enumerate_subgroups(symmetric_group(4))
-        n = len(subs)
-        self._assert_lookup(subs, [(i, j) for i in range(n) for j in range(n)])
+        n = len(atlas_run(4).subs)
+        self._assert_lookup(atlas_run(4), [(i, j) for i in range(n) for j in range(n)])
 
-    def test_every_s5_orbit_representative(self, s5_subgroups):
-        rep = atlas.conjugation_orbits(symmetric_group(5), s5_subgroups)
-        n = len(s5_subgroups)
+    def test_every_s5_orbit_representative(self):
+        rep = atlas_run(5).orbits()
+        n = len(atlas_run(5).subs)
         reps = [divmod(k, n) for k in range(len(rep)) if rep[k] == k]
         assert len(reps) == 679
-        self._assert_lookup(s5_subgroups, reps)
+        self._assert_lookup(atlas_run(5), reps)
 
 
 class TestReportRendering:
@@ -764,8 +781,7 @@ class TestDeterminismAndBudgets:
             extended.clear()
             scanned.clear()
             rows, _ = classify_all_pairs(degree)
-            subs = enumerate_subgroups(symmetric_group(degree))
-            rep = atlas.conjugation_orbits(symmetric_group(degree), subs)
+            subs, rep = atlas_run(degree).subs, atlas_run(degree).orbits()
             step4 = [SubgroupPair(subs[r.a_index], subs[r.b_index]) for k, r in enumerate(rows)
                      if rep[k] == k and r.pipeline_step == Step.BRUTE_FORCE.value]
             calls = len(extended)

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import atlas_run, lattice_index
 from oracles import (
     all_subgroups,
     check_homomorphism,
@@ -13,7 +14,7 @@ from oracles import (
     quotient,
     semigroup_closure,
 )
-from subindep import atlas, groups
+from subindep import groups
 from subindep.groups import (
     BudgetExceeded,
     SubgroupPair,
@@ -26,6 +27,7 @@ from subindep.groups import (
     symmetric_group,
     trivial_map,
 )
+from subindep.homs import enumerate_endomorphisms
 from subindep.perm import Permutation, cycle_string, parse_cycles
 
 
@@ -186,12 +188,43 @@ class TestNormality:
             is_normal_in(outside, s3)
 
 
+class TestConjugationTables:
+    @pytest.mark.parametrize("degree, gens", [
+        (4, None),
+        (5, None),
+        (5, ["(1 2 3)", "(3 4 5)"]),  # A5
+        (4, ["(1 2 3 4)", "(1 3)"]),  # D4
+    ])
+    def test_every_conjugation_matches_conjugated_by(self, degree, gens):
+        g = symmetric_group(degree) if gens is None else closure([P(s, degree) for s in gens], degree)
+        tables = groups.conjugation_tables(g, range(g.order))
+        assert tables == [[g.index_of(x.conjugated_by(t)) for x in g.elements] for t in g.elements]
+
+    def test_no_inverse_list_without_a_conjugator(self, monkeypatch):
+        # An abelian group's endomorphism search asks for no table, and
+        # then builds no inverse list.
+        inverted = []
+        real = Permutation.inverse
+        monkeypatch.setattr(Permutation, "inverse", lambda p: inverted.append(p) or real(p))
+        g = symmetric_group(4)
+        assert groups.conjugation_tables(g, []) == []
+        assert inverted == [] and g._index is None
+        c2c2 = closure([P("(1 2)", 4), P("(3 4)", 4)], 4)
+        assert len(enumerate_endomorphisms(c2c2)) == 16
+        assert inverted == []
+        groups.conjugation_tables(g, [1])
+        assert len(inverted) == g.order
+
+
 def class_ids(group) -> dict:
     """The atlas's conjugacy class id of each element of group, as
-    elements: the run numbers elements by their index in group."""
-    ids, count = atlas._AtlasRun([group])._classes(0)
+    elements: the run numbers elements by their index in the symmetric
+    group, its last subgroup."""
+    run = atlas_run(group.degree)
+    ids, count = run._classes(lattice_index(run, group))
     assert count == len(set(ids.values()))
-    return {group.elements[x]: group.elements[c] for x, c in ids.items()}
+    elements = run.subs[-1].elements
+    return {elements[x]: elements[c] for x, c in ids.items()}
 
 
 def class_sizes(group) -> list[int]:

@@ -1,6 +1,8 @@
 import pytest
 
-from conftest import SHARED_POINT, ORDER_CLASH, SWAP_VS_DOUBLE, FAR_SWAPS, MERGE_PAIR, make_pair
+from conftest import (
+    SHARED_POINT, ORDER_CLASH, SWAP_VS_DOUBLE, FAR_SWAPS, MERGE_PAIR, atlas_run, lattice_index, make_pair,
+)
 from oracles import (
     all_subgroups,
     check_union_independent_sets,
@@ -9,7 +11,7 @@ from oracles import (
     is_independent_set,
     noncommuting_pairs,
 )
-from subindep import atlas, checks
+from subindep import checks
 from subindep.checks import (
     BudgetWitness,
     CommutingWitness,
@@ -137,7 +139,8 @@ class TestSeparated:
 
 def merge_column(sub, join) -> str:
     """The atlas's merge column for sub as a side whose join is join."""
-    return atlas._AtlasRun([sub, join])._side(0, 1)[2]
+    run = atlas_run(sub.degree)
+    return run._side(lattice_index(run, sub), lattice_index(run, join))[2]
 
 
 class TestConjugacyMerge:

@@ -11,16 +11,14 @@ import math
 import pytest
 from hypothesis import example, given, reject, settings, strategies as st
 
-from conftest import SWAP_VS_DOUBLE, make_pair
+from conftest import SWAP_VS_DOUBLE, atlas_run, make_pair
 from oracles import closure_reference, extend_reference, parse_cycles_reference
-from subindep.atlas import conjugation_orbits, enumerate_subgroups
 from subindep.groups import (
     BudgetExceeded,
     GroupMap,
     SubgroupPair,
     closure,
     identity_map,
-    symmetric_group,
 )
 from subindep.homs import enumerate_endomorphisms, extend
 from subindep.perm import CycleParseError, Permutation, cycle_string, parse_cycles
@@ -119,7 +117,7 @@ class TestOrder:
         assert power.is_identity()
 
 
-S4_SUBGROUPS = enumerate_subgroups(symmetric_group(4))
+S4_SUBGROUPS = atlas_run(4).subs
 
 
 def extension_outcome(alpha, beta, pair):
@@ -144,7 +142,7 @@ def assert_extends_like_the_reference(pair: SubgroupPair, pairs_of_maps) -> int:
 class TestExtend:
     def test_agrees_on_every_s4_orbit_representative(self):
         subs = S4_SUBGROUPS
-        rep = conjugation_orbits(symmetric_group(4), subs)
+        rep = atlas_run(4).orbits()
         n, checked, conflicts = len(subs), 0, 0
         for k in sorted(set(rep)):
             pair = SubgroupPair(subs[k // n], subs[k % n])

@@ -33,6 +33,7 @@ from subindep.pipeline import (
     MAX_SPEC_CHARS_PER_POINT,
     MAX_SPEC_DEGREE,
     MAX_SPEC_GENERATORS,
+    MAX_SPEC_INPUT_CHARS,
     PairSpecError,
     Step,
     decide,
@@ -681,6 +682,29 @@ class TestCli:
         assert r.returncode == 1
         assert r.stderr.startswith("subindep: error: input is not valid JSON: ")
         assert "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_input_past_the_length_bound_exits_1(self, tmp_path, source):
+        # A valid spec padded with whitespace decides at the bound and is
+        # rejected one character past it, before it is decoded.
+        spec = json.dumps(spec_dict(SHARED_POINT))
+        for extra, code in ((0, 0), (1, 1)):
+            text = spec.ljust(MAX_SPEC_INPUT_CHARS + extra)
+            if source == "file":
+                f = tmp_path / "padded.json"
+                f.write_text(text)
+                r = run_cli("decide", "--input", str(f))
+            else:
+                r = run_cli("decide", "--input", "-", stdin=text)
+            assert r.returncode == code, r.stderr
+        assert r.stderr == (f"subindep: error: input is longer than "
+                            f"{MAX_SPEC_INPUT_CHARS} characters\n")
+
+    def test_length_bound_admits_the_largest_spec(self):
+        longest = "(1 2)".ljust(MAX_SPEC_CHARS_PER_POINT * MAX_SPEC_DEGREE)
+        sides = [longest] * MAX_SPEC_GENERATORS
+        spec = {"degree": MAX_SPEC_DEGREE, "A": sides, "B": sides}
+        assert len(json.dumps(spec, indent=2)) <= MAX_SPEC_INPUT_CHARS
 
     def test_missing_input_exits_1(self):
         r = run_cli("decide", "--input", "/nonexistent/pair.json")
