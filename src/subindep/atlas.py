@@ -312,9 +312,9 @@ class _AtlasRun:
         return side
 
     def fill(self, pair: SubgroupPair, i: int, j: int) -> tuple[str, str, str]:
-        """Set the lazy join, normal closures and normality of the pair
-        (subs[i], subs[j]) from the lattice and the memo, and return its
-        merge_a, merge_b and oracle columns.
+        """Assign the join, normal closures and normality of the pair
+        (subs[i], subs[j]) by name from the lattice and the memo, and
+        return its merge_a, merge_b and oracle columns.
 
         The oracle is the definition of independence, counted.  Let S be
         the endomorphisms gamma of the join with gamma(A) in A and
@@ -324,9 +324,9 @@ class _AtlasRun:
         |S| = |End(A)| |End(B)|.
         """
         k = self._join(i, j)
-        pair._join = self.subs[k]
-        pair._ncl_a, pair.a_normal, merge_a, keeps_a = self._side(i, k)
-        pair._ncl_b, pair.b_normal, merge_b, keeps_b = self._side(j, k)
+        pair.join = self.subs[k]
+        pair.ncl_a, pair.a_normal, merge_a, keeps_a = self._side(i, k)
+        pair.ncl_b, pair.b_normal, merge_b, keeps_b = self._side(j, k)
         extending = (keeps_a & keeps_b).bit_count()
         independent = extending == (len(enumerate_endomorphisms(pair.a))
                                     * len(enumerate_endomorphisms(pair.b)))

@@ -21,6 +21,7 @@ from .groups import (
     GroupMap,
     SubgroupPair,
     is_normal_in,
+    propagate_images,
 )
 from .homs import ExtensionConflict, enumerate_endomorphisms, extend
 from .perm import Permutation, cycle_string
@@ -265,7 +266,13 @@ def check_a_inside_ncl_b(pair: SubgroupPair) -> CheckOutcome:
 def check_normal_asymmetry(pair: SubgroupPair) -> CheckOutcome:
     """Exactly one of A, B normal in the join proves dependence.  Both
     normal with A ∩ B = 1 would prove independence, but then
-    [A, B] ⊆ A ∩ B = 1, and Step2i has already decided."""
+    [A, B] ⊆ A ∩ B = 1, and Step2i has already decided.
+
+    Step3 subsumes this stage.  Let A be normal in J = ⟨A, B⟩ and B not.
+    Then J = AB and B ≤ ⟨Conj(B)⟩ ≤ AB, so by Dedekind's law
+    ⟨Conj(B)⟩ = (⟨Conj(B)⟩ ∩ A)B.  Were ⟨Conj(B)⟩ ∩ A = 1, B would be
+    the normal subgroup ⟨Conj(B)⟩.  So A ∩ ⟨Conj(B)⟩ ≠ 1, and Step3ii
+    fires; the mirror case gives Step3i."""
     j = pair.join
     na, nb = pair.a_normal, pair.b_normal
     if na != nb:
@@ -333,17 +340,26 @@ def verify_factoring(pair: SubgroupPair) -> bool:
     return j == pair.a.order * pair.ncl_b.order and j == pair.b.order * pair.ncl_a.order
 
 
+def _is_endomorphism(m: GroupMap, g: FiniteGroup, gen_pos: tuple[int, ...]) -> bool:
+    """Whether m's table has |g| entries in range and is the homomorphism
+    that its images of g's generators determine."""
+    images, n = m.images, g.order
+    return (len(images) == n and all(0 <= y < n for y in images)
+            and propagate_images(g, g, gen_pos, [images[i] for i in gen_pos])[0] == images)
+
+
 def recheck_witness(pair: SubgroupPair, witness: object,
                     endo_budget: int = DEFAULT_ENDO_BUDGET) -> bool:
     """Re-establish a certificate from scratch against the pair: every
-    field the witness carries must match what the pair gives.  An
-    exhaustive witness is re-established by a fresh scan under
-    endo_budget, which must be independent with the pair count of the
-    shortcut scan or of the full product scan, and fails when that scan
-    trips the budget.  A BudgetWitness is no
-    certificate, and raises TypeError like an unknown witness: a budget
-    outcome is re-established only by running the pipeline again under
-    the same Config."""
+    field the witness carries must match what the pair gives.  The maps
+    of an incompatible pair must each be an endomorphism of its side
+    before their conflict is re-derived.  An exhaustive witness is
+    re-established by a fresh scan under endo_budget, which must be
+    independent with the pair count of the shortcut scan or of the full
+    product scan, and fails when that scan trips the budget.  A
+    BudgetWitness is no certificate, and raises TypeError like an
+    unknown witness: a budget outcome is re-established only by running
+    the pipeline again under the same Config."""
     if isinstance(witness, MembershipWitness):
         x = witness.element
         if x.is_identity():
@@ -381,8 +397,11 @@ def recheck_witness(pair: SubgroupPair, witness: object,
         moved = x.conjugated_by(t)
         return moved == witness.conjugate and moved not in loose
     if isinstance(witness, IncompatiblePairWitness):
+        maps = (witness.alpha, witness.beta)
+        if not all(map(_is_endomorphism, maps, (pair.a, pair.b), pair.generator_positions)):
+            return False
         try:
-            conflict = extend(witness.alpha, witness.beta, pair).conflict
+            conflict = extend(*maps, pair).conflict
         except ValueError:  # maps of another pair's sides
             return False
         return conflict is not None and conflict == witness.conflict

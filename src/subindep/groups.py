@@ -147,14 +147,14 @@ def closure(generators: Iterable[Permutation], degree: int,
     return FiniteGroup(tuple(map(_trusted, found)), tuple(gens), degree)
 
 
-def symmetric_group(n: int, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> FiniteGroup:
+def symmetric_group(n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError("degree must be at least 1")
     if n == 1:
-        return closure([], 1, max_order)
+        return closure([], 1)
     swap = Permutation(tuple([1, 0] + list(range(2, n))))
     cyc = Permutation(tuple(list(range(1, n)) + [0]))
-    return closure([swap, cyc], n, max_order)
+    return closure([swap, cyc], n)
 
 
 def join(a: FiniteGroup, b: FiniteGroup, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> FiniteGroup:
@@ -292,10 +292,11 @@ def trivial_map(g: FiniteGroup) -> GroupMap:
 
 
 class SubgroupPair:
-    """Two subgroups of a common symmetric group, with lazily cached join,
-    normal closures in the join, normality of each side in the join,
-    embeddings of each side's indices into the join, each side's
-    generator positions, and least shared non-identity element."""
+    """Two subgroups of a common symmetric group, with cached properties
+    for the join, normal closures in the join, normality of each side in
+    the join, embeddings of each side's indices into the join, each
+    side's generator positions, and least shared non-identity element.
+    A caller that already knows a fact assigns it by name."""
 
     def __init__(self, a: FiniteGroup, b: FiniteGroup,
                  max_group_order: int = DEFAULT_MAX_GROUP_ORDER):
@@ -304,32 +305,23 @@ class SubgroupPair:
         self.a = a
         self.b = b
         self.max_group_order = max_group_order
-        self._join: FiniteGroup | None = None
-        self._ncl_a: FiniteGroup | None = None
-        self._ncl_b: FiniteGroup | None = None
 
     @property
     def degree(self) -> int:
         return self.a.degree
 
-    @property
+    @cached_property
     def join(self) -> FiniteGroup:
-        if self._join is None:
-            self._join = join(self.a, self.b, self.max_group_order)
-        return self._join
+        return join(self.a, self.b, self.max_group_order)
 
-    @property
+    @cached_property
     def ncl_a(self) -> FiniteGroup:
         """Normal closure of a in the join."""
-        if self._ncl_a is None:
-            self._ncl_a = normal_closure(self.a, self.join)
-        return self._ncl_a
+        return normal_closure(self.a, self.join)
 
-    @property
+    @cached_property
     def ncl_b(self) -> FiniteGroup:
-        if self._ncl_b is None:
-            self._ncl_b = normal_closure(self.b, self.join)
-        return self._ncl_b
+        return normal_closure(self.b, self.join)
 
     @cached_property
     def a_normal(self) -> bool:
@@ -360,13 +352,11 @@ class SubgroupPair:
         return next((x for x in self.a.elements[1:] if x in self.b), None)
 
     def computed_orders(self) -> dict[str, int | None]:
-        """Orders of the cached join and normal closures, None where the
-        computation never ran."""
-        return {
-            "join_order": self._join.order if self._join is not None else None,
-            "ncl_a_order": self._ncl_a.order if self._ncl_a is not None else None,
-            "ncl_b_order": self._ncl_b.order if self._ncl_b is not None else None,
-        }
+        """Orders of the join and normal closures computed or assigned so
+        far, None for each that is not (a budget trip leaves it unset)."""
+        facts = vars(self)
+        return {f"{name}_order": facts[name].order if name in facts else None
+                for name in ("join", "ncl_a", "ncl_b")}
 
     def __repr__(self) -> str:
         return f"<pair |A|={self.a.order} |B|={self.b.order} deg={self.degree}>"

@@ -22,9 +22,7 @@ from .groups import (
     SubgroupPair,
     closure,
     conjugation_tables,
-    identity_map,
     propagate_images,
-    trivial_map,
 )
 from .perm import Permutation
 
@@ -170,13 +168,3 @@ def extend(alpha: GroupMap, beta: GroupMap, pair: SubgroupPair) -> ExtensionResu
                     return ExtensionResult(None, ExtensionConflict(
                         x, j.elements[table[emb[i]]], sub.elements[images[i]]))
     return ExtensionResult(GroupMap(j, j, table), None)
-
-
-__all__ = [
-    "ExtensionConflict",
-    "ExtensionResult",
-    "enumerate_endomorphisms",
-    "extend",
-    "identity_map",
-    "trivial_map",
-]

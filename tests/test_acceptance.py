@@ -28,10 +28,12 @@ from subindep.checks import (
 )
 from subindep.groups import (
     GroupMap,
+    identity_map,
     propagate_images,
     symmetric_group,
+    trivial_map,
 )
-from subindep.homs import extend, identity_map, trivial_map
+from subindep.homs import extend
 from subindep.perm import parse_cycles
 from subindep.pipeline import Step, decide
 

@@ -39,10 +39,12 @@ from subindep.checks import (
 from subindep.groups import (
     SubgroupPair,
     closure,
+    identity_map,
     symmetric_group,
+    trivial_map,
 )
 from subindep.perm import parse_cycles
-from subindep.homs import enumerate_endomorphisms, extend, identity_map, trivial_map
+from subindep.homs import enumerate_endomorphisms, extend
 from subindep.pipeline import Step
 
 
@@ -259,6 +261,46 @@ class TestDegree4Atlas:
                 fresh = SubgroupPair(a, b)
                 assert (filled.a_normal, filled.b_normal) == \
                     (groups.is_normal_in(a, fresh.join), groups.is_normal_in(b, fresh.join)), (i, j)
+
+    def test_filled_orders_match_a_fresh_pair(self, monkeypatch):
+        # fill assigns the join and both normal closures by name: the
+        # pair reports their orders without closing anything itself.
+        run = atlas_run(4)
+        calls = []
+        for name in ("closure", "normal_closure"):
+            real = getattr(groups, name)
+
+            def spy(*args, name=name, real=real, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(groups, name, spy)
+        for i, a in enumerate(run.subs):
+            for j, b in enumerate(run.subs):
+                filled = SubgroupPair(a, b)
+                run.fill(filled, i, j)
+                orders = filled.computed_orders()
+                assert calls == [], (i, j)
+                fresh = SubgroupPair(a, b)
+                fresh.ncl_a, fresh.ncl_b
+                assert calls, (i, j)
+                calls.clear()
+                assert orders == fresh.computed_orders(), (i, j)
+
+    def test_normal_asymmetry_is_subsumed_by_separation(self, s4_atlas, s5_atlas):
+        # Why NormalAsym can go: with A normal in the join and B not,
+        # A ∩ <Conj(B)> is not trivial (see check_normal_asymmetry), so
+        # the mirror Step3 column is dependent too.
+        for degree, (rows, _), count in ((4, s4_atlas, 240), (5, s5_atlas, 2832)):
+            run = atlas_run(degree)
+            asymmetric = [r for r in rows if r.normal_asymmetry == "dependent"]
+            assert len(asymmetric) == count, degree
+            for r in asymmetric:
+                k = run._join(r.a_index, r.b_index)
+                a_normal = run._side(r.a_index, k)[1]
+                assert a_normal != run._side(r.b_index, k)[1], r.pair_id
+                step3 = r.a_in_ncl_b if a_normal else r.b_in_ncl_a
+                assert step3 == "dependent", r.pair_id
 
     def test_merge_checks_are_subsumed_by_separation(self, s4_atlas):
         # Why the conjugacy-merge checks are atlas columns, not stages: a

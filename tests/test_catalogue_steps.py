@@ -13,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from subindep.pipeline import Config, decide
+from subindep.checks import IncompatiblePairWitness, recheck_witness
+from subindep.pipeline import Config, Step, decide, decide_pair, parse_pair_spec
 
 CATALOGUE = Path(__file__).resolve().parents[1] / "perfbench" / "catalogue.json"
 
@@ -32,3 +33,17 @@ def test_recorded_status_step_and_diagnostics(workload):
         if got != want:
             mismatches.append((cls, e["A"], e["B"], got, want))
     assert mismatches == []
+
+
+def test_step4_dependent_witnesses_recheck():
+    # Each is an incompatible pair of genuine endomorphisms, which the
+    # recheck accepts after testing that each map is one.
+    catalogue = json.loads(CATALOGUE.read_text(encoding="utf-8"))
+    entries = [e for w in catalogue.values() for pool in w.get("pools", {}).values()
+               for e in pool if (e["expected"], e["step_at_build"]) == ("Dependent", "Step4")]
+    assert len(entries) == 14
+    for e in entries:
+        pair = parse_pair_spec({"degree": e["points"], "A": e["A"], "B": e["B"]})
+        d = decide_pair(pair)
+        assert d.step is Step.BRUTE_FORCE and isinstance(d.witness, IncompatiblePairWitness)
+        assert recheck_witness(pair, d.witness), (e["A"], e["B"])

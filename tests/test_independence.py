@@ -31,8 +31,16 @@ from subindep.checks import (
     recheck_witness,
     verify_factoring,
 )
-from subindep.groups import BudgetExceeded, SubgroupPair, closure, join, symmetric_group
-from subindep.homs import ExtensionConflict
+from subindep.groups import (
+    BudgetExceeded,
+    GroupMap,
+    SubgroupPair,
+    closure,
+    identity_map,
+    join,
+    symmetric_group,
+)
+from subindep.homs import ExtensionConflict, extend
 from subindep.perm import Permutation, cycle_string, parse_cycles
 
 
@@ -364,6 +372,31 @@ class TestWitnessRecheck:
         assert isinstance(w, IncompatiblePairWitness) and recheck_witness(pair, w)
         e = Permutation.identity(3)
         assert not recheck_witness(pair, w._replace(conflict=ExtensionConflict(e, e, e)))
+
+    def test_incompatible_pair_maps_must_be_endomorphisms(self):
+        # Step2i decides this pair independent.  The forged alpha sends
+        # the identity to (1 2), so it is no endomorphism, though
+        # extending it with id_B does conflict at the identity.
+        pair = make_pair(4, ["(1 2)"], ["(3 4)"])
+        e = Permutation.identity(4)
+        forged, beta = GroupMap(pair.a, pair.a, (1, 0)), identity_map(pair.b)
+        conflict = extend(forged, beta, pair).conflict
+        assert conflict == ExtensionConflict(e, e, P("(1 2)", 4))
+        assert not recheck_witness(pair, IncompatiblePairWitness(forged, beta, conflict))
+        alpha, forged = identity_map(pair.a), GroupMap(pair.b, pair.b, (1, 0))
+        mirror = extend(alpha, forged, pair).conflict
+        assert mirror is not None
+        assert not recheck_witness(pair, IncompatiblePairWitness(alpha, forged, mirror))
+
+    @pytest.mark.parametrize("images", [(0,), (0, 1, 0), (0, 2), (0, -1)])
+    def test_incompatible_pair_table_out_of_shape_fails(self, images):
+        # A table of the wrong length or with an index outside the side
+        # is refused, not indexed.
+        pair = make_pair(4, ["(1 2)"], ["(3 4)"])
+        e = Permutation.identity(4)
+        w = IncompatiblePairWitness(GroupMap(pair.a, pair.a, images), identity_map(pair.b),
+                                    ExtensionConflict(e, e, P("(1 2)", 4)))
+        assert recheck_witness(pair, w) is False
 
     def test_exhaustive_pair_count_must_match(self):
         # The scan on this pair extends (triv, id_B) and (id_A, triv).
