@@ -165,10 +165,10 @@ class _AtlasRun:
     right-multiplication columns.  enumerate_subgroups returns each
     subgroup as its sorted index tuple and its generators' indices; the
     run keeps both, with a bitset over the indices, and gathers each
-    subgroup's FiniteGroup from the group's elements.  No subgroup is
-    numbered again.  A conjugation is a lookup in the table of the
-    conjugating element (groups.conjugation_tables), one per element
-    that generates a subgroup.
+    subgroup's FiniteGroup from the group's elements.  The lattice is
+    numbered once, on the group's indices.  A conjugation is a lookup in
+    the table of the conjugating element (groups.conjugation_tables), one
+    per element that generates a subgroup.
 
     The join of a pair is looked up, not closed: it is the first
     subgroup in the list whose bitset covers both sides.  The normal
@@ -195,7 +195,7 @@ class _AtlasRun:
     def __init__(self, group: FiniteGroup):
         self._members, self._gen_ids = enumerate_subgroups(group)
         at = group.elements.__getitem__
-        self.subs = [FiniteGroup(tuple(map(at, m)), tuple(map(at, g)), group.degree)
+        self.subs = [FiniteGroup(tuple(map(at, m)), tuple(map(at, g)))
                      for m, g in zip(self._members, self._gen_ids)]
         self.gens = [_gens_string(s) for s in self.subs]
         self._bits = [sum(1 << x for x in m) for m in self._members]

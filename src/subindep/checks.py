@@ -345,7 +345,7 @@ def _is_endomorphism(m: GroupMap, g: FiniteGroup, gen_pos: tuple[int, ...]) -> b
     that its images of g's generators determine."""
     images, n = m.images, g.order
     return (len(images) == n and all(0 <= y < n for y in images)
-            and propagate_images(g, g, gen_pos, [images[i] for i in gen_pos])[0] == images)
+            and propagate_images(g, gen_pos, [images[i] for i in gen_pos])[0] == images)
 
 
 def recheck_witness(pair: SubgroupPair, witness: object,

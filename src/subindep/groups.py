@@ -44,13 +44,13 @@ class FiniteGroup:
 
     __slots__ = ("degree", "elements", "generators", "_index", "_mul_cols", "_endos")
 
-    def __init__(self, elements: tuple[Permutation, ...], generators: tuple[Permutation, ...], degree: int):
-        self.degree = degree
+    def __init__(self, elements: tuple[Permutation, ...], generators: tuple[Permutation, ...]):
+        self.degree = len(elements[0])
         self.elements = elements
         self.generators = generators
         self._index: dict[Permutation, int] | None = None
         self._mul_cols: dict[int, tuple[int, ...]] = {}
-        self._endos: "tuple[GroupMap, ...] | None" = None
+        self._endos: "tuple[int, tuple[GroupMap, ...]] | None" = None
 
     @property
     def order(self) -> int:
@@ -79,17 +79,17 @@ class FiniteGroup:
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteGroup):
             return NotImplemented
-        return self.degree == other.degree and self.elements == other.elements
+        return self.elements == other.elements
 
     def __hash__(self) -> int:
-        return hash((self.degree, self.elements))
+        return hash(self.elements)
 
     def __repr__(self) -> str:
         gens = ", ".join(cycle_string(g) for g in self.generators) or "e"
         return f"<group deg={self.degree} order={self.order} gens=[{gens}]>"
 
     def is_subgroup_of(self, other: "FiniteGroup") -> bool:
-        return self.degree == other.degree and all(x in other for x in self.elements)
+        return all(x in other for x in self.elements)
 
     def _col(self, c: int) -> tuple[int, ...]:
         """Right multiplication by elements[c], as an index array."""
@@ -144,7 +144,7 @@ def closure(generators: Iterable[Permutation], degree: int,
         if len(found) > max_order:
             raise BudgetExceeded("max_group_order", max_order, "closing a generator set")
     found.sort()
-    return FiniteGroup(tuple(map(_trusted, found)), tuple(gens), degree)
+    return FiniteGroup(tuple(map(_trusted, found)), tuple(gens))
 
 
 def symmetric_group(n: int) -> FiniteGroup:
@@ -223,21 +223,19 @@ def conjugation_tables(g: FiniteGroup, ts: Sequence[int]) -> list[list[int]]:
             for c in map(g._col, map(inverse.__getitem__, ts))]
 
 
-def propagate_images(domain: FiniteGroup, codomain: FiniteGroup,
-                     gen_idx: Sequence[int], image_idx: Sequence[int]):
-    """Build the unique map f with f(identity) = identity and
-    f(x * gen) = f(x) * image, checking every product edge.
+def propagate_images(g: FiniteGroup, gen_idx: Sequence[int], image_idx: Sequence[int]):
+    """Build the unique map f of g into itself with f(identity) =
+    identity and f(x * gen) = f(x) * image, checking every product edge.
 
     Works over element indices.  Returns (table, None) where table[i] is
-    the codomain index of the image of domain element i, or (None,
-    (i, a, b)) naming the first domain element forced to two distinct
-    images a and b.  A total consistent table is automatically a
-    homomorphism: consistency on all edges extends multiplicativity from
-    generators to arbitrary products.
+    the index of the image of element i, or (None, (i, a, b)) naming the
+    first element forced to two distinct images a and b.  A total
+    consistent table is automatically an endomorphism: consistency on all
+    edges extends multiplicativity from generators to arbitrary products.
     """
     # Each generator column paired with its image column, once per call.
-    cols = list(zip(map(domain._col, gen_idx), map(codomain._col, image_idx)))
-    table = [-1] * domain.order
+    cols = list(zip(map(g._col, gen_idx), map(g._col, image_idx)))
+    table = [-1] * g.order
     table[0] = 0
     queue = [0]
     append = queue.append
@@ -253,42 +251,40 @@ def propagate_images(domain: FiniteGroup, codomain: FiniteGroup,
             elif cur != fy:
                 return None, (y, cur, fy)
     if len(queue) != len(table):
-        raise ValueError("generators do not generate the domain")
+        raise ValueError("generators do not generate the group")
     return tuple(table), None
 
 
 class GroupMap(NamedTuple):
-    """A homomorphism between finite groups, stored as the tuple of
-    codomain element indices aligned with domain.elements."""
+    """An endomorphism of group, as the index of each element's image."""
 
-    domain: FiniteGroup
-    codomain: FiniteGroup
+    group: FiniteGroup
     images: tuple[int, ...]
 
     def __call__(self, x: Permutation) -> Permutation:
-        return self.codomain.elements[self.images[self.domain.index_of(x)]]
+        return self.group.elements[self.images[self.group.index_of(x)]]
 
     def is_identity(self) -> bool:
-        return self.domain == self.codomain and self.images == tuple(range(self.domain.order))
+        return self.images == tuple(range(self.group.order))
 
     def is_trivial(self) -> bool:
         return all(i == 0 for i in self.images)
 
     def table_strings(self) -> dict[str, str]:
-        return {cycle_string(x): cycle_string(self.codomain.elements[i])
-                for x, i in zip(self.domain.elements, self.images)}
+        elements = self.group.elements
+        return {cycle_string(x): cycle_string(elements[i]) for x, i in zip(elements, self.images)}
 
     def __repr__(self) -> str:
         kind = "id" if self.is_identity() else ("triv" if self.is_trivial() else "map")
-        return f"<{kind} on order {self.domain.order}>"
+        return f"<{kind} on order {self.group.order}>"
 
 
 def identity_map(g: FiniteGroup) -> GroupMap:
-    return GroupMap(g, g, tuple(range(g.order)))
+    return GroupMap(g, tuple(range(g.order)))
 
 
 def trivial_map(g: FiniteGroup) -> GroupMap:
-    return GroupMap(g, g, (0,) * g.order)
+    return GroupMap(g, (0,) * g.order)
 
 
 class SubgroupPair:

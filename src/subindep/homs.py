@@ -60,8 +60,8 @@ def enumerate_endomorphisms(g: FiniteGroup, endo_budget: int = DEFAULT_ENDO_BUDG
     Raises BudgetExceeded when the order of g exceeds endo_budget, or,
     before searching, when the number of choices exceeds endo_budget ** 2
     or the propagation work, choices times |g|, exceeds ENDO_WORK_FACTOR *
-    endo_budget ** 2.  The maps are cached on g, and a cached list is
-    returned without a search.
+    endo_budget ** 2.  The maps are cached on g with the number of
+    choices, so a cached list is returned under the same budgets.
     """
     if g.order > endo_budget:
         raise BudgetExceeded("endo_budget", endo_budget, "enumerating endomorphisms")
@@ -79,11 +79,14 @@ def enumerate_endomorphisms(g: FiniteGroup, endo_budget: int = DEFAULT_ENDO_BUDG
         candidates = [[j for j, oy in enumerate(orders) if ox % oy == 0]
                       for ox in [orders[i] for i in gen_idx]]
         search = math.prod(map(len, candidates))
-        if search > endo_budget ** 2:
-            raise BudgetExceeded("endo_budget", endo_budget, f"searching {search} candidate maps")
-        if search * g.order > ENDO_WORK_FACTOR * endo_budget ** 2:
-            raise BudgetExceeded("endo_budget", endo_budget,
-                                 f"propagating {search} candidate maps over {g.order} elements")
+    else:
+        search = g._endos[0]
+    if search > endo_budget ** 2:
+        raise BudgetExceeded("endo_budget", endo_budget, f"searching {search} candidate maps")
+    if search * g.order > ENDO_WORK_FACTOR * endo_budget ** 2:
+        raise BudgetExceeded("endo_budget", endo_budget,
+                             f"propagating {search} candidate maps over {g.order} elements")
+    if g._endos is None:
         conj = conjugation_tables(g, [i for i, t in zip(gen_idx, gens)
                                       if any(t * u != u * t for u in gens if u is not t)])
         tables = set()
@@ -95,7 +98,7 @@ def enumerate_endomorphisms(g: FiniteGroup, endo_budget: int = DEFAULT_ENDO_BUDG
         for combo in itertools.product(*candidates):
             if combo in seen:
                 continue
-            table, conflict = propagate_images(g, g, gen_idx, combo)
+            table, conflict = propagate_images(g, gen_idx, combo)
             orbit = [(combo, table)]
             for member, member_table in orbit:  # orbit grows: breadth-first
                 for c in conj:
@@ -105,8 +108,8 @@ def enumerate_endomorphisms(g: FiniteGroup, endo_budget: int = DEFAULT_ENDO_BUDG
                         orbit.append((image, None if conflict else itemgetter(*member_table)(c)))
             if conflict is None:
                 tables.update(t for _, t in orbit)
-        g._endos = tuple(GroupMap(g, g, t) for t in sorted(tables))
-    return list(g._endos)
+        g._endos = search, tuple(GroupMap(g, t) for t in sorted(tables))
+    return list(g._endos[1])
 
 
 class ExtensionConflict(NamedTuple):
@@ -131,8 +134,8 @@ class ExtensionResult(NamedTuple):
 
 def _require_endomorphism(m: GroupMap, g: FiniteGroup, name: str) -> None:
     # The maps of a pair are built on its own sides, so identity settles
-    # almost every call before the elementwise comparison.
-    if not ((m.domain is g or m.domain == g) and (m.codomain is g or m.codomain == g)):
+    # almost every call; recheck_witness checks a table's entries.
+    if not ((m.group is g or m.group == g) and len(m.images) == g.order):
         raise ValueError(f"{name} is not an endomorphism of the expected subgroup")
 
 
@@ -155,7 +158,7 @@ def extend(alpha: GroupMap, beta: GroupMap, pair: SubgroupPair) -> ExtensionResu
     im_a, im_b = alpha.images, beta.images
     gen_idx = [emb_a[i] for i in pos_a] + [emb_b[i] for i in pos_b]
     image_idx = [emb_a[im_a[i]] for i in pos_a] + [emb_b[im_b[i]] for i in pos_b]
-    table, conflict = propagate_images(j, j, gen_idx, image_idx)
+    table, conflict = propagate_images(j, gen_idx, image_idx)
     if conflict is not None:
         y, c1, c2 = conflict
         return ExtensionResult(None, ExtensionConflict(j.elements[y], j.elements[c1], j.elements[c2]))
@@ -167,4 +170,4 @@ def extend(alpha: GroupMap, beta: GroupMap, pair: SubgroupPair) -> ExtensionResu
                 if table[emb[i]] != emb[images[i]]:
                     return ExtensionResult(None, ExtensionConflict(
                         x, j.elements[table[emb[i]]], sub.elements[images[i]]))
-    return ExtensionResult(GroupMap(j, j, table), None)
+    return ExtensionResult(GroupMap(j, table), None)

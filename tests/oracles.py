@@ -31,7 +31,7 @@ import math
 import re
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from subindep.groups import BudgetExceeded, FiniteGroup, GroupMap, SubgroupPair, closure
 from subindep.perm import CycleParseError, Permutation
@@ -195,7 +195,21 @@ def quotient(g: FiniteGroup, n: FiniteGroup):
     return closure([project(t) for t in g.generators], k, max_order=k), project
 
 
-def find_isomorphism(g: FiniteGroup, h: FiniteGroup) -> GroupMap | None:
+class GroupHom(NamedTuple):
+    """A map between two groups, as the tuple of codomain element indices
+    aligned with domain.elements.  The package's maps are endomorphisms
+    (GroupMap); only these oracles map one group to another."""
+
+    domain: FiniteGroup
+    codomain: FiniteGroup
+    images: tuple[int, ...]
+
+
+def _ends(m: GroupMap | GroupHom) -> tuple[FiniteGroup, FiniteGroup]:
+    return (m.group, m.group) if isinstance(m, GroupMap) else (m.domain, m.codomain)
+
+
+def find_isomorphism(g: FiniteGroup, h: FiniteGroup) -> GroupHom | None:
     """An isomorphism g -> h, or None when there is none.
 
     A generating tuple of g of least size is sent to every tuple of
@@ -217,7 +231,7 @@ def find_isomorphism(g: FiniteGroup, h: FiniteGroup) -> GroupMap | None:
             mapping[x] = y
         if len(set(mapping.values())) == g.order and all(
                 mapping[x * y] == mapping[x] * mapping[y] for x in g.elements for y in g.elements):
-            return GroupMap(g, h, tuple(h.index_of(mapping[x]) for x in g.elements))
+            return GroupHom(g, h, tuple(h.index_of(mapping[x]) for x in g.elements))
     return None
 
 
@@ -258,7 +272,7 @@ def all_subgroups(group: FiniteGroup) -> list[FiniteGroup]:
                     found[ext] = gens
                     nxt.append(ext)
         frontier = nxt
-    subs = [FiniteGroup(tuple(sorted(els)), gens, group.degree) for els, gens in found.items()]
+    subs = [FiniteGroup(tuple(sorted(els)), gens) for els, gens in found.items()]
     return sorted(subs, key=lambda s: (s.order, s.elements))
 
 
@@ -375,9 +389,9 @@ def first_conjugacy_merge(sub: FiniteGroup, join: FiniteGroup) -> tuple[Permutat
     return None
 
 
-def check_homomorphism(m: GroupMap) -> bool:
+def check_homomorphism(m: GroupMap | GroupHom) -> bool:
     """Full |G|^2 verification of f(xy) = f(x)f(y)."""
-    dom, cod = m.domain, m.codomain
+    dom, cod = _ends(m)
     for i, x in enumerate(dom.elements):
         for j, y in enumerate(dom.elements):
             lhs = m.images[dom.index_of(x * y)]
@@ -387,8 +401,9 @@ def check_homomorphism(m: GroupMap) -> bool:
     return True
 
 
-def is_bijective(m: GroupMap) -> bool:
-    return len(set(m.images)) == m.domain.order == m.codomain.order
+def is_bijective(m: GroupMap | GroupHom) -> bool:
+    dom, cod = _ends(m)
+    return len(set(m.images)) == dom.order == cod.order
 
 
 def is_independent_set(elements: Iterable[Permutation], ambient: FiniteGroup) -> bool:
@@ -511,7 +526,7 @@ def closure_reference(generators: Iterable[Permutation], degree: int,
                     seen.add(y)
                     nxt.append(y)
         frontier = nxt
-    return FiniteGroup(tuple(sorted(seen)), tuple(gens), degree)
+    return FiniteGroup(tuple(sorted(seen)), tuple(gens))
 
 
 def extend_reference(alpha: GroupMap, beta: GroupMap, pair: SubgroupPair):

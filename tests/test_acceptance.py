@@ -110,11 +110,10 @@ def test_criterion_03_gap_example_certificate():
     # beta = id) is likewise incompatible: no common extension exists.
     a = pair.a
     g1, g2 = P("(1 2)", 6), P("(5 6)", 6)
-    table, conflict = propagate_images(a, a,
-                                       [a.index_of(g1), a.index_of(g2)],
+    table, conflict = propagate_images(a, [a.index_of(g1), a.index_of(g2)],
                                        [a.index_of(g2), a.index_of(g1)])
     assert conflict is None
-    swap = GroupMap(a, a, table)
+    swap = GroupMap(a, table)
     res = extend(swap, identity_map(pair.b), pair)
     assert res.map is None and res.conflict is not None
     assert not extend(swap, identity_map(pair.b), pair).exists

@@ -304,7 +304,7 @@ class TestPropagation:
     def test_identity_assignment_yields_identity_table(self):
         g = symmetric_group(3)
         gens = [g.index_of(x) for x in g.generators]
-        table, conflict = propagate_images(g, g, gens, gens)
+        table, conflict = propagate_images(g, gens, gens)
         assert conflict is None
         assert list(table) == list(range(g.order))
 
@@ -312,23 +312,23 @@ class TestPropagation:
         g = symmetric_group(3)
         a3_gen = g.index_of(P("(1 2 3)", 3))
         with pytest.raises(ValueError):
-            propagate_images(g, g, [a3_gen], [a3_gen])
+            propagate_images(g, [a3_gen], [a3_gen])
 
     def test_inconsistent_images_report_a_conflict(self):
         # An involution cannot map to a 4-cycle: the relation g*g = e
         # forces two different images for the identity.
-        c2 = closure([P("(1 2)", 4)], 4)
-        c4 = closure([P("(1 2 3 4)", 4)], 4)
-        gen = [c2.index_of(P("(1 2)", 4))]
-        img = [c4.index_of(P("(1 2 3 4)", 4))]
-        table, conflict = propagate_images(c2, c4, gen, img)
+        s, c = P("(1 2)", 6), P("(3 4 5 6)", 6)
+        g = closure([s, c], 6)
+        gen = [g.index_of(s), g.index_of(c)]
+        img = [g.index_of(c), g.index_of(c)]
+        table, conflict = propagate_images(g, gen, img)
         assert table is None and conflict is not None
 
     def test_order_halving_image_is_a_valid_homomorphism(self):
         c4 = closure([P("(1 2 3 4)", 4)], 4)
         gen = [c4.index_of(P("(1 2 3 4)", 4))]
         img = [c4.index_of(P("(1 3)(2 4)", 4))]
-        table, conflict = propagate_images(c4, c4, gen, img)
+        table, conflict = propagate_images(c4, gen, img)
         assert conflict is None
         squared = P("(1 3)(2 4)", 4)
         assert c4.elements[table[c4.index_of(P("(1 2 3 4)", 4))]] == squared

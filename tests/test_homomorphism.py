@@ -303,9 +303,9 @@ class TestExtendOnWorkedExamples:
         swap = {P("(1 2)", 6): P("(5 6)", 6), P("(5 6)", 6): P("(1 2)", 6)}
         gen_idx = [a.index_of(g) for g in a.generators]
         img_idx = [a.index_of(swap[g]) for g in a.generators]
-        table, conflict = propagate_images(a, a, gen_idx, img_idx)
+        table, conflict = propagate_images(a, gen_idx, img_idx)
         assert conflict is None
-        alpha = GroupMap(a, a, tuple(table))
+        alpha = GroupMap(a, tuple(table))
         res = extend(alpha, identity_map(pair.b), pair)
         assert not res.exists
         assert cycle_string(res.conflict.element) == "(1 3)(2 4)(5 6)"

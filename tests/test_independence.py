@@ -379,11 +379,11 @@ class TestWitnessRecheck:
         # extending it with id_B does conflict at the identity.
         pair = make_pair(4, ["(1 2)"], ["(3 4)"])
         e = Permutation.identity(4)
-        forged, beta = GroupMap(pair.a, pair.a, (1, 0)), identity_map(pair.b)
+        forged, beta = GroupMap(pair.a, (1, 0)), identity_map(pair.b)
         conflict = extend(forged, beta, pair).conflict
         assert conflict == ExtensionConflict(e, e, P("(1 2)", 4))
         assert not recheck_witness(pair, IncompatiblePairWitness(forged, beta, conflict))
-        alpha, forged = identity_map(pair.a), GroupMap(pair.b, pair.b, (1, 0))
+        alpha, forged = identity_map(pair.a), GroupMap(pair.b, (1, 0))
         mirror = extend(alpha, forged, pair).conflict
         assert mirror is not None
         assert not recheck_witness(pair, IncompatiblePairWitness(alpha, forged, mirror))
@@ -394,7 +394,7 @@ class TestWitnessRecheck:
         # is refused, not indexed.
         pair = make_pair(4, ["(1 2)"], ["(3 4)"])
         e = Permutation.identity(4)
-        w = IncompatiblePairWitness(GroupMap(pair.a, pair.a, images), identity_map(pair.b),
+        w = IncompatiblePairWitness(GroupMap(pair.a, images), identity_map(pair.b),
                                     ExtensionConflict(e, e, P("(1 2)", 4)))
         assert recheck_witness(pair, w) is False
 

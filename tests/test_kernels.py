@@ -179,7 +179,7 @@ class TestExtend:
 
         def any_map(g):
             images = st.lists(st.integers(0, g.order - 1), min_size=g.order, max_size=g.order)
-            return GroupMap(g, g, tuple(data.draw(images)))
+            return GroupMap(g, tuple(data.draw(images)))
 
         maps = [(any_map(pair.a), any_map(pair.b)) for _ in range(4)]
         maps.append((identity_map(pair.a), any_map(pair.b)))
@@ -199,4 +199,14 @@ class TestExtend:
         with pytest.raises(ValueError, match="alpha"):
             extend(identity_map(other), identity_map(pair.b), pair)
         with pytest.raises(ValueError, match="beta"):
-            extend(identity_map(pair.a), GroupMap(pair.b, other, (0, 1)), pair)
+            extend(identity_map(pair.a), identity_map(other), pair)
+
+    @pytest.mark.parametrize("images", [(0,), (0, 1, 0)])
+    def test_rejects_a_table_of_the_wrong_length(self, images):
+        # Too short a table would be indexed past its end; too long a
+        # table would extend as if its extra entries were not there.
+        pair = make_pair(4, ["(1 2)"], ["(3 4)"])
+        with pytest.raises(ValueError, match="alpha"):
+            extend(GroupMap(pair.a, images), identity_map(pair.b), pair)
+        with pytest.raises(ValueError, match="beta"):
+            extend(identity_map(pair.a), GroupMap(pair.b, images), pair)

@@ -25,7 +25,7 @@ from subindep.checks import (
 )
 from subindep import cli, pipeline
 from subindep.atlas import MAX_ATLAS_DEGREE, classify_all_pairs, render_report
-from subindep.groups import GroupMap
+from subindep.groups import BudgetExceeded, GroupMap, closure
 from subindep.homs import ExtensionConflict, ExtensionResult, enumerate_endomorphisms, extend
 from subindep.perm import Permutation, cycle_string, parse_cycles
 from subindep.pipeline import (
@@ -37,6 +37,7 @@ from subindep.pipeline import (
     PairSpecError,
     Step,
     decide,
+    decide_pair,
     format_decision,
     parse_pair_spec,
 )
@@ -200,6 +201,17 @@ class TestDecisions:
         assert d.stats.ncl_a_order == 4 and d.stats.ncl_b_order == 4
         assert d.stats.endo_a == 2 and d.stats.endo_b == 2
         assert d.stats.pairs_checked == 2
+
+    def test_cached_endomorphisms_keep_a_smaller_budget(self):
+        # C2^3 has 8^3 = 512 candidate maps, over the 22^2 = 484 that
+        # endo_budget=22 allows; the default budget decides at Step4.
+        spec = {"degree": 8, "A": ["(1 2)", "(3 4)", "(5 6)"], "B": ["(1 7)(2 8)"]}
+        tight = Config(endo_budget=22)
+        assert decide(spec, tight).step is Step.BUDGET
+        pair = parse_pair_spec(spec)
+        assert decide_pair(pair).step is Step.BRUTE_FORCE
+        d = decide_pair(pair, tight)
+        assert d.status == "Inconclusive" and d.step is Step.BUDGET
 
     def test_gap_example_dependent_at_exhaustion(self):
         d = decide(spec_dict(FAR_SWAPS))
@@ -427,7 +439,7 @@ class TestDiagnostics:
             table = list(range(j.order))
             s, t = j.index_of(parse_cycles("(1 2)", 6)), j.index_of(parse_cycles("(1 2 3)", 6))
             table[s], table[t] = t, s
-            return ExtensionResult(GroupMap(j, j, tuple(table)), None)
+            return ExtensionResult(GroupMap(j, tuple(table)), None)
 
         monkeypatch.setattr(pipeline, "extend", swapped_identity)
         d = decide(self.LAW_SPEC, Config(run_diagnostics=True))
@@ -437,8 +449,8 @@ class TestDiagnostics:
         asked = []
 
         def spy(alpha, beta, pair):
-            asked.append((enumerate_endomorphisms(alpha.domain).index(alpha),
-                          enumerate_endomorphisms(beta.domain).index(beta)))
+            asked.append((enumerate_endomorphisms(alpha.group).index(alpha),
+                          enumerate_endomorphisms(beta.group).index(beta)))
             return extend(alpha, beta, pair)
 
         monkeypatch.setattr(pipeline, "extend", spy)
@@ -592,8 +604,107 @@ class TestVerdictFuzz:
         assert not independent_by_product_scan(parse_pair_spec(spec))
 
 
+@st.composite
+def involution_pair_specs(draw):
+    """Degree 5 to 8: one to three random involutions on each side."""
+    degree = draw(st.integers(5, 8))
+
+    def involution() -> str:
+        p = draw(st.permutations(range(1, degree + 1)))
+        return "".join(f"({p[2 * i]} {p[2 * i + 1]})" for i in range(draw(st.integers(1, degree // 2))))
+
+    return {"degree": degree, **{side: [involution() for _ in range(draw(st.integers(1, 3)))]
+                                 for side in "AB"}}
+
+
+def generators(spec: dict, side: str) -> list[Permutation]:
+    return [parse_cycles(g, spec["degree"]) for g in spec[side]]
+
+
+def join_order_at_most(spec: dict, limit: int) -> bool:
+    try:
+        closure(generators(spec, "A") + generators(spec, "B"), spec["degree"], limit)
+    except BudgetExceeded:
+        return False
+    return True
+
+
+def conjugated(spec: dict, data) -> dict:
+    """Both sides conjugated by one permutation."""
+    t = Permutation(tuple(data.draw(st.permutations(range(spec["degree"])))))
+    return {**spec, **{side: [cycle_string(g.conjugated_by(t)) for g in generators(spec, side)]
+                       for side in "AB"}}
+
+
+def swapped(spec: dict, data) -> dict:
+    return {**spec, "A": spec["B"], "B": spec["A"]}
+
+
+def padded(spec: dict, data) -> dict:
+    """The same generators with fixed points up to degree 8."""
+    return {**spec, "degree": 8}
+
+
+def regenerated(spec: dict, data) -> dict:
+    """Each side's generators with a product of two of them added, in
+    reverse order: the same subgroups, generated another way."""
+    out = dict(spec)
+    for side in "AB":
+        gens = generators(spec, side)
+        i, j = (data.draw(st.integers(0, len(gens) - 1)) for _ in range(2))
+        out[side] = [cycle_string(g) for g in reversed(gens + [gens[i] * gens[j]])]
+    return out
+
+
+class TestVerdictInvariants:
+    """Metamorphic checks on random involution pairs: relabelling the
+    points, swapping the sides, padding with fixed points or generating
+    each side another way keeps the status, and each witness rechecks on
+    the pair it was found for.  Where Step2ii scans every pair, |A| * |B|
+    at most 65,536, the deciding step is kept too, except that a swap may
+    exchange Step3i and Step3ii: a pair meeting both conditions still
+    decides at Step3i after the swap."""
+
+    STEP3 = {Step.B_IN_NCL_A, Step.A_IN_NCL_B}
+
+    @pytest.mark.parametrize("transform", [conjugated, swapped, padded, regenerated])
+    @settings(max_examples=100, deadline=None)
+    @given(spec=involution_pair_specs(), data=st.data())
+    def test_status_and_step_are_kept(self, transform, spec, data):
+        assume(join_order_at_most(spec, TestVerdictFuzz.MAX_JOIN))
+        other = transform(spec, data)
+        pair, moved = parse_pair_spec(spec), parse_pair_spec(other)
+        d, e = (within_alarm(20, decide_pair, p) for p in (pair, moved))
+        assert e.status == d.status
+        if pair.a.order * pair.b.order <= 65_536:
+            assert e.step is d.step or (transform is swapped and {d.step, e.step} <= self.STEP3)
+        if d.status != "Inconclusive":
+            assert recheck_witness(pair, d.witness) and recheck_witness(moved, e.witness)
+
+    @settings(max_examples=60, deadline=None)
+    @given(involution_pair_specs())
+    def test_decide_agrees_with_the_product_scan(self, spec):
+        assume(join_order_at_most(spec, TestVerdictFuzz.MAX_JOIN))
+        pair = parse_pair_spec(spec)
+        # The End count spreads every choice of generator images, 76^3 of
+        # them on a side of order 720, so only sides of at most MAX_ENDOS
+        # elements are counted.
+        assume(max(pair.a.order, pair.b.order) <= TestVerdictFuzz.MAX_ENDOS)
+        assume(len(endomorphisms_by_products(pair.a)) <= TestVerdictFuzz.MAX_ENDOS)
+        assume(len(endomorphisms_by_products(pair.b)) <= TestVerdictFuzz.MAX_ENDOS)
+        d = within_alarm(20, decide, spec)
+        assert d.status == ("Independent" if independent_by_product_scan(pair) else "Dependent")
+
+
 def strip_elapsed(doc: str) -> str:
     return re.sub(r'"elapsed_ms": [0-9.]+', '"elapsed_ms": X', doc)
+
+
+# format_decision's JSON, elapsed_ms masked, with diagnostics on, for the
+# scripts/run_example_pairs.py pairs and the first perfbench ladder_mix
+# entry of each cheap step.
+PINNED_DECISIONS = json.loads(
+    (Path(__file__).parent / "data" / "pinned_decisions.json").read_text(encoding="utf-8"))
 
 
 class TestFormatting:
@@ -628,6 +739,12 @@ class TestFormatting:
     def test_text_mode_independent(self):
         text = format_decision(decide(spec_dict(SWAP_VS_DOUBLE)), "text")
         assert "INDEPENDENT" in text and "step 4" in text
+
+    @pytest.mark.parametrize("case", PINNED_DECISIONS,
+                             ids=[c["label"].replace(" ", "-") for c in PINNED_DECISIONS])
+    def test_decide_json_is_pinned(self, case):
+        out = format_decision(decide(case["spec"], Config(run_diagnostics=True)), "json")
+        assert strip_elapsed(out) == case["json"]
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
