@@ -61,40 +61,31 @@ def enumerate_subgroups(group: FiniteGroup) -> tuple[list[tuple[int, ...]], list
 
     Each subgroup carries the generators of the first set, in
     combinations order, that generates it (singletons first, then
-    pairs).  Every non-identity element is closed once, and a pair
-    (x, y) is closed only if neither lies in the other's cyclic subgroup
-    and no earlier pair had the same two cyclic subgroups.  <x, y>
-    depends only on <x> and <y>, so a skipped pair generates a group
-    that an earlier set already generated, and the first set to reach
-    each group is never skipped: the generators are those of the plain
-    all-pairs scan.
+    pairs): those of the plain all-pairs scan.  Every non-identity
+    element is closed once.  <x, y> depends only on <x> and <y>, so one
+    pair is closed per two distinct cyclic subgroups, neither inside the
+    other: their least generators m < m', in ascending order.  That is
+    the first pair (x, y), x < y, the all-pairs scan meets with those two
+    cyclic subgroups: x >= m, and y >= m' when x = m, as m generates only
+    <m>.  So the closed pairs come in the scan's order, and each group is
+    first reached by the scan's generators.
     """
     cols = list(map(group._col, range(group.order)))
-    nontrivial = range(1, group.order)
     # The first generator indices to reach each subgroup, keyed by its
     # sorted index tuple.
     found: dict[tuple[int, ...], tuple[int, ...]] = {(0,): ()}
-    # The cyclic subgroup of each element, by index, and that subgroup's
-    # index among the distinct ones.
-    cyclic: list[set[int]] = [{0}]
-    cyclic_id: list[int] = [0]
-    ids: dict[tuple[int, ...], int] = {(0,): 0}
-    for x in nontrivial:
+    # Each distinct nontrivial cyclic subgroup, keyed by its least
+    # generator: elements come in ascending order.
+    cyclic: dict[int, set[int]] = {}
+    for x in range(1, group.order):
         c = _orbit(0, [cols[x]])
         key = tuple(sorted(c))
-        found.setdefault(key, (x,))
-        cyclic.append(c)
-        cyclic_id.append(ids.setdefault(key, len(ids)))
-    closed: set[tuple[int, int]] = set()
-    for x, y in combinations(nontrivial, 2):
-        cx, cy = cyclic_id[x], cyclic_id[y]
-        key = (cx, cy) if cx < cy else (cy, cx)
-        if key in closed:
-            continue
-        closed.add(key)
-        if y in cyclic[x] or x in cyclic[y]:
-            continue
-        found.setdefault(tuple(sorted(_orbit(0, [cols[x], cols[y]]))), (x, y))
+        if key not in found:
+            found[key] = (x,)
+            cyclic[x] = c
+    for x, y in combinations(cyclic, 2):
+        if y not in cyclic[x] and x not in cyclic[y]:
+            found.setdefault(tuple(sorted(_orbit(0, [cols[x], cols[y]]))), (x, y))
     members = sorted(found, key=lambda k: (len(k), k))
     return members, [found[k] for k in members]
 
@@ -144,12 +135,6 @@ _LADDER_COLUMNS = ("almost_disjoint", "commuting", "order_divisibility",
                    "normal_asymmetry", "b_in_ncl_a", "a_in_ncl_b")
 
 
-def _gens_string(sub: FiniteGroup) -> str:
-    if not sub.generators:
-        return "e"
-    return ";".join(cycle_string(g) for g in sub.generators)
-
-
 class _AtlasRun:
     """The lattice of one atlas run, built once from the symmetric group
     it is given, and what the run shares across its rows: the enumerated
@@ -169,6 +154,10 @@ class _AtlasRun:
     numbered once, on the group's indices.  A conjugation is a lookup in
     the table of the conjugating element (groups.conjugation_tables), one
     per element that generates a subgroup.
+
+    fill assigns a pair's facts but no ladder verdict: each ladder
+    column of a row is its check's own outcome on the filled pair, and
+    the pipeline columns are read from those outcomes.
 
     The join of a pair is looked up, not closed: it is the first
     subgroup in the list whose bitset covers both sides.  The normal
@@ -197,7 +186,7 @@ class _AtlasRun:
         at = group.elements.__getitem__
         self.subs = [FiniteGroup(tuple(map(at, m)), tuple(map(at, g)))
                      for m, g in zip(self._members, self._gen_ids)]
-        self.gens = [_gens_string(s) for s in self.subs]
+        self.gens = [";".join(map(cycle_string, s.generators)) or "e" for s in self.subs]
         self._bits = [sum(1 << x for x in m) for m in self._members]
         ts = sorted(set(chain.from_iterable(self._gen_ids)))
         tables = dict(zip(ts, conjugation_tables(group, ts)))
@@ -350,14 +339,8 @@ def _classify_one(run: _AtlasRun, task: tuple[str, int, int]) -> AtlasRow:
     # Each stage runs once: its outcome fills its column, and the
     # pipeline's status and step are read from the same outcomes.
     outcomes = [check(pair) for _, check in LADDER]
-    status, step, _, _ = ladder_decision(pair, outcomes=outcomes)
+    status, step, _, _ = ladder_decision(pair, outcomes)
     checks = {name: out.verdict.value for name, out in zip(_LADDER_COLUMNS, outcomes)}
-    both_normal = pair.a_normal and pair.b_normal
-    if both_normal and pair.shared_element is None:
-        # The column reads independent here, though the stage abstains:
-        # A and B both normal with A ∩ B = 1 gives [A, B] ⊆ A ∩ B = 1, so
-        # A and B commute elementwise and Step2i decides first.
-        checks["normal_asymmetry"] = Verdict.INDEPENDENT.value
     sep_both = (checks["a_in_ncl_b"] == Verdict.INCONCLUSIVE.value
                 and checks["b_in_ncl_a"] == Verdict.INCONCLUSIVE.value)
     ncl_b = pair.ncl_b
@@ -371,7 +354,7 @@ def _classify_one(run: _AtlasRun, task: tuple[str, int, int]) -> AtlasRow:
                     pipeline_step=step.value,
                     separated_both=sep_both,
                     ncl_intersection_trivial=not ncl_meet,
-                    both_normal=both_normal,
+                    both_normal=pair.a_normal and pair.b_normal,
                     gap_region=sep_both and ncl_meet,
                     budget="")
 

@@ -265,8 +265,10 @@ def check_a_inside_ncl_b(pair: SubgroupPair) -> CheckOutcome:
 
 def check_normal_asymmetry(pair: SubgroupPair) -> CheckOutcome:
     """Exactly one of A, B normal in the join proves dependence.  Both
-    normal with A ∩ B = 1 would prove independence, but then
-    [A, B] ⊆ A ∩ B = 1, and Step2i has already decided.
+    normal with A ∩ B = 1 proves independence with a CommutingWitness:
+    [A, B] ≤ A ∩ B = 1, so A and B commute elementwise.  In the ladder
+    Step2i decides that case first, so there this stage only ever proves
+    dependence.
 
     Step3 subsumes this stage.  Let A be normal in J = ⟨A, B⟩ and B not.
     Then J = AB and B ≤ ⟨Conj(B)⟩ ≤ AB, so by Dedekind's law
@@ -286,6 +288,8 @@ def check_normal_asymmetry(pair: SubgroupPair) -> CheckOutcome:
                         Verdict.DEPENDENT,
                         NormalAsymmetryWitness(normal_side, x, t, c))
         raise AssertionError("non-normal subgroup with no moved generator conjugate")
+    if na and pair.shared_element is None:
+        return CheckOutcome(Verdict.INDEPENDENT, CommutingWitness())
     return _INCONCLUSIVE
 
 

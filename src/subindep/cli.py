@@ -70,6 +70,8 @@ def _load_pair_spec(args) -> dict:
         if args.degree is None or not args.a or not args.b:
             raise PairSpecError("--inline requires --degree, at least one --a and one --b")
         return {"degree": args.degree, "A": args.a, "B": args.b}
+    if args.degree is not None or args.a is not None or args.b is not None:
+        raise PairSpecError("--degree, --a and --b need --inline; --input reads the whole pair")
     # One character past the bound is enough to reject the input, and
     # no more is read.
     if args.input == "-":

@@ -13,10 +13,9 @@ instead of thrashing.
 from __future__ import annotations
 
 from functools import cached_property
-from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
-from .perm import Permutation, _trusted, cycle_string
+from .perm import Permutation, _trusted, cycle_string, gather
 
 DEFAULT_MAX_GROUP_ORDER = 5040
 DEFAULT_ENDO_BUDGET = 256
@@ -96,16 +95,11 @@ class FiniteGroup:
         col = self._mul_cols.get(c)
         if col is None:
             index = self._image_index()
-            if self.degree == 1:
-                # itemgetter of one index returns the item, not a tuple;
-                # the group of degree 1 is trivial.
-                col = (0,)
-            else:
-                # x * elements[c] has images x[pc[i]].  The index's keys
-                # are the elements, in order; a plain tuple looks up the
-                # Permutation equal to it.
-                times_c = itemgetter(*self.elements[c])
-                col = tuple([index[times_c(x)] for x in index])
+            # x * elements[c] has images x[pc[i]].  The index's keys are
+            # the elements, in order; a plain tuple looks up the
+            # Permutation equal to it.
+            times_c = gather(self.elements[c])
+            col = tuple([index[times_c(x)] for x in index])
             self._mul_cols[c] = col
         return col
 
@@ -117,7 +111,7 @@ def closure(generators: Iterable[Permutation], degree: int,
     Breadth-first closure under right multiplication by the generators;
     in a finite group this also yields all inverses.  The search runs on
     image tuples (x * g has images x[g[i]], gathered by
-    operator.itemgetter), and each element is wrapped as a Permutation
+    perm.gather), and each element is wrapped as a Permutation
     once, after sorting.  Raises BudgetExceeded once the element count
     passes max_order, checked after each element is expanded, so at most
     max_order + len(gens) tuples are ever held.
@@ -129,9 +123,7 @@ def closure(generators: Iterable[Permutation], degree: int,
             raise ValueError(f"generator degree {len(g)} does not match {degree}")
         if g != e and g not in gens:
             gens.append(g)
-    # One gather per generator.  The generators are not the identity, so
-    # the degree is at least 2 and each getter returns a tuple.
-    times = [itemgetter(*g) for g in gens]
+    times = list(map(gather, gens))
     seen = {e}
     found = [e]
     add, append = seen.add, found.append

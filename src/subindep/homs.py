@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from operator import itemgetter
 from typing import NamedTuple
 
 from .groups import (
@@ -24,7 +23,7 @@ from .groups import (
     conjugation_tables,
     propagate_images,
 )
-from .perm import Permutation
+from .perm import Permutation, gather
 
 # Each candidate map propagates over all of g, so the search costs at
 # most candidates * |g| steps (fewer when g is not abelian: one candidate
@@ -92,8 +91,7 @@ def enumerate_endomorphisms(g: FiniteGroup, endo_budget: int = DEFAULT_ENDO_BUDG
         tables = set()
         # Product order never returns to a tuple, so only the orbit
         # members reached through conj are recorded as seen; when g is
-        # abelian, conj is empty and so is seen.  Otherwise at least two
-        # generators are kept, so each gather below returns a tuple.
+        # abelian, conj is empty and so is seen.
         seen = set()
         for combo in itertools.product(*candidates):
             if combo in seen:
@@ -102,10 +100,10 @@ def enumerate_endomorphisms(g: FiniteGroup, endo_budget: int = DEFAULT_ENDO_BUDG
             orbit = [(combo, table)]
             for member, member_table in orbit:  # orbit grows: breadth-first
                 for c in conj:
-                    image = itemgetter(*member)(c)
+                    image = gather(member)(c)
                     if image not in seen:
                         seen.add(image)
-                        orbit.append((image, None if conflict else itemgetter(*member_table)(c)))
+                        orbit.append((image, None if conflict else gather(member_table)(c)))
             if conflict is None:
                 tables.update(t for _, t in orbit)
         g._endos = search, tuple(GroupMap(g, t) for t in sorted(tables))
@@ -134,8 +132,10 @@ class ExtensionResult(NamedTuple):
 
 def _require_endomorphism(m: GroupMap, g: FiniteGroup, name: str) -> None:
     # The maps of a pair are built on its own sides, so identity settles
-    # almost every call; recheck_witness checks a table's entries.
-    if not ((m.group is g or m.group == g) and len(m.images) == g.order):
+    # almost every group test.  A negative entry would index from the end.
+    images, n = m.images, g.order
+    if not ((m.group is g or m.group == g) and len(images) == n
+            and min(images) >= 0 and max(images) < n):
         raise ValueError(f"{name} is not an endomorphism of the expected subgroup")
 
 
@@ -149,6 +149,12 @@ def extend(alpha: GroupMap, beta: GroupMap, pair: SubgroupPair) -> ExtensionResu
     of A and with beta on all of B is then checked rather than assumed,
     one whole-side comparison per side, with the element loop run only
     to name the first element that disagrees.
+
+    Each map must be a table of its side's order with every entry an
+    index of the side, or ValueError names it.  A table of that shape
+    that is no homomorphism is taken as given and ends in a conflict,
+    which is the right answer: no endomorphism of the join restricts to
+    a map that is not a homomorphism.
     """
     _require_endomorphism(alpha, pair.a, "alpha")
     _require_endomorphism(beta, pair.b, "beta")
@@ -163,9 +169,7 @@ def extend(alpha: GroupMap, beta: GroupMap, pair: SubgroupPair) -> ExtensionResu
         y, c1, c2 = conflict
         return ExtensionResult(None, ExtensionConflict(j.elements[y], j.elements[c1], j.elements[c2]))
     for sub, images, emb in ((pair.a, im_a, emb_a), (pair.b, im_b, emb_b)):
-        # Two gathers of the same length: tuples, or single indices when
-        # the side is trivial.
-        if itemgetter(*emb)(table) != itemgetter(*images)(emb):
+        if gather(emb)(table) != gather(images)(emb):
             for i, x in enumerate(sub.elements):
                 if table[emb[i]] != emb[images[i]]:
                     return ExtensionResult(None, ExtensionConflict(

@@ -16,6 +16,7 @@ import math
 import re
 from functools import partial
 from operator import itemgetter
+from typing import Callable, Sequence
 
 
 class CycleParseError(ValueError):
@@ -56,11 +57,7 @@ class Permutation(tuple):
         # self * other applies other first.
         if len(self) != len(other):
             raise ValueError(f"degree mismatch: {len(self)} vs {len(other)}")
-        if len(other) == 1:
-            # itemgetter of one index returns the item, not a tuple; the
-            # only permutation of degree 1 is the identity.
-            return self
-        return _trusted(itemgetter(*other)(self))
+        return _trusted(gather(other)(self))
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self)
@@ -117,6 +114,16 @@ class Permutation(tuple):
 
     def __repr__(self) -> str:
         return f"Perm({cycle_string(self)!r}, deg={self.degree})"
+
+
+def gather(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """A getter of the items at the given indices, in order, as a tuple:
+    operator.itemgetter(*indices), except that one index gives a tuple
+    too, where itemgetter gives the item alone."""
+    if len(indices) == 1:
+        i, = indices
+        return lambda seq: (seq[i],)
+    return itemgetter(*indices)
 
 
 # A Permutation from images already known to be a bijection; a partial of

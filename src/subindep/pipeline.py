@@ -12,8 +12,7 @@ import random
 import time
 from enum import Enum
 from itertools import repeat
-from operator import itemgetter
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .checks import (
     BudgetWitness,
@@ -36,7 +35,7 @@ from .groups import (
     closure,
 )
 from .homs import extend, enumerate_endomorphisms
-from .perm import CycleParseError, Permutation, parse_cycles
+from .perm import CycleParseError, Permutation, gather, parse_cycles
 
 
 class Step(str, Enum):
@@ -179,7 +178,8 @@ def decide_pair(pair: SubgroupPair, config: Config = Config()) -> Decision:
     """
     t0 = time.perf_counter()
     try:
-        status, step, witness, counts = ladder_decision(pair, config.endo_budget)
+        status, step, witness, counts = ladder_decision(
+            pair, (check(pair) for _, check in LADDER), config.endo_budget)
     except BudgetExceeded as exc:
         status, step, counts = "Inconclusive", Step.BUDGET, None
         witness = BudgetWitness(exc.budget, exc.limit, exc.context)
@@ -193,18 +193,17 @@ def decide_pair(pair: SubgroupPair, config: Config = Config()) -> Decision:
     return Decision(status, step, witness, stats, diagnostics)
 
 
-def ladder_decision(pair: SubgroupPair, endo_budget: int = DEFAULT_ENDO_BUDGET,
-                    outcomes: Sequence[CheckOutcome] | None = None
+def ladder_decision(pair: SubgroupPair, outcomes: Iterable[CheckOutcome],
+                    endo_budget: int = DEFAULT_ENDO_BUDGET
                     ) -> tuple[str, Step, object, dict | None]:
     """(status, step, witness, Step4 counts) of the first LADDER stage
     that decides on pair, or of Step4 when none does; raises
     BudgetExceeded when a stage or Step4 trips a budget.
 
-    Without outcomes the stages run in turn, and none after the deciding
-    one.  outcomes, when given, holds every stage's outcome on pair in
-    LADDER order, and is read instead."""
-    for k, (step, check) in enumerate(LADDER):
-        out = check(pair) if outcomes is None else outcomes[k]
+    outcomes yields each stage's outcome on pair in LADDER order, and is
+    read no further than the deciding one: a generator that runs the
+    stages as it is read runs none after that one."""
+    for (step, _), out in zip(LADDER, outcomes):
         if out.decided:
             return out.verdict.value.capitalize(), step, out.witness, None
     out = brute_force_independent(pair, endo_budget)
@@ -266,14 +265,12 @@ def _sample_extension_law(pair: SubgroupPair, config: Config) -> bool:
     endos_b = enumerate_endomorphisms(pair.b, config.endo_budget)
     j = pair.join
     elements, index = j.elements, j._image_index()
-    # Join index -> itemgetter of that element's images, so that x * y,
-    # whose images are x[y[i]], is gathers[index of y](x).  Each getter is
-    # built the first time its element is drawn: a law forms at most
+    # Join index -> gather of that element's images, so that x * y, whose
+    # images are x[y[i]], is gathers[index of y](x).  Each getter is built
+    # the first time its element is drawn: a law forms at most
     # 2 * LAW_SAMPLES * LAW_WORDS products, on joins of up to thousands of
-    # elements.  itemgetter of one index returns the item, not a tuple;
-    # the only permutation of degree 1 is the identity, and x * e is x.
+    # elements.
     gathers: dict = {}
-    one_point = j.degree == 1
     bits = random.Random(LAW_SEED).getrandbits
     na, nb, nj = len(endos_a), len(endos_b), j.order
     ka, kb, kj = na.bit_length(), nb.bit_length(), nj.bit_length()
@@ -299,21 +296,13 @@ def _sample_extension_law(pair: SubgroupPair, config: Config) -> bool:
             while iy >= nj:
                 iy = bits(kj)
             igy = table[iy]
-            get_y = gathers.get(iy) or gathers.setdefault(
-                iy, tuple if one_point else itemgetter(*elements[iy]))
-            get_gy = gathers.get(igy) or gathers.setdefault(
-                igy, tuple if one_point else itemgetter(*elements[igy]))
+            get_y = gathers.get(iy) or gathers.setdefault(iy, gather(elements[iy]))
+            get_gy = gathers.get(igy) or gathers.setdefault(igy, gather(elements[igy]))
             xy = get_y(elements[ix])
             gxgy = get_gy(elements[table[ix]])
             if elements[table[index[xy]]] != gxgy:
                 return False
     return True
-
-
-def _witness_to_json(witness: object | None) -> dict | None:
-    if witness is None:
-        return None
-    return witness.to_json()
 
 
 _STEP_TEXT = {
@@ -334,7 +323,7 @@ def format_decision(decision: Decision, fmt: str = "json") -> str:
         doc = {
             "status": decision.status.lower(),
             "step": decision.step.value,
-            "witness": _witness_to_json(decision.witness),
+            "witness": None if decision.witness is None else decision.witness.to_json(),
             "stats": {**decision.stats._asdict(),
                       "elapsed_ms": round(decision.stats.elapsed_ms, 3)},
             "diagnostics": decision.diagnostics,

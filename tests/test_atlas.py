@@ -5,6 +5,7 @@ import json
 import random
 import sys
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -34,6 +35,7 @@ from subindep.checks import (
     brute_force_independent,
     check_a_inside_ncl_b,
     check_b_inside_ncl_a,
+    check_normal_asymmetry,
     verify_factoring,
 )
 from subindep.groups import (
@@ -128,6 +130,15 @@ class TestSubgroupEnumeration:
         assert not any(y in cyclic[x] or x in cyclic[y] for x, y in pairs)
         keys = [frozenset((cyclic[x], cyclic[y])) for x, y in pairs]
         assert len(keys) == len(set(keys)) < 253
+        # The pair closed for two cyclic subgroups is their least
+        # generators, and the pairs come in ascending order.
+        least = {}
+        for x in group.elements[1:]:
+            least.setdefault(cyclic[x], x)
+        assert len(least) == 16
+        assert pairs == [(x, y) for x, y in combinations(least.values(), 2)
+                         if not (y in cyclic[x] or x in cyclic[y])]
+        assert len(pairs) == 117
 
     def test_subgroups_hold_the_ambient_elements(self):
         # Each subgroup's elements are gathered from the ambient group, not
@@ -462,11 +473,25 @@ class TestTheoremSuite:
             if r.both_normal and r.almost_disjoint == "inconclusive":
                 assert r.oracle == "independent", r.pair_id
                 # [A, B] lies in A ∩ B = 1, so Step2i decides first; the
-                # normal_asymmetry column still reads independent.
+                # NormalAsym check proves independence too.
                 assert r.pipeline_step == "Step2i", r.pair_id
                 assert r.normal_asymmetry == "independent", r.pair_id
                 hit += 1
         assert hit > 0
+
+    def test_normal_asymmetry_cell_is_the_check(self, s4_atlas, s5_atlas):
+        # The atlas writes no ladder column itself: on every orbit
+        # representative the cell is the check's verdict on the pair the
+        # run filled.
+        for degree, (rows, _) in ((4, s4_atlas), (5, s5_atlas)):
+            run = atlas_run(degree)
+            reps = [rows[k] for k, rep in enumerate(run.orbits()) if rep == k]
+            assert len(reps) == {4: 155, 5: 679}[degree]
+            for r in reps:
+                pair = SubgroupPair(run.subs[r.a_index], run.subs[r.b_index])
+                run.fill(pair, r.a_index, r.b_index)
+                verdict = check_normal_asymmetry(pair).verdict.value
+                assert r.normal_asymmetry == verdict, r.pair_id
 
     def test_normal_asymmetry_rows_dependent(self, s4_atlas):
         rows, _ = s4_atlas

@@ -183,12 +183,15 @@ class TestNormalAsymmetry:
         assert check_normal_asymmetry(make_pair(*SWAP_VS_DOUBLE)).verdict is Verdict.INCONCLUSIVE
 
     def test_both_normal_disjoint_proves_independent(self):
-        # Both normal and disjoint: [A, B] lies in A ∩ B = 1, so Step2i
-        # proves independence and this stage abstains.
+        # Both normal and disjoint: [A, B] lies in A ∩ B = 1, so A and B
+        # commute elementwise, which Step2i also proves.
         pair = make_pair(4, ["(1 2)"], ["(3 4)"])
         assert pair.a_normal and pair.b_normal and pair.shared_element is None
-        assert check_normal_asymmetry(pair).verdict is Verdict.INCONCLUSIVE
-        assert check_commuting(pair).verdict is Verdict.INDEPENDENT
+        out = check_normal_asymmetry(pair)
+        assert out.verdict is Verdict.INDEPENDENT
+        assert type(out.witness) is CommutingWitness
+        assert recheck_witness(pair, out.witness)
+        assert check_commuting(pair) == out
 
     def test_both_normal_with_shared_elements_stays_inconclusive(self):
         sub = closure([P("(1 2)", 3)], 3)

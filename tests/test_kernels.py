@@ -210,3 +210,13 @@ class TestExtend:
             extend(GroupMap(pair.a, images), identity_map(pair.b), pair)
         with pytest.raises(ValueError, match="beta"):
             extend(identity_map(pair.a), GroupMap(pair.b, images), pair)
+
+    @pytest.mark.parametrize("images", [(0, -1), (0, 2)], ids=["negative", "past-the-end"])
+    def test_rejects_a_table_entry_out_of_range(self, images):
+        # -1 would index the last element and read as the identity; 2
+        # would be indexed past the side's end.
+        pair = make_pair(4, ["(1 2)"], ["(3 4)"])
+        with pytest.raises(ValueError, match="alpha"):
+            extend(GroupMap(pair.a, images), identity_map(pair.b), pair)
+        with pytest.raises(ValueError, match="beta"):
+            extend(identity_map(pair.a), GroupMap(pair.b, images), pair)

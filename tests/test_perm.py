@@ -6,7 +6,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, strategies as st
 
-from subindep.perm import CycleParseError, Permutation, cycle_string, parse_cycles
+from subindep.perm import CycleParseError, Permutation, cycle_string, gather, parse_cycles
 
 
 def perms(max_degree: int = 8):
@@ -213,10 +213,18 @@ class TestValidation:
             Permutation((1, 0)) * Permutation((0, 1, 2))
 
     def test_degree_one_product_is_a_permutation(self):
-        # A gather of one index yields the item, not a tuple.
+        # A product at degree 1 gathers one index, which itemgetter would
+        # return as the item alone.
         e = Permutation((0,))
         for p in (e * e, e.inverse(), e.conjugated_by(e)):
             assert p == (0,) and type(p) is Permutation
+
+    @pytest.mark.parametrize("seq", [(5, 6, 7), [5, 6, 7]], ids=["tuple", "list"])
+    def test_gather_returns_a_tuple_at_any_number_of_indices(self, seq):
+        assert gather((1,))(seq) == (6,)
+        assert gather([2, 0])(seq) == (7, 5)
+        assert gather(Permutation((2, 1, 0)))(seq) == (7, 6, 5)
+        assert all(type(gather(ix)(seq)) is tuple for ix in ((0,), (0, 0), (2, 1, 0)))
 
     def test_immutable(self):
         p = Permutation((1, 0, 2))

@@ -1,3 +1,4 @@
+import io
 import json
 import random
 import re
@@ -5,7 +6,6 @@ import signal
 import subprocess
 import sys
 import time
-from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -27,7 +27,7 @@ from subindep import cli, pipeline
 from subindep.atlas import MAX_ATLAS_DEGREE, classify_all_pairs, render_report
 from subindep.groups import BudgetExceeded, GroupMap, closure
 from subindep.homs import ExtensionConflict, ExtensionResult, enumerate_endomorphisms, extend
-from subindep.perm import Permutation, cycle_string, parse_cycles
+from subindep.perm import Permutation, cycle_string, gather, parse_cycles
 from subindep.pipeline import (
     Config,
     MAX_SPEC_CHARS_PER_POINT,
@@ -477,27 +477,25 @@ class TestDiagnostics:
                              ids=["degree-6", "degree-1", "join-order-8", "trivial-b"])
     def test_law_products_are_permutation_products(self, monkeypatch, spec):
         # Every product the audit forms as an image gather equals the
-        # Permutation product of its factors; at degree 1 it forms none.
+        # Permutation product of its factors, at degree 1 too.
         gathered = []
 
-        def spy(*y):
-            get = itemgetter(*y)
+        def spy(y):
+            get = gather(y)
 
-            def gather(x):
+            def recording(x):
                 xy = get(x)
                 gathered.append((x, y, xy))
                 return xy
-            return gather
+            return recording
 
-        monkeypatch.setattr(pipeline, "itemgetter", spy)
+        monkeypatch.setattr(pipeline, "gather", spy)
         d = decide(spec, Config(run_diagnostics=True))
         assert d.diagnostics["extension_law_sampled"] is True
         for x, y, xy in gathered:
             assert xy == Permutation(x) * Permutation(y)
         # Two products for each of the 8 words of the 25 samples.
-        assert len(gathered) == (400 if spec["degree"] > 1 else 0)
-        if spec["degree"] == 1:
-            return
+        assert len(gathered) == 400
         # The words, and the maps applied to them, are those that
         # random.Random(0).randrange draws: a map of A, a map of B, then 8
         # words of two join elements, 25 times.  A side with one map still
@@ -822,6 +820,23 @@ class TestCli:
         sides = [longest] * MAX_SPEC_GENERATORS
         spec = {"degree": MAX_SPEC_DEGREE, "A": sides, "B": sides}
         assert len(json.dumps(spec, indent=2)) <= MAX_SPEC_INPUT_CHARS
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    @pytest.mark.parametrize("flags", [("--degree", "9"), ("--a", "(1 2 3)"), ("--b", "(1 2)")],
+                             ids=["degree", "a", "b"])
+    def test_inline_flags_without_inline_exit_1(self, tmp_path, monkeypatch, capsys,
+                                                source, flags):
+        # The pair comes from the input alone; a flag it would ignore is
+        # refused, not dropped.
+        text = json.dumps(spec_dict(SHARED_POINT))
+        f = tmp_path / "pair.json"
+        f.write_text(text)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        path = str(f) if source == "file" else "-"
+        assert cli.main(["decide", "--input", path, *flags]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("subindep: error: ")
+        assert "--inline" in out.err
 
     def test_missing_input_exits_1(self):
         r = run_cli("decide", "--input", "/nonexistent/pair.json")
