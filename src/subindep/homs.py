@@ -34,6 +34,14 @@ from .perm import Permutation, gather
 ENDO_WORK_FACTOR = 32
 
 
+# End tables by multiplication structure (see enumerate_endomorphisms),
+# bounded by the table entries held.  The benchmark's audit inputs settle
+# at 233 keys and 79,318 entries, the S5 lattice at 40 keys and 36,144;
+# End(C2^4), 65,536 tables of 16, is never kept.
+ENDO_MEMO_ENTRIES = 1 << 18
+_ENDO_MEMO: dict[tuple, tuple[int, tuple[tuple[int, ...], ...]]] = {}
+
+
 def enumerate_endomorphisms(g: FiniteGroup, endo_budget: int = DEFAULT_ENDO_BUDGET) -> list[GroupMap]:
     """All endomorphisms of g, deduplicated and sorted by their full image
     tables in canonical element order.
@@ -56,14 +64,32 @@ def enumerate_endomorphisms(g: FiniteGroup, endo_budget: int = DEFAULT_ENDO_BUDG
     representative's gathered through the same maps.  When g is abelian
     every orbit is a single choice, and each is propagated as it comes.
 
+    The number of choices and the sorted tables are memoized by g's order
+    and the right-multiplication columns (g._col) of its generators, each
+    of which starts with its generator's index.  That key is enough:
+    breadth-first search from index 0 along equal columns reaches every
+    index by the same generator word, so groups with equal keys have
+    index-identical multiplication tables, and so the same kept
+    generators, element orders, choices and tables, whatever their
+    degree or points.  The memo holds at most ENDO_MEMO_ENTRIES table
+    entries, dropping the least recently used key first; a search with
+    more entries than that is not kept.
+
     Raises BudgetExceeded when the order of g exceeds endo_budget, or,
     before searching, when the number of choices exceeds endo_budget ** 2
     or the propagation work, choices times |g|, exceeds ENDO_WORK_FACTOR *
     endo_budget ** 2.  The maps are cached on g with the number of
-    choices, so a cached list is returned under the same budgets.
+    choices, and so is a memoized search, so a cached list is returned
+    under the same budgets.
     """
     if g.order > endo_budget:
         raise BudgetExceeded("endo_budget", endo_budget, "enumerating endomorphisms")
+    if g._endos is None:
+        key = (g.order, tuple(map(g._col, map(g.index_of, g.generators))))
+        known = _ENDO_MEMO.pop(key, None)
+        if known is not None:
+            _ENDO_MEMO[key] = known  # now the most recently used
+            g._endos = known[0], tuple(GroupMap(g, t) for t in known[1])
     if g._endos is None:
         gens: list[Permutation] = []
         span = None
@@ -106,8 +132,23 @@ def enumerate_endomorphisms(g: FiniteGroup, endo_budget: int = DEFAULT_ENDO_BUDG
                         orbit.append((image, None if conflict else gather(member_table)(c)))
             if conflict is None:
                 tables.update(t for _, t in orbit)
-        g._endos = search, tuple(GroupMap(g, t) for t in sorted(tables))
+        tables = tuple(sorted(tables))
+        _memoize(key, (search, tables))
+        g._endos = search, tuple(GroupMap(g, t) for t in tables)
     return list(g._endos[1])
+
+
+def _memoize(key: tuple, known: tuple[int, tuple[tuple[int, ...], ...]]) -> None:
+    """Keep a search under key, whose first item is the group order,
+    unless its tables alone exceed ENDO_MEMO_ENTRIES entries; then drop
+    the least recently used keys until the memo's tables fit again."""
+    if key[0] * len(known[1]) > ENDO_MEMO_ENTRIES:
+        return
+    _ENDO_MEMO[key] = known
+    held = sum(k[0] * len(tables) for k, (_, tables) in _ENDO_MEMO.items())
+    while held > ENDO_MEMO_ENTRIES:
+        oldest = next(iter(_ENDO_MEMO))
+        held -= oldest[0] * len(_ENDO_MEMO.pop(oldest)[1])
 
 
 class ExtensionConflict(NamedTuple):

@@ -11,6 +11,7 @@ import json
 import random
 import time
 from enum import Enum
+from functools import lru_cache
 from itertools import repeat
 from typing import Iterable, NamedTuple
 
@@ -243,24 +244,35 @@ def _unless_budget(audit, *args):
 
 # The sampled extension law: LAW_SAMPLES endomorphism pairs drawn from a
 # generator seeded with LAW_SEED, each checked on LAW_WORDS words x, y.
+# The draws depend only on three sizes; LAW_STREAMS of them are kept.
 LAW_SAMPLES = 25
 LAW_WORDS = 8
 LAW_SEED = 0
+LAW_STREAMS = 64
+
+
+@lru_cache(maxsize=LAW_STREAMS)
+def _law_stream(n_a: int, n_b: int, n_join: int) -> tuple[tuple[int, int, tuple], ...]:
+    """The law's draws for |End(A)| = n_a, |End(B)| = n_b and a join of
+    order n_join: LAW_SAMPLES triples (a, b, words), each an index below
+    n_a, one below n_b and LAW_WORDS pairs (x, y) of join indices, in the
+    order random.Random(LAW_SEED).randrange draws them."""
+    draw = random.Random(LAW_SEED).randrange
+    return tuple((draw(n_a), draw(n_b),
+                  tuple((draw(n_join), draw(n_join)) for _ in range(LAW_WORDS)))
+                 for _ in range(LAW_SAMPLES))
 
 
 def _sample_extension_law(pair: SubgroupPair, config: Config) -> bool:
     """For random endomorphism pairs of an independent pair, confirm the
     extension restricts correctly and respects products on sampled words.
 
-    The draws are those of random.Random(LAW_SEED).randrange: for n >= 1,
-    randrange(n) draws k = n.bit_length() bits and draws again while the
-    result is n or more, and so does this loop, over the same generator's
-    getrandbits.  Each distinct pair is extended once; gamma is read from
-    its image table by element index.  Both products, x * y and gamma(x)
-    * gamma(y), are permutation products formed as image gathers (x * y
-    has images x[y[i]]), not the join's multiplication columns that
-    extend propagates along, so the law is checked independently of the
-    code that built the table."""
+    The draws come from _law_stream.  Each distinct pair is extended
+    once; gamma is read from its image table by element index.  Both
+    products, x * y and gamma(x) * gamma(y), are permutation products
+    formed as image gathers (x * y has images x[y[i]]), not the join's
+    multiplication columns that extend propagates along, so the law is
+    checked independently of the code that built the table."""
     endos_a = enumerate_endomorphisms(pair.a, config.endo_budget)
     endos_b = enumerate_endomorphisms(pair.b, config.endo_budget)
     j = pair.join
@@ -271,30 +283,15 @@ def _sample_extension_law(pair: SubgroupPair, config: Config) -> bool:
     # 2 * LAW_SAMPLES * LAW_WORDS products, on joins of up to thousands of
     # elements.
     gathers: dict = {}
-    bits = random.Random(LAW_SEED).getrandbits
-    na, nb, nj = len(endos_a), len(endos_b), j.order
-    ka, kb, kj = na.bit_length(), nb.bit_length(), nj.bit_length()
     tables: dict[tuple[int, int], tuple[int, ...]] = {}
-    for _ in range(LAW_SAMPLES):
-        ia = bits(ka)
-        while ia >= na:
-            ia = bits(ka)
-        ib = bits(kb)
-        while ib >= nb:
-            ib = bits(kb)
+    for ia, ib, words in _law_stream(len(endos_a), len(endos_b), j.order):
         table = tables.get((ia, ib))
         if table is None:
             res = extend(endos_a[ia], endos_b[ib], pair)
             if not res.exists:
                 return False
             table = tables[ia, ib] = res.map.images
-        for _ in range(LAW_WORDS):
-            ix = bits(kj)
-            while ix >= nj:
-                ix = bits(kj)
-            iy = bits(kj)
-            while iy >= nj:
-                iy = bits(kj)
+        for ix, iy in words:
             igy = table[iy]
             get_y = gathers.get(iy) or gathers.setdefault(iy, gather(elements[iy]))
             get_gy = gathers.get(igy) or gathers.setdefault(igy, gather(elements[igy]))

@@ -4,9 +4,19 @@ from functools import lru_cache
 
 import pytest
 
+from subindep import homs, pipeline
 from subindep.atlas import _AtlasRun, classify_all_pairs
 from subindep.groups import SubgroupPair, closure, symmetric_group
 from subindep.perm import parse_cycles
+
+
+@pytest.fixture(autouse=True)
+def _cold_memos():
+    """Each test starts with empty process-wide memos: the endomorphism
+    tables by multiplication structure and the sampled law's streams, so
+    a test that counts the search's work sees a cold search."""
+    homs._ENDO_MEMO.clear()
+    pipeline._law_stream.cache_clear()
 
 
 def make_pair(degree: int, a_gens: list[str], b_gens: list[str]) -> SubgroupPair:

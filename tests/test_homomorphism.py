@@ -1,6 +1,9 @@
-import pytest
+import math
 
-from conftest import SWAP_VS_DOUBLE, FAR_SWAPS, make_pair
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import SWAP_VS_DOUBLE, FAR_SWAPS, atlas_run, make_pair
 from oracles import (
     check_homomorphism,
     compatible_by_global_search,
@@ -220,10 +223,105 @@ class TestEnumerationAgainstOracles:
         monkeypatch.setattr(homs, "propagate_images", counting)
         assert enumerate_endomorphisms(g) == first
         assert calls == []
-        # The cache lives on the instance: an equal group built anew
-        # enumerates again, and finds the same maps.
+        # An equal group built anew reads the memo of the search on g:
+        # it propagates nothing, and finds the same maps.
         assert enumerate_endomorphisms(closure(list(g.generators), 4)) == first
-        assert calls
+        assert calls == []
+
+
+def searched(g: FiniteGroup):
+    """The tables and candidate count enumerate_endomorphisms finds on a
+    fresh copy of g, or the message of the budget it trips."""
+    fresh = closure(list(g.generators), g.degree)
+    try:
+        return tables(enumerate_endomorphisms(fresh)), fresh._endos[0]
+    except BudgetExceeded as exc:
+        return str(exc)
+
+
+def check_memo_against_fresh_searches(groups, monkeypatch) -> bool:
+    """Each group's search after every group has filled the memo equals
+    its search with the memo cleared.  When all the searches fit in the
+    memo at once, none is evicted, and the second round propagates
+    nothing; returns whether they fit."""
+    cold = []
+    for g in groups:
+        homs._ENDO_MEMO.clear()
+        cold.append(searched(g))
+    homs._ENDO_MEMO.clear()
+    for g in groups:
+        searched(g)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return propagate_images(*args)
+
+    monkeypatch.setattr(homs, "propagate_images", counting)
+    assert [searched(g) for g in groups] == cold
+    fit = sum(len(c[0]) * g.order for g, c in zip(groups, cold)
+              if not isinstance(c, str)) <= homs.ENDO_MEMO_ENTRIES
+    assert calls == [] or not fit
+    return fit
+
+
+@st.composite
+def young_groups(draw, max_degree: int = 7):
+    """A group at degree n <= max_degree inside S_k x S_(n-k), of order
+    at most 256, and its image under a relabelling of the points."""
+    n = draw(st.integers(min_value=1, max_value=max_degree))
+    k = draw(st.sampled_from([k for k in range(n + 1)
+                              if math.factorial(k) * math.factorial(n - k) <= 256]))
+    block = st.tuples(st.permutations(range(k)), st.permutations(range(k, n)))
+    gens = [Permutation(tuple(lo) + tuple(hi))
+            for lo, hi in draw(st.lists(block, max_size=3))]
+    relabel = Permutation(tuple(draw(st.permutations(range(n)))))
+    return closure(gens, n), closure([x.conjugated_by(relabel) for x in gens], n)
+
+
+class TestEnumerationMemo:
+    def test_memo_agrees_with_fresh_searches_on_the_s4_lattice(self, monkeypatch):
+        assert check_memo_against_fresh_searches(atlas_run(4).subs, monkeypatch)
+
+    def test_memo_agrees_with_fresh_searches_on_the_s5_lattice(self, monkeypatch):
+        subs = atlas_run(5).subs
+        assert len(subs) == 156
+        assert check_memo_against_fresh_searches(subs, monkeypatch)
+
+    @settings(max_examples=60, deadline=None)
+    @given(young_groups())
+    def test_memo_agrees_with_fresh_searches_up_to_degree_7(self, groups):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            check_memo_against_fresh_searches(groups, monkeypatch)
+
+    def test_same_cycles_at_a_higher_degree_propagate_nothing(self, monkeypatch):
+        gens = ["(1 2 3 4)", "(1 2)"]
+        low = enumerate_endomorphisms(closure([P(x, 4) for x in gens], 4))
+        calls = []
+        monkeypatch.setattr(homs, "propagate_images", lambda *args: calls.append(args))
+        high = closure([P(x, 7) for x in gens], 7)
+        assert tables(enumerate_endomorphisms(high)) == tables(low)
+        assert calls == [] and len(low) == 58
+
+    def test_end_of_c2_to_the_fourth_is_not_kept(self):
+        # 65,536 tables of 16 entries, over the memo's whole bound.
+        g = closure([P(f"({2 * i + 1} {2 * i + 2})", 8) for i in range(4)], 8)
+        assert len(enumerate_endomorphisms(g)) == 65536
+        assert 65536 * 16 > homs.ENDO_MEMO_ENTRIES
+        assert homs._ENDO_MEMO == {}
+
+    def test_memo_drops_the_least_recently_used_search(self, monkeypatch):
+        # C4 holds 4 tables of 4 entries and C3 3 of 3: 25 in all.
+        monkeypatch.setattr(homs, "ENDO_MEMO_ENTRIES", 25)
+        c4, c3, c2 = ([P(x, 4)] for x in ("(1 2 3 4)", "(1 2 3)", "(1 2)"))
+        enumerate_endomorphisms(closure(c4, 4))
+        enumerate_endomorphisms(closure(c3, 4))
+        assert [key[0] for key in homs._ENDO_MEMO] == [4, 3]
+        enumerate_endomorphisms(closure(c4, 4))  # read: now the most recent
+        enumerate_endomorphisms(closure(c2, 4))  # 29 entries: C3 goes
+        assert [key[0] for key in homs._ENDO_MEMO] == [4, 2]
+        enumerate_endomorphisms(symmetric_group(3))  # 60 entries: not kept
+        assert [key[0] for key in homs._ENDO_MEMO] == [4, 2]
 
 
 class TestExtend:

@@ -23,7 +23,7 @@ from subindep.checks import (
     check_order_divisibility,
     recheck_witness,
 )
-from subindep import cli, pipeline
+from subindep import cli, homs, pipeline
 from subindep.atlas import MAX_ATLAS_DEGREE, classify_all_pairs, render_report
 from subindep.groups import BudgetExceeded, GroupMap, closure
 from subindep.homs import ExtensionConflict, ExtensionResult, enumerate_endomorphisms, extend
@@ -212,6 +212,20 @@ class TestDecisions:
         assert decide_pair(pair).step is Step.BRUTE_FORCE
         d = decide_pair(pair, tight)
         assert d.status == "Inconclusive" and d.step is Step.BUDGET
+
+    def test_memoized_endomorphisms_keep_a_smaller_budget(self, monkeypatch):
+        # The default budget decides at Step4 and memoizes End(C2^3); a
+        # pair parsed anew reads the memoized count of 512 candidate maps,
+        # and endo_budget=22 still trips without a search.
+        spec = {"degree": 8, "A": ["(1 2)", "(3 4)", "(5 6)"], "B": ["(1 7)(2 8)"]}
+        assert decide(spec).step is Step.BRUTE_FORCE
+        searched = []
+        monkeypatch.setattr(homs, "closure", lambda *args, **kwargs: searched.append(args))
+        monkeypatch.setattr(homs, "propagate_images", lambda *args: searched.append(args))
+        d = decide(spec, Config(endo_budget=22))
+        assert d.status == "Inconclusive" and d.step is Step.BUDGET
+        assert d.witness.context == "searching 512 candidate maps"
+        assert searched == []
 
     def test_gap_example_dependent_at_exhaustion(self):
         d = decide(spec_dict(FAR_SWAPS))
@@ -513,6 +527,21 @@ class TestDiagnostics:
                 expected.append((elements[ix], elements[iy]))
                 expected.append((elements[gamma[ix]], elements[gamma[iy]]))
         assert [(x, y) for x, y, _ in gathered] == expected
+
+    @pytest.mark.parametrize("sizes", [(1, 1, 1), (2, 2, 4), (10, 3, 18), (2, 58, 48)])
+    def test_law_stream_replays_randrange(self, sizes):
+        # A map of A, a map of B, then 8 words of two join elements, 25
+        # times, as random.Random(0).randrange draws them; a size of 1
+        # still consumes bits.
+        n_a, n_b, n_join = sizes
+        randrange = random.Random(0).randrange
+        expected = []
+        for _ in range(25):
+            a, b = randrange(n_a), randrange(n_b)
+            expected.append((a, b, tuple((randrange(n_join), randrange(n_join)) for _ in range(8))))
+        assert pipeline._law_stream(*sizes) == tuple(expected)
+        assert pipeline._law_stream(*sizes) is pipeline._law_stream(*sizes)
+        assert pipeline._law_stream.cache_info().maxsize == pipeline.LAW_STREAMS
 
     def test_exhaustive_recheck_runs_under_the_given_budget(self):
         pair = make_pair(*SWAP_VS_DOUBLE)
