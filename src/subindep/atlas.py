@@ -19,7 +19,7 @@ import json
 from collections import Counter
 from functools import partial
 from itertools import chain, combinations, product
-from operator import add, attrgetter, itemgetter
+from operator import attrgetter, itemgetter
 from time import perf_counter
 from typing import NamedTuple, get_type_hints
 
@@ -525,17 +525,8 @@ def render_report(rows: list[AtlasRow], summary: dict, fmt: str = "csv") -> str:
     orbit and each distinct own cell once (_encoded_rows).  csv quotes
     each field on its own, and every cell is a scalar, which JSON
     encodes alone as it does inside the document, so the splits change
-    no byte of csv.writer's or json.dumps(..., indent=2)'s output.
-
-    The distinct generator strings are ranked once, so each row sorts by
-    one int, rank(a_gens) * n + rank(b_gens) for n strings, which orders
-    as (a_gens, b_gens) does."""
-    a_gens, b_gens = list(map(attrgetter("a_gens"), rows)), list(map(attrgetter("b_gens"), rows))
-    strings = sorted(set(a_gens).union(b_gens))
-    rank = dict(zip(strings, range(len(strings))))
-    high = {s: r * len(strings) for s, r in rank.items()}
-    keys = list(map(add, map(high.__getitem__, a_gens), map(rank.__getitem__, b_gens)))
-    ordered = list(map(rows.__getitem__, sorted(range(len(rows)), key=keys.__getitem__)))
+    no byte of csv.writer's or json.dumps(..., indent=2)'s output."""
+    ordered = sorted(rows, key=attrgetter("a_gens", "b_gens"))
     if fmt == "csv":
         return "".join([_encode_csv(ATLAS_FIELDS)] + [
             ",".join(head) + tail for head, tail in _encoded_rows(ordered, _csv_cells, _csv_tail)])

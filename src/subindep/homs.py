@@ -35,9 +35,12 @@ ENDO_WORK_FACTOR = 32
 
 
 # End tables by multiplication structure (see enumerate_endomorphisms),
-# bounded by the table entries held.  The benchmark's audit inputs settle
-# at 233 keys and 79,318 entries, the S5 lattice at 40 keys and 36,144;
-# End(C2^4), 65,536 tables of 16, is never kept.
+# bounded by the table entries held.  The memo lasts for the process, so
+# only a process that searches one structure twice reads it (an atlas
+# pass, a loop of decisions, a benchmark worker), not a one-pair CLI
+# call.  The benchmark's audit inputs settle at 233 keys and 79,318
+# entries, the S5 lattice at 40 keys and 36,144; End(C2^4), 65,536
+# tables of 16, is never kept.
 ENDO_MEMO_ENTRIES = 1 << 18
 _ENDO_MEMO: dict[tuple, tuple[int, tuple[tuple[int, ...], ...]]] = {}
 

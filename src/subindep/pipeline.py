@@ -12,7 +12,7 @@ import random
 import time
 from enum import Enum
 from functools import lru_cache
-from itertools import repeat
+from itertools import islice, repeat
 from typing import Iterable, NamedTuple
 
 from .checks import (
@@ -251,15 +251,29 @@ LAW_SEED = 0
 LAW_STREAMS = 64
 
 
+def _below(bits, n: int):
+    """Endless random.Random.randrange(n) draws for n >= 1 over that
+    generator's getrandbits: k = n.bit_length() bits, drawn again while
+    the result is n or more.  Calling randrange itself drew a stream
+    about half as fast (its Python frames cost more than the bits), and
+    a single decide call draws its stream cold."""
+    k = n.bit_length()
+    while True:
+        r = bits(k)
+        if r < n:
+            yield r
+
+
 @lru_cache(maxsize=LAW_STREAMS)
 def _law_stream(n_a: int, n_b: int, n_join: int) -> tuple[tuple[int, int, tuple], ...]:
     """The law's draws for |End(A)| = n_a, |End(B)| = n_b and a join of
     order n_join: LAW_SAMPLES triples (a, b, words), each an index below
     n_a, one below n_b and LAW_WORDS pairs (x, y) of join indices, in the
-    order random.Random(LAW_SEED).randrange draws them."""
-    draw = random.Random(LAW_SEED).randrange
-    return tuple((draw(n_a), draw(n_b),
-                  tuple((draw(n_join), draw(n_join)) for _ in range(LAW_WORDS)))
+    order random.Random(LAW_SEED).randrange draws them.  The three
+    iterators share one generator and draw only when read."""
+    bits = random.Random(LAW_SEED).getrandbits
+    a, b, j = (_below(bits, n) for n in (n_a, n_b, n_join))
+    return tuple((next(a), next(b), tuple(islice(zip(j, j), LAW_WORDS)))
                  for _ in range(LAW_SAMPLES))
 
 
