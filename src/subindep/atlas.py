@@ -17,9 +17,8 @@ from __future__ import annotations
 import csv
 import json
 from collections import Counter
-from functools import partial
 from itertools import chain, combinations, product
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from time import perf_counter
 from typing import NamedTuple, get_type_hints
 
@@ -478,31 +477,9 @@ _encode_csv = csv.writer(_Echo(), lineterminator="\n").writerow
 _JSON_KEYS = [f"      {json.dumps(f)}: " for f in ATLAS_FIELDS]
 
 
-def _encoded_rows(ordered: list[AtlasRow], encode_cells, encode_tail):
-    """Each row's own cell texts, and the text of its cells after b_gens.
-
-    encode_cells returns the texts of a list of cells: it is given the
-    distinct own cells, so each is encoded once.  encode_tail encodes the
-    cells after b_gens, once per distinct tuple of them (once per
-    conjugation orbit)."""
-    own = list(chain.from_iterable(map(itemgetter(slice(_OWN_CELLS)), ordered)))
-    distinct = list(dict.fromkeys(own))
-    cells = iter(map(dict(zip(distinct, encode_cells(distinct))).__getitem__, own))
-    tails: dict[tuple, str] = {}
-    for r, *head in zip(ordered, *[cells] * _OWN_CELLS):
-        tail = r[_OWN_CELLS:]
-        text = tails.get(tail)
-        if text is None:
-            text = tails[tail] = encode_tail(tail)
-        yield head, text
-
-
-def _csv_cells(cells: list) -> list[str]:
-    line = _encode_csv(cells)[:-1]
-    if '"' not in line:  # nothing quoted, so no cell holds a comma
-        return line.split(",")
-    # Two cells to a row: a lone empty cell would be quoted.
-    return [_encode_csv((c, ""))[:-2] for c in cells]
+def _csv_cell(cell) -> str:
+    # Beside an empty second cell: a lone empty cell would be quoted.
+    return _encode_csv((cell, ""))[:-2]
 
 
 def _csv_tail(tail: tuple) -> str:
@@ -521,24 +498,36 @@ def render_report(rows: list[AtlasRow], summary: dict, fmt: str = "csv") -> str:
     """Serialize an atlas run; rows ordered by generator strings so the
     bytes depend only on the classification.
 
-    Each format encodes the cells a conjugation orbit shares once per
-    orbit and each distinct own cell once (_encoded_rows).  csv quotes
-    each field on its own, and every cell is a scalar, which JSON
-    encodes alone as it does inside the document, so the splits change
-    no byte of csv.writer's or json.dumps(..., indent=2)'s output."""
-    ordered = sorted(rows, key=attrgetter("a_gens", "b_gens"))
+    One loop writes the rows of either format from two caches: own holds
+    the text of each distinct own cell (pair_id, the indices and the
+    generator strings), tails that of the cells after them, once per
+    conjugation orbit.  csv quotes each field on its own, and every cell
+    is a scalar, which JSON encodes alone as it does inside the
+    document, so the pieces change no byte of csv.writer's or
+    json.dumps(..., indent=2)'s output."""
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown report format {fmt!r}")
+    encode, encode_tail = (_csv_cell, _csv_tail) if fmt == "csv" else (json.dumps, _json_tail)
+    own, tails, lines = {}, {}, []
+    for r in sorted(rows, key=attrgetter("a_gens", "b_gens")):
+        head = []
+        for c in r[:_OWN_CELLS]:
+            text = own.get(c)
+            if text is None:
+                text = own[c] = encode(c)
+            head.append(text)
+        tail = r[_OWN_CELLS:]
+        text = tails.get(tail)
+        if text is None:
+            text = tails[tail] = encode_tail(tail)
+        lines.append(",".join(head) + text if fmt == "csv" else
+                     "    {\n" + ",\n".join(map(str.__add__, _JSON_KEYS, head)) + text)
     if fmt == "csv":
-        return "".join([_encode_csv(ATLAS_FIELDS)] + [
-            ",".join(head) + tail for head, tail in _encoded_rows(ordered, _csv_cells, _csv_tail)])
-    if fmt == "json":
-        text = json.dumps({"summary": summary, "rows": []}, indent=2)
-        if ordered:  # the empty rows list closes the document: "[]\n}"
-            text = text[:-4] + "[\n" + ",\n".join([
-                "    {\n" + ",\n".join(map(str.__add__, _JSON_KEYS, head)) + tail
-                for head, tail in _encoded_rows(ordered, partial(map, json.dumps), _json_tail)
-            ]) + "\n  ]\n}"
-        return text + "\n"
-    raise ValueError(f"unknown report format {fmt!r}")
+        return _encode_csv(ATLAS_FIELDS) + "".join(lines)
+    text = json.dumps({"summary": summary, "rows": []}, indent=2)
+    if lines:  # the empty rows list closes the document: "[]\n}"
+        text = text[:-4] + "[\n" + ",\n".join(lines) + "\n  ]\n}"
+    return text + "\n"
 
 
 def emit_report(rows: list[AtlasRow], summary: dict, path: str, fmt: str = "csv") -> None:

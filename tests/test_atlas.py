@@ -6,8 +6,10 @@ import random
 import sys
 from collections import Counter
 from itertools import combinations
+from typing import get_type_hints
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import atlas_run, pair_from_row
 from oracles import (
@@ -27,6 +29,7 @@ from oracles import (
 from subindep import atlas, checks, groups, pipeline
 from subindep.atlas import (
     ATLAS_FIELDS,
+    AtlasRow,
     classify_all_pairs,
     enumerate_subgroups,
     render_report,
@@ -727,6 +730,26 @@ class TestJoinLookup:
         self._assert_lookup(atlas_run(5), reps)
 
 
+# A strategy for each column's cells, by its type; text cells hold commas,
+# quotes, newlines, non-ASCII and empty strings.
+_CELL = {int: st.integers(-2, 999), bool: st.booleans(),
+         str: st.text(st.sampled_from(',"\n\r é€(1 2);e'), max_size=4)}
+_ROW_CELLS = [_CELL[t] for t in get_type_hints(AtlasRow).values()]
+# The own cells come first: pair_id, the indices and the generators.
+_OWN = ATLAS_FIELDS.index("order_a")
+
+
+@st.composite
+def _tail_pool(draw):
+    """Three tails, the cells after the own ones: a first, and two that
+    each redraw at most one of its cells, so tails differ in few cells."""
+    first = draw(st.tuples(*_ROW_CELLS[_OWN:]))
+    pool = [first]
+    for p in draw(st.lists(st.integers(0, len(first) - 1), min_size=2, max_size=2)):
+        pool.append(first[:p] + (draw(_ROW_CELLS[_OWN + p]),) + first[p + 1:])
+    return pool
+
+
 class TestReportRendering:
     def test_csv_shape(self, s3_atlas):
         rows, summary = s3_atlas
@@ -808,6 +831,16 @@ class TestReportRendering:
         rows = rows + [odd, odd._replace(pair_id="plain"), rows[2]._replace(merge_a=None)]
         assert render_report(rows, summary, "json") == self._plain_json(rows, summary)
         assert render_report([], summary, "json") == self._plain_json([], summary)
+
+    @settings(max_examples=150, deadline=None)
+    @given(tails=_tail_pool(),
+           own=st.lists(st.tuples(st.tuples(*_ROW_CELLS[:_OWN]), st.integers(0, 2)), max_size=12))
+    def test_random_rows_match_plain_rendering(self, tails, own):
+        # Rows draw their tails from a pool of three, so tails repeat.
+        rows = [AtlasRow(*cells, *tails[k]) for cells, k in own]
+        summary = {"pairs": len(rows)}
+        assert render_report(rows, summary, "csv") == self._plain_csv(rows)
+        assert render_report(rows, summary, "json") == self._plain_json(rows, summary)
 
     def test_empty_rows_render_header_only(self):
         text = render_report([], {"pairs": 0}, "csv")
