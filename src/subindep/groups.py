@@ -104,17 +104,53 @@ class FiniteGroup:
         return col
 
 
+def _grow(found: list, kept: list, candidates: Iterable[Permutation], max_order: int) -> list:
+    """Grow the group found, generated by kept, by the candidates in turn;
+    return kept.
+
+    found holds the group's elements as image tuples and kept the
+    generators it is closed under.  A candidate already in the group is
+    passed over; one outside it joins kept, and the group is closed again
+    breadth-first under right multiplication by every kept generator (x *
+    g has images x[g[i]], gathered by perm.gather).  Each kept candidate
+    at least doubles the group, so at most log2 of its order are kept,
+    and the closures before the last one cost at most as much again as
+    the last.  The candidates may be drawn lazily from kept as it grows;
+    one seen set serves the whole growth.  Raises BudgetExceeded once the
+    element count passes max_order, checked after each element is
+    expanded, so at most max_order + len(kept) tuples are ever held.
+    """
+    seen = set(found)
+    add, append = seen.add, found.append
+    times = list(map(gather, kept))
+    for c in candidates:
+        if c in seen:
+            continue
+        kept.append(c)
+        times.append(gather(c))
+        for x in found:  # found grows as the search runs: breadth-first
+            for times_g in times:
+                y = times_g(x)
+                if y not in seen:
+                    add(y)
+                    append(y)
+            if len(found) > max_order:
+                raise BudgetExceeded("max_group_order", max_order, "closing a generator set")
+    if len(found) > max_order:  # the group given, when nothing was kept
+        raise BudgetExceeded("max_group_order", max_order, "closing a generator set")
+    return kept
+
+
 def closure(generators: Iterable[Permutation], degree: int,
             max_order: int = DEFAULT_MAX_GROUP_ORDER) -> FiniteGroup:
     """The subgroup generated by the given permutations.
 
-    Breadth-first closure under right multiplication by the generators;
-    in a finite group this also yields all inverses.  The search runs on
-    image tuples (x * g has images x[g[i]], gathered by
-    perm.gather), and each element is wrapped as a Permutation
-    once, after sorting.  Raises BudgetExceeded once the element count
-    passes max_order, checked after each element is expanded, so at most
-    max_order + len(gens) tuples are ever held.
+    The identity grows by the deduplicated non-identity generators (see
+    _grow), which are kept as the group's generators whether or not the
+    growth needed them; in a finite group the closure under right
+    multiplication also yields all inverses.  Each element is wrapped as
+    a Permutation once, after sorting.  Raises BudgetExceeded once the
+    element count passes max_order.
     """
     e = tuple(range(degree))
     gens: list[Permutation] = []
@@ -123,20 +159,9 @@ def closure(generators: Iterable[Permutation], degree: int,
             raise ValueError(f"generator degree {len(g)} does not match {degree}")
         if g != e and g not in gens:
             gens.append(g)
-    times = list(map(gather, gens))
-    seen = {e}
     found = [e]
-    add, append = seen.add, found.append
-    for x in found:  # found grows as the search runs: breadth-first
-        for times_g in times:
-            y = times_g(x)
-            if y not in seen:
-                add(y)
-                append(y)
-        if len(found) > max_order:
-            raise BudgetExceeded("max_group_order", max_order, "closing a generator set")
-    found.sort()
-    return FiniteGroup(tuple(map(_trusted, found)), tuple(gens))
+    _grow(found, [], gens, max_order)
+    return FiniteGroup(tuple(map(_trusted, sorted(found))), tuple(gens))
 
 
 def symmetric_group(n: int) -> FiniteGroup:
@@ -160,25 +185,22 @@ def join(a: FiniteGroup, b: FiniteGroup, max_order: int = DEFAULT_MAX_GROUP_ORDE
 def normal_closure(s: FiniteGroup, g: FiniteGroup) -> FiniteGroup:
     """Smallest normal subgroup of g containing s.
 
-    Starts from s and conjugates each generator by the generators of g;
-    a conjugate outside the current group joins the generators and the
-    group is closed again.  Once every generator's conjugates lie inside,
-    the group is normal, and it is generated by conjugates of elements of
-    s, so it lies in every normal subgroup containing s.  Each re-closure
-    at least doubles the order, so there are at most log2|g| of them.
-    Bounded by |g|, so no budget applies.
+    Grows s by the conjugate of each generator by each generator of g
+    (see _grow); a conjugate outside the group joins the generators, and
+    its own conjugates are drawn in turn.  Once every generator's
+    conjugates lie inside, the group is normal, and it is generated by
+    conjugates of elements of s, so it lies in every normal subgroup
+    containing s.  Returns s itself when s is normal.  Bounded by |g|, so
+    no budget applies.
     """
     if not s.is_subgroup_of(g):
         raise ValueError("s is not a subgroup of g")
     gens = list(s.generators)
-    n = s
-    for x in gens:  # gens grows as conjugates join it
-        for t in g.generators:
-            c = x.conjugated_by(t)
-            if c not in n:
-                gens.append(c)
-                n = closure(gens, g.degree, max_order=g.order)
-    return n
+    found = list(s.elements)
+    _grow(found, gens, (x.conjugated_by(t) for x in gens for t in g.generators), g.order)
+    if len(found) == s.order:
+        return s
+    return FiniteGroup(tuple(map(_trusted, sorted(found))), tuple(gens))
 
 
 def is_normal_in(h: FiniteGroup, g: FiniteGroup) -> bool:

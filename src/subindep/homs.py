@@ -19,7 +19,7 @@ from .groups import (
     FiniteGroup,
     GroupMap,
     SubgroupPair,
-    closure,
+    _grow,
     conjugation_tables,
     propagate_images,
 )
@@ -49,10 +49,9 @@ def enumerate_endomorphisms(g: FiniteGroup, endo_budget: int = DEFAULT_ENDO_BUDG
     """All endomorphisms of g, deduplicated and sorted by their full image
     tables in canonical element order.
 
-    The search runs over g's own generators, keeping each one that lies
-    outside the subgroup the kept ones generate.  Every kept generator at
-    least doubles that subgroup, so at most log2|g| are kept, and the
-    subgroup is closed only when a later generator is tested against it.
+    The search runs over the generators that growing the identity by g's
+    own generators keeps (groups._grow): each one that lies outside the
+    subgroup the earlier kept ones generate, at most log2|g| of them.
     Each kept generator is sent to every element whose order divides its
     own, and each choice is validated by propagation over the whole
     multiplication table, so every returned map is a genuine homomorphism
@@ -94,14 +93,7 @@ def enumerate_endomorphisms(g: FiniteGroup, endo_budget: int = DEFAULT_ENDO_BUDG
             _ENDO_MEMO[key] = known  # now the most recently used
             g._endos = known[0], tuple(GroupMap(g, t) for t in known[1])
     if g._endos is None:
-        gens: list[Permutation] = []
-        span = None
-        for x in g.generators:
-            if gens and span is None:
-                span = closure(gens, g.degree, max_order=g.order)
-            if not gens or x not in span:
-                gens.append(x)
-                span = None
+        gens = _grow([g.identity], [], g.generators, g.order)
         gen_idx = [g.index_of(x) for x in gens]
         orders = [y.order() for y in g.elements]
         candidates = [[j for j, oy in enumerate(orders) if ox % oy == 0]

@@ -1,9 +1,9 @@
 """The kernels against the plain-loop references in oracles.
 
-parse_cycles, closure, Permutation.order and extend run their inner
-work in C-level passes; each must agree with a point-by-point,
-level-by-level or element-by-element reference on every input,
-including the ones it rejects.
+parse_cycles, closure, normal_closure, Permutation.order and extend run
+their inner work in C-level passes; each must agree with a
+point-by-point, level-by-level or element-by-element reference on every
+input, including the ones it rejects.
 """
 
 import math
@@ -19,6 +19,8 @@ from subindep.groups import (
     SubgroupPair,
     closure,
     identity_map,
+    is_normal_in,
+    normal_closure,
 )
 from subindep.homs import enumerate_endomorphisms, extend
 from subindep.perm import CycleParseError, Permutation, cycle_string, parse_cycles
@@ -83,11 +85,18 @@ def generator_lists(max_degree: int):
 
 class TestClosure:
     @settings(max_examples=150)
-    @given(generator_lists(6))
-    def test_agrees_with_the_reference(self, case):
+    @given(generator_lists(6), st.data())
+    def test_agrees_with_the_reference(self, case, data):
         n, gens = case
-        # Repeats and the identity must be dropped the same way.
+        # Repeats and the identity must be dropped the same way, and
+        # redundant generators kept: products of the drawn generators and
+        # elements of their group, each put in at a drawn place.
+        redundant = [x * y for x, y in zip(gens, gens[1:])]
+        redundant += data.draw(st.lists(st.sampled_from(closure_reference(gens, n, 5040).elements),
+                                        max_size=4))
         gens = gens + gens[:1] + [Permutation.identity(n)]
+        for x in redundant:
+            gens.insert(data.draw(st.integers(min_value=0, max_value=len(gens))), x)
         got = closure(gens, n)
         want = closure_reference(gens, n, 5040)
         assert got.elements == want.elements and got.generators == want.generators
@@ -104,6 +113,27 @@ class TestClosure:
         with pytest.raises(BudgetExceeded) as exc:
             closure(gens, n, max_order=order - 1)
         assert exc.value.limit == order - 1
+
+
+class TestNormalClosure:
+    # The reference closes every distinct conjugate: up to a few hundred
+    # generators over up to 720 elements.
+    @settings(max_examples=60, deadline=None)
+    @given(generator_lists(6), st.lists(st.integers(min_value=0), max_size=3))
+    # <(1 2)> in S6 from (1 2) and (1 2 3 4 5 6), element 120: the
+    # conjugates by the generators alone give S3, not yet normal.
+    @example((6, [Permutation((1, 0, 2, 3, 4, 5)), Permutation((1, 2, 3, 4, 5, 0))]), [120])
+    def test_agrees_with_the_reference(self, case, picks):
+        # s is a subgroup of g from picked elements; its normal closure is
+        # the group the conjugates of its generators by all of g generate.
+        n, gens = case
+        g = closure(gens, n)
+        s = closure([g.elements[i % g.order] for i in picks], n)
+        got = normal_closure(s, g)
+        conjugates = {x.conjugated_by(t) for x in s.generators for t in g.elements}
+        assert got.elements == closure_reference(sorted(conjugates), n, g.order).elements
+        assert got.generators[:len(s.generators)] == s.generators
+        assert (got is s) == is_normal_in(s, g)
 
 
 class TestOrder:

@@ -220,7 +220,7 @@ class TestDecisions:
         spec = {"degree": 8, "A": ["(1 2)", "(3 4)", "(5 6)"], "B": ["(1 7)(2 8)"]}
         assert decide(spec).step is Step.BRUTE_FORCE
         searched = []
-        monkeypatch.setattr(homs, "closure", lambda *args, **kwargs: searched.append(args))
+        monkeypatch.setattr(homs, "_grow", lambda *args: searched.append(args))
         monkeypatch.setattr(homs, "propagate_images", lambda *args: searched.append(args))
         d = decide(spec, Config(endo_budget=22))
         assert d.status == "Inconclusive" and d.step is Step.BUDGET
