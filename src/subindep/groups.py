@@ -35,10 +35,14 @@ class FiniteGroup:
     """A finite permutation group held as its full sorted element tuple.
 
     elements is sorted lexicographically by image arrays; generators is a
-    (possibly empty) tuple of non-identity elements whose closure is the
-    element set.  Instances are immutable in intent; the only mutable
-    state is lazy caches: the element index (element to position),
-    right-multiplication columns and endomorphisms.
+    (possibly empty) tuple of elements whose closure is the element set,
+    each outside the subgroup the ones before it generate.  Each one at
+    least doubles that subgroup, so there are at most log2 of the order
+    of them; closure, join and normal_closure keep only such generators
+    (see _grow), whatever they were given.  Instances are immutable in
+    intent; the only mutable state is lazy caches: the element index
+    (element to position), right-multiplication columns and
+    endomorphisms.
     """
 
     __slots__ = ("degree", "elements", "generators", "_index", "_mul_cols", "_endos")
@@ -104,21 +108,23 @@ class FiniteGroup:
         return col
 
 
-def _grow(found: list, kept: list, candidates: Iterable[Permutation], max_order: int) -> list:
-    """Grow the group found, generated by kept, by the candidates in turn;
-    return kept.
+def _grow(found: list, kept: list, candidates: Iterable[Permutation], max_order: int,
+          start: FiniteGroup | None = None) -> FiniteGroup:
+    """The group found, generated by kept, grown by the candidates in turn:
+    start itself when it is the group found and no candidate is kept.
 
-    found holds the group's elements as image tuples and kept the
-    generators it is closed under.  A candidate already in the group is
-    passed over; one outside it joins kept, and the group is closed again
-    breadth-first under right multiplication by every kept generator (x *
-    g has images x[g[i]], gathered by perm.gather).  Each kept candidate
-    at least doubles the group, so at most log2 of its order are kept,
-    and the closures before the last one cost at most as much again as
-    the last.  The candidates may be drawn lazily from kept as it grows;
-    one seen set serves the whole growth.  Raises BudgetExceeded once the
-    element count passes max_order, checked after each element is
-    expanded, so at most max_order + len(kept) tuples are ever held.
+    found holds the group's elements as image tuples and kept its
+    generators; the candidates may be drawn lazily from kept as it grows.
+    A candidate already in the group found so far (the identity, a
+    repeat, a product of earlier ones) is passed over; one outside it
+    joins kept, and the group is closed again breadth-first under right
+    multiplication by every kept generator (x * g has images x[g[i]],
+    gathered by perm.gather).  Each kept candidate at least doubles the
+    group, so the closures before the last one cost at most as much again
+    as the last; one seen set serves the whole growth.  Each element is
+    wrapped as a Permutation once, after sorting.  Raises BudgetExceeded
+    once the element count passes max_order, checked after each element
+    is expanded, so at most max_order + len(kept) tuples are ever held.
     """
     seen = set(found)
     add, append = seen.add, found.append
@@ -138,30 +144,26 @@ def _grow(found: list, kept: list, candidates: Iterable[Permutation], max_order:
                 raise BudgetExceeded("max_group_order", max_order, "closing a generator set")
     if len(found) > max_order:  # the group given, when nothing was kept
         raise BudgetExceeded("max_group_order", max_order, "closing a generator set")
-    return kept
+    if start is not None and len(found) == start.order:
+        return start
+    return FiniteGroup(tuple(map(_trusted, sorted(found))), tuple(kept))
 
 
 def closure(generators: Iterable[Permutation], degree: int,
             max_order: int = DEFAULT_MAX_GROUP_ORDER) -> FiniteGroup:
     """The subgroup generated by the given permutations.
 
-    The identity grows by the deduplicated non-identity generators (see
-    _grow), which are kept as the group's generators whether or not the
-    growth needed them; in a finite group the closure under right
-    multiplication also yields all inverses.  Each element is wrapped as
-    a Permutation once, after sorting.  Raises BudgetExceeded once the
-    element count passes max_order.
+    The identity grows by the generators in turn (see _grow), which keeps
+    only those outside the group generated before them: the identity,
+    repeats and products of earlier ones are dropped.  In a finite group
+    the closure under right multiplication also yields all inverses.
+    Raises BudgetExceeded once the element count passes max_order.
     """
-    e = tuple(range(degree))
-    gens: list[Permutation] = []
-    for g in generators:
+    gens = list(generators)
+    for g in gens:
         if len(g) != degree:
             raise ValueError(f"generator degree {len(g)} does not match {degree}")
-        if g != e and g not in gens:
-            gens.append(g)
-    found = [e]
-    _grow(found, [], gens, max_order)
-    return FiniteGroup(tuple(map(_trusted, sorted(found))), tuple(gens))
+    return _grow([tuple(range(degree))], [], gens, max_order)
 
 
 def symmetric_group(n: int) -> FiniteGroup:
@@ -175,32 +177,34 @@ def symmetric_group(n: int) -> FiniteGroup:
 
 
 def join(a: FiniteGroup, b: FiniteGroup, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> FiniteGroup:
-    """Smallest subgroup containing both: the closure of the union of the
-    two generator lists."""
+    """Smallest subgroup containing both: a's elements grown by b's
+    generators (see _grow), so a is not closed again.
+
+    Its generators are a's, then each of b's that lies outside the group
+    generated before it: those closure keeps from a's generators followed
+    by b's.  Returns a itself when b lies inside a.
+    """
     if a.degree != b.degree:
         raise ValueError("degree mismatch")
-    return closure(list(a.generators) + list(b.generators), a.degree, max_order)
+    return _grow(list(a.elements), list(a.generators), b.generators, max_order, a)
 
 
 def normal_closure(s: FiniteGroup, g: FiniteGroup) -> FiniteGroup:
     """Smallest normal subgroup of g containing s.
 
-    Grows s by the conjugate of each generator by each generator of g
-    (see _grow); a conjugate outside the group joins the generators, and
-    its own conjugates are drawn in turn.  Once every generator's
-    conjugates lie inside, the group is normal, and it is generated by
-    conjugates of elements of s, so it lies in every normal subgroup
-    containing s.  Returns s itself when s is normal.  Bounded by |g|, so
-    no budget applies.
+    Grows s by the conjugate of each of its generators by each generator
+    of g (see _grow); a conjugate outside the group joins the generators,
+    after s's own, and its own conjugates are drawn in turn.  Once every
+    generator's conjugates lie inside, the group is normal, and it is
+    generated by conjugates of elements of s, so it lies in every normal
+    subgroup containing s.  Returns s itself when s is normal.  Bounded
+    by |g|, so no budget applies.
     """
     if not s.is_subgroup_of(g):
         raise ValueError("s is not a subgroup of g")
     gens = list(s.generators)
-    found = list(s.elements)
-    _grow(found, gens, (x.conjugated_by(t) for x in gens for t in g.generators), g.order)
-    if len(found) == s.order:
-        return s
-    return FiniteGroup(tuple(map(_trusted, sorted(found))), tuple(gens))
+    return _grow(list(s.elements), gens, (x.conjugated_by(t) for x in gens for t in g.generators),
+                 g.order, s)
 
 
 def is_normal_in(h: FiniteGroup, g: FiniteGroup) -> bool:

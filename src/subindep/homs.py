@@ -19,7 +19,6 @@ from .groups import (
     FiniteGroup,
     GroupMap,
     SubgroupPair,
-    _grow,
     conjugation_tables,
     propagate_images,
 )
@@ -49,20 +48,19 @@ def enumerate_endomorphisms(g: FiniteGroup, endo_budget: int = DEFAULT_ENDO_BUDG
     """All endomorphisms of g, deduplicated and sorted by their full image
     tables in canonical element order.
 
-    The search runs over the generators that growing the identity by g's
-    own generators keeps (groups._grow): each one that lies outside the
-    subgroup the earlier kept ones generate, at most log2|g| of them.
-    Each kept generator is sent to every element whose order divides its
-    own, and each choice is validated by propagation over the whole
-    multiplication table, so every returned map is a genuine homomorphism
-    and none is missed.
+    The search runs over g's generators: each lies outside the subgroup
+    the earlier ones generate, so there are at most log2|g| of them (see
+    FiniteGroup).  Each generator is sent to every element whose order
+    divides its own, and each choice is validated by propagation over the
+    whole multiplication table, so every returned map is a genuine
+    homomorphism and none is missed.
 
     Choices are propagated one per orbit under conjugation: for t in g,
     c_t . phi is an endomorphism exactly when phi is, and conjugation
     keeps orders, so it maps the choices onto themselves.  The first
     choice met in each orbit is propagated; the rest of the orbit is
-    reached through the conjugation maps of the kept generators that are
-    not central, and when the choice extends, each member's table is the
+    reached through the conjugation maps of the generators that are not
+    central, and when the choice extends, each member's table is the
     representative's gathered through the same maps.  When g is abelian
     every orbit is a single choice, and each is propagated as it comes.
 
@@ -71,9 +69,9 @@ def enumerate_endomorphisms(g: FiniteGroup, endo_budget: int = DEFAULT_ENDO_BUDG
     of which starts with its generator's index.  That key is enough:
     breadth-first search from index 0 along equal columns reaches every
     index by the same generator word, so groups with equal keys have
-    index-identical multiplication tables, and so the same kept
-    generators, element orders, choices and tables, whatever their
-    degree or points.  The memo holds at most ENDO_MEMO_ENTRIES table
+    index-identical multiplication tables, and so the same generator
+    positions, element orders, choices and tables, whatever their degree
+    or points.  The memo holds at most ENDO_MEMO_ENTRIES table
     entries, dropping the least recently used key first; a search with
     more entries than that is not kept.
 
@@ -87,14 +85,14 @@ def enumerate_endomorphisms(g: FiniteGroup, endo_budget: int = DEFAULT_ENDO_BUDG
     if g.order > endo_budget:
         raise BudgetExceeded("endo_budget", endo_budget, "enumerating endomorphisms")
     if g._endos is None:
-        key = (g.order, tuple(map(g._col, map(g.index_of, g.generators))))
+        gens = g.generators
+        gen_idx = list(map(g.index_of, gens))
+        key = (g.order, tuple(map(g._col, gen_idx)))
         known = _ENDO_MEMO.pop(key, None)
         if known is not None:
             _ENDO_MEMO[key] = known  # now the most recently used
             g._endos = known[0], tuple(GroupMap(g, t) for t in known[1])
     if g._endos is None:
-        gens = _grow([g.identity], [], g.generators, g.order)
-        gen_idx = [g.index_of(x) for x in gens]
         orders = [y.order() for y in g.elements]
         candidates = [[j for j, oy in enumerate(orders) if ox % oy == 0]
                       for ox in [orders[i] for i in gen_idx]]

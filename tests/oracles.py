@@ -503,29 +503,36 @@ def parse_cycles_reference(text: str, degree: int) -> Permutation:
 def closure_reference(generators: Iterable[Permutation], degree: int,
                       max_order: int) -> FiniteGroup:
     """Level-by-level breadth-first closure under right multiplication
-    by Permutation products, keeping the first copy of each non-identity
-    generator: the reference the package's closure must agree with on
-    its sorted elements and its kept generators."""
-    gens: list[Permutation] = []
+    by Permutation products, keeping a generator only when it lies
+    outside the closure of the generators kept before it, each such
+    prefix closed anew from the identity: the reference the package's
+    closure must agree with on its sorted elements and its kept
+    generators."""
+    generators = list(generators)
     for g in generators:
         if g.degree != degree:
             raise ValueError(f"generator degree {g.degree} does not match {degree}")
-        if not g.is_identity() and g not in gens:
-            gens.append(g)
     e = Permutation.identity(degree)
+    gens: list[Permutation] = []
     seen = {e}
-    frontier = [e]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = x * g
-                if y not in seen:
-                    if len(seen) >= max_order:
-                        raise BudgetExceeded("max_group_order", max_order, "closing a generator set")
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
+    for g in generators:
+        if g in seen:
+            continue
+        gens.append(g)
+        seen = {e}
+        frontier = [e]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for h in gens:
+                    y = x * h
+                    if y not in seen:
+                        if len(seen) >= max_order:
+                            raise BudgetExceeded("max_group_order", max_order,
+                                                 "closing a generator set")
+                        seen.add(y)
+                        nxt.append(y)
+            frontier = nxt
     return FiniteGroup(tuple(sorted(seen)), tuple(gens))
 
 

@@ -20,6 +20,7 @@ from subindep.groups import (
     closure,
     identity_map,
     is_normal_in,
+    join,
     normal_closure,
 )
 from subindep.homs import enumerate_endomorphisms, extend
@@ -83,14 +84,22 @@ def generator_lists(max_degree: int):
     return st.integers(min_value=1, max_value=max_degree).flatmap(at_degree)
 
 
+def assert_kept(group):
+    """Each generator lies outside the closure of those before it, so
+    there are at most log2 of the order of them."""
+    for i, x in enumerate(group.generators):
+        assert x not in closure_reference(group.generators[:i], group.degree, group.order)
+    assert 2 ** len(group.generators) <= group.order
+
+
 class TestClosure:
     @settings(max_examples=150)
     @given(generator_lists(6), st.data())
     def test_agrees_with_the_reference(self, case, data):
         n, gens = case
-        # Repeats and the identity must be dropped the same way, and
-        # redundant generators kept: products of the drawn generators and
-        # elements of their group, each put in at a drawn place.
+        # Repeats, the identity and redundant generators must be dropped
+        # the same way: products of the drawn generators and elements of
+        # their group, each put in at a drawn place.
         redundant = [x * y for x, y in zip(gens, gens[1:])]
         redundant += data.draw(st.lists(st.sampled_from(closure_reference(gens, n, 5040).elements),
                                         max_size=4))
@@ -102,6 +111,17 @@ class TestClosure:
         assert got.elements == want.elements and got.generators == want.generators
         assert all(type(x) is Permutation for x in got.elements)
         assert got.index_of(got.elements[-1]) == got.order - 1
+        assert_kept(got)
+        # The join of the closures of a split of the list keeps what the
+        # closure of the whole list keeps.
+        k = data.draw(st.integers(min_value=0, max_value=len(gens)))
+        a, b = closure(gens[:k], n), closure(gens[k:], n)
+        joined = join(a, b)
+        assert joined.elements == want.elements and joined.generators == want.generators
+        assert all(type(x) is Permutation for x in joined.elements)
+        assert (joined is a) == (got.order == a.order)
+        for group in (a, b, joined):
+            assert_kept(group)
 
     @settings(max_examples=100)
     @given(generator_lists(6))
@@ -134,6 +154,8 @@ class TestNormalClosure:
         assert got.elements == closure_reference(sorted(conjugates), n, g.order).elements
         assert got.generators[:len(s.generators)] == s.generators
         assert (got is s) == is_normal_in(s, g)
+        for group in (g, s, got):
+            assert_kept(group)
 
 
 class TestOrder:

@@ -220,7 +220,6 @@ class TestDecisions:
         spec = {"degree": 8, "A": ["(1 2)", "(3 4)", "(5 6)"], "B": ["(1 7)(2 8)"]}
         assert decide(spec).step is Step.BRUTE_FORCE
         searched = []
-        monkeypatch.setattr(homs, "_grow", lambda *args: searched.append(args))
         monkeypatch.setattr(homs, "propagate_images", lambda *args: searched.append(args))
         d = decide(spec, Config(endo_budget=22))
         assert d.status == "Inconclusive" and d.step is Step.BUDGET
@@ -683,18 +682,32 @@ def regenerated(spec: dict, data) -> dict:
     return out
 
 
+def appended(spec: dict, data) -> dict:
+    """Each side's generators followed by up to four elements of that
+    side: the same subgroups, with the same kept generators."""
+    out = dict(spec)
+    for side in "AB":
+        elements = closure(generators(spec, side), spec["degree"]).elements
+        out[side] = spec[side] + [cycle_string(x) for x in
+                                  data.draw(st.lists(st.sampled_from(elements), max_size=4))]
+    return out
+
+
 class TestVerdictInvariants:
     """Metamorphic checks on random involution pairs: relabelling the
-    points, swapping the sides, padding with fixed points or generating
-    each side another way keeps the status, and each witness rechecks on
-    the pair it was found for.  Where Step2ii scans every pair, |A| * |B|
-    at most 65,536, the deciding step is kept too, except that a swap may
-    exchange Step3i and Step3ii: a pair meeting both conditions still
-    decides at Step3i after the swap."""
+    points, swapping the sides, padding with fixed points, generating
+    each side another way or appending elements of each side keeps the
+    status, and each witness rechecks on the pair it was found for.
+    Where Step2ii scans every pair, |A| * |B| at most 65,536, the
+    deciding step is kept too, except that a swap may exchange Step3i
+    and Step3ii: a pair meeting both conditions still decides at Step3i
+    after the swap.  Appended elements are never kept as generators, so
+    the pair and its join keep the same generators and the decision
+    with diagnostics is the same document but for its elapsed time."""
 
     STEP3 = {Step.B_IN_NCL_A, Step.A_IN_NCL_B}
 
-    @pytest.mark.parametrize("transform", [conjugated, swapped, padded, regenerated])
+    @pytest.mark.parametrize("transform", [conjugated, swapped, padded, regenerated, appended])
     @settings(max_examples=100, deadline=None)
     @given(spec=involution_pair_specs(), data=st.data())
     def test_status_and_step_are_kept(self, transform, spec, data):
@@ -707,6 +720,13 @@ class TestVerdictInvariants:
             assert e.step is d.step or (transform is swapped and {d.step, e.step} <= self.STEP3)
         if d.status != "Inconclusive":
             assert recheck_witness(pair, d.witness) and recheck_witness(moved, e.witness)
+        if transform is appended:
+            assert (moved.a.generators, moved.b.generators, moved.join.generators) == \
+                (pair.a.generators, pair.b.generators, pair.join.generators)
+            with_diagnostics = Config(run_diagnostics=True)
+            one, two = (strip_elapsed(format_decision(decide(s, with_diagnostics), "json"))
+                        for s in (spec, other))
+            assert one == two
 
     @settings(max_examples=60, deadline=None)
     @given(involution_pair_specs())
