@@ -139,10 +139,10 @@ class _AtlasRun:
     it is given, and what the run shares across its rows: the enumerated
     subgroups, their generator strings, the conjugacy class ids of each
     subgroup, and a memo holding, for each (side, join) pair of the
-    lattice, the side's normal closure in the join, whether the side is
-    normal in it, its merge column and the endomorphisms of the join
-    that map the side into itself.  Many rows share a side and a join,
-    so each of those runs once per lattice pair, not once per row.
+    lattice, the side's normal closure in the join, its merge column and
+    the endomorphisms of the join that map the side into itself.  Many
+    rows share a side and a join, so each of those runs once per lattice
+    pair, not once per row.
 
     Everything runs on the group's own numbering: an element is its
     index in the group, and products are lookups in the group's
@@ -173,8 +173,7 @@ class _AtlasRun:
     passes the test contains it, so has at least its order; and the only
     one of its order that does is itself.  No earlier entry has a larger
     order, so the first to pass is the one sought, and a scan may start
-    at the larger side's index.  subs[i] is normal in subs[k] exactly
-    when it is its own normal closure.  The join and the closure are the
+    at the larger side's index.  The join and the closure are the
     listed groups themselves, with their generators; the rows record
     verdicts only, and no verdict depends on which generators a group
     carries.
@@ -195,7 +194,7 @@ class _AtlasRun:
         # Per (join, generator index): the endomorphisms of the join, as
         # a bitmask, that send the generator to each image index.
         self._images: dict[tuple[int, int], dict[int, int]] = {}
-        self._sides: dict[tuple[int, int], tuple[FiniteGroup, bool, str, int]] = {}
+        self._sides: dict[tuple[int, int], tuple[FiniteGroup, str, int]] = {}
 
     def orbits(self) -> list[int]:
         """The orbits of ordered subgroup pairs under simultaneous
@@ -244,15 +243,14 @@ class _AtlasRun:
             self._class_ids[k] = ids, len(set(ids.values()))
         return self._class_ids[k]
 
-    def _side(self, i: int, k: int) -> tuple[FiniteGroup, bool, str, int]:
-        """The normal closure of subs[i] in subs[k], whether subs[i] is
-        normal in subs[k], the merge column of subs[i] as a side whose
-        join is subs[k], and the bitmask over enumerate_endomorphisms of
-        subs[k] whose bit t is set when the t-th endomorphism maps
-        subs[i] into itself.  An endomorphism is a homomorphism, so it
-        does that exactly when it maps each generator of subs[i] into
-        subs[i]: the mask is the AND, over the generators, of the masks
-        of their images inside subs[i].
+    def _side(self, i: int, k: int) -> tuple[FiniteGroup, str, int]:
+        """The normal closure of subs[i] in subs[k], the merge column of
+        subs[i] as a side whose join is subs[k], and the bitmask over
+        enumerate_endomorphisms of subs[k] whose bit t is set when the
+        t-th endomorphism maps subs[i] into itself.  An endomorphism is
+        a homomorphism, so it does that exactly when it maps each
+        generator of subs[i] into subs[i]: the mask is the AND, over the
+        generators, of the masks of their images inside subs[i].
 
         The merge column is the paper's Step3iii (Step3iv for B):
         dependent when two elements of the side that are not conjugate
@@ -294,15 +292,16 @@ class _AtlasRun:
                        and all(bits[m] >> table[g] & 1
                                for table in self._conj[k] for g in self._gen_ids[m])):
                 m += 1
-            side = self._sides[(i, k)] = (
-                self.subs[m], m == i,
-                (Verdict.DEPENDENT if merged else Verdict.INCONCLUSIVE).value, keeps)
+            merge = (Verdict.DEPENDENT if merged else Verdict.INCONCLUSIVE).value
+            side = self._sides[(i, k)] = (self.subs[m], merge, keeps)
         return side
 
     def fill(self, pair: SubgroupPair, i: int, j: int) -> tuple[str, str, str]:
-        """Assign the join, normal closures and normality of the pair
-        (subs[i], subs[j]) by name from the lattice and the memo, and
-        return its merge_a, merge_b and oracle columns.
+        """Assign the join and normal closures of the pair (subs[i],
+        subs[j]) by name from the lattice and the memo, and return its
+        merge_a, merge_b and oracle columns.  The pair's sides must be
+        subs[i] and subs[j] themselves: a normal side's closure is the
+        listed side (see SubgroupPair).
 
         The oracle is the definition of independence, counted.  Let S be
         the endomorphisms gamma of the join with gamma(A) in A and
@@ -313,8 +312,8 @@ class _AtlasRun:
         """
         k = self._join(i, j)
         pair.join = self.subs[k]
-        pair.ncl_a, pair.a_normal, merge_a, keeps_a = self._side(i, k)
-        pair.ncl_b, pair.b_normal, merge_b, keeps_b = self._side(j, k)
+        pair.ncl_a, merge_a, keeps_a = self._side(i, k)
+        pair.ncl_b, merge_b, keeps_b = self._side(j, k)
         extending = (keeps_a & keeps_b).bit_count()
         independent = extending == (len(enumerate_endomorphisms(pair.a))
                                     * len(enumerate_endomorphisms(pair.b)))

@@ -20,7 +20,6 @@ from .groups import (
     FiniteGroup,
     GroupMap,
     SubgroupPair,
-    is_normal_in,
     propagate_images,
 )
 from .homs import ExtensionConflict, enumerate_endomorphisms, extend
@@ -264,8 +263,9 @@ def check_a_inside_ncl_b(pair: SubgroupPair) -> CheckOutcome:
 
 
 def check_normal_asymmetry(pair: SubgroupPair) -> CheckOutcome:
-    """Exactly one of A, B normal in the join proves dependence.  Both
-    normal with A ∩ B = 1 proves independence with a CommutingWitness:
+    """Exactly one of A, B normal in the join, that is its own normal
+    closure there (see SubgroupPair), proves dependence.  Both normal
+    with A ∩ B = 1 proves independence with a CommutingWitness:
     [A, B] ≤ A ∩ B = 1, so A and B commute elementwise.  In the ladder
     Step2i decides that case first, so there this stage only ever proves
     dependence.
@@ -389,7 +389,7 @@ def recheck_witness(pair: SubgroupPair, witness: object,
                 and (oab % oa != 0 or oab % ob != 0))
     if isinstance(witness, NormalAsymmetryWitness):
         j = pair.join
-        na, nb = is_normal_in(pair.a, j), is_normal_in(pair.b, j)
+        na, nb = pair.a_normal, pair.b_normal
         if na == nb:
             return False
         if witness.normal_side != ("A" if na else "B"):

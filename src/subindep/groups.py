@@ -207,22 +207,6 @@ def normal_closure(s: FiniteGroup, g: FiniteGroup) -> FiniteGroup:
                  g.order, s)
 
 
-def is_normal_in(h: FiniteGroup, g: FiniteGroup) -> bool:
-    """True iff t h t^-1 = h for every t in g.
-
-    Conjugating the generators of h by the generators of g suffices:
-    conjugation is injective, so t h t^-1 inside h forces equality, and
-    generator conjugations compose to arbitrary ones.
-    """
-    if not h.is_subgroup_of(g):
-        raise ValueError("h is not a subgroup of g")
-    for t in g.generators:
-        for x in h.generators:
-            if x.conjugated_by(t) not in h:
-                return False
-    return True
-
-
 def conjugation_tables(g: FiniteGroup, ts: Sequence[int]) -> list[list[int]]:
     """Conjugation by elements[t] on element indices, for each index t in
     ts: entry x of t's table is the index of
@@ -307,10 +291,16 @@ def trivial_map(g: FiniteGroup) -> GroupMap:
 
 class SubgroupPair:
     """Two subgroups of a common symmetric group, with cached properties
-    for the join, normal closures in the join, normality of each side in
-    the join, embeddings of each side's indices into the join, each
-    side's generator positions, and least shared non-identity element.
-    A caller that already knows a fact assigns it by name."""
+    for the join, normal closures in the join, embeddings of each side's
+    indices into the join, each side's generator positions, and least
+    shared non-identity element.  A caller that already knows a fact
+    assigns it by name.
+
+    A side is normal in the join exactly when it is its own normal
+    closure there.  normal_closure then returns the side itself, and so
+    must a caller that assigns a closure; a_normal and b_normal read
+    that, and are never assigned.
+    """
 
     def __init__(self, a: FiniteGroup, b: FiniteGroup,
                  max_group_order: int = DEFAULT_MAX_GROUP_ORDER):
@@ -337,15 +327,13 @@ class SubgroupPair:
     def ncl_b(self) -> FiniteGroup:
         return normal_closure(self.b, self.join)
 
-    @cached_property
+    @property
     def a_normal(self) -> bool:
-        """Whether A is normal in the join."""
-        return is_normal_in(self.a, self.join)
+        return self.ncl_a is self.a
 
-    @cached_property
+    @property
     def b_normal(self) -> bool:
-        """Whether B is normal in the join."""
-        return is_normal_in(self.b, self.join)
+        return self.ncl_b is self.b
 
     @cached_property
     def embeddings(self) -> tuple[tuple[int, ...], tuple[int, ...]]:

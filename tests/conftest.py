@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import NamedTuple
 
 import pytest
 
 from subindep import homs, pipeline
 from subindep.atlas import _AtlasRun, classify_all_pairs
-from subindep.groups import SubgroupPair, closure, symmetric_group
+from subindep.groups import FiniteGroup, SubgroupPair, closure, symmetric_group
 from subindep.perm import parse_cycles
 
 
@@ -50,6 +51,19 @@ def atlas_run(degree: int) -> _AtlasRun:
     """The atlas lattice of the symmetric group of the given degree, with
     its memo, shared by the tests that look inside it."""
     return _AtlasRun(symmetric_group(degree))
+
+
+class AtlasSide(NamedTuple):
+    """What the atlas memo holds on one side of a pair, by name."""
+
+    ncl: FiniteGroup  # its normal closure in the join
+    merge: str  # its merge column
+    keeps: int  # the endomorphisms of the join mapping it into itself
+
+
+def atlas_side(run: _AtlasRun, i: int, k: int) -> AtlasSide:
+    """run._side(i, k): subs[i] as a side whose join is subs[k]."""
+    return AtlasSide(*run._side(i, k))
 
 
 def lattice_index(run: _AtlasRun, group) -> int:

@@ -11,7 +11,8 @@ is saturated one element at a time.  The atlas's two-generator
 enumeration is replayed as the plain scan over every element pair that
 its skips must agree with.  Conjugacy classes come from conjugating by
 every element, and so do the orbits of subgroup pairs under
-simultaneous conjugation; the conjugacy-merge check and the
+simultaneous conjugation, and normality is every conjugate of every
+element staying inside; the conjugacy-merge check and the
 non-commuting pairs are plain scans over every element pair.  The map
 checks and the union-law harness at the end are the full-table checks
 the tests hold results to.  The
@@ -288,6 +289,13 @@ def subgroups_from_all_pairs(group: FiniteGroup) -> list[FiniteGroup]:
             sub = closure(list(combo), group.degree, max_order=group.order)
             seen.setdefault(sub.elements, sub)
     return sorted(seen.values(), key=lambda s: (s.order, s.elements))
+
+
+def is_normal_reference(h: FiniteGroup, g: FiniteGroup) -> bool:
+    """Normality by its definition: every conjugate of every element of h
+    by every element of g lies in h."""
+    members = set(h.elements)
+    return all(x.conjugated_by(t) in members for x in h.elements for t in g.elements)
 
 
 def normal_subgroups_containing(sub_elements, group: FiniteGroup,

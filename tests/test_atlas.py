@@ -11,7 +11,7 @@ from typing import get_type_hints
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import atlas_run, pair_from_row
+from conftest import atlas_run, atlas_side, pair_from_row
 from oracles import (
     all_subgroups,
     check_union_independent_sets,
@@ -21,6 +21,7 @@ from oracles import (
     first_conjugacy_merge,
     independent_by_global_search,
     independent_by_product_scan,
+    is_normal_reference,
     pair_orbit_representatives,
     quotient,
     subgroups_from_all_pairs,
@@ -240,30 +241,32 @@ class TestDegree4Atlas:
         assert sum(summary["deciding_steps"].values()) == 900
 
     def test_atlas_calls_neither_normal_closure_nor_is_normal_in(self, monkeypatch):
-        # The run looks normal closures and normality up in its lattice
-        # (TestNormalClosureLookup checks it against both functions).
-        assert not hasattr(atlas, "normal_closure") and not hasattr(atlas, "is_normal_in")
+        # The run looks normal closures up in its lattice
+        # (TestNormalClosureLookup checks them against normal_closure),
+        # and a side is normal when it is its own closure: there is no
+        # second normality test to call.
+        assert not hasattr(atlas, "normal_closure") and not hasattr(groups, "is_normal_in")
         calls = []
-        for name in ("normal_closure", "is_normal_in"):
-            real = getattr(groups, name)
+        real = groups.normal_closure
 
-            def spy(*args, name=name, real=real):
-                calls.append(name)
-                return real(*args)
+        def spy(*args):
+            calls.append("normal_closure")
+            return real(*args)
 
-            # Every module that binds the name, so a direct call is counted too.
-            for mod in list(sys.modules.values()):
-                if mod is not None and mod.__name__.startswith("subindep") \
-                        and getattr(mod, name, None) is real:
-                    monkeypatch.setattr(mod, name, spy)
+        # Every module that binds the name, so a direct call is counted too.
+        for mod in list(sys.modules.values()):
+            if mod is not None and mod.__name__.startswith("subindep") \
+                    and getattr(mod, "normal_closure", None) is real:
+                monkeypatch.setattr(mod, "normal_closure", spy)
         rows, _ = classify_all_pairs(4)
         assert len(rows) == 900
         assert calls == []
-        # The spies do count: a pair outside the atlas closes and tests.
+        # The spy does count: a pair outside the atlas closes, once, and
+        # reads normality off the closure.
         pair = pair_from_row(rows[1], 4)
         fresh = SubgroupPair(pair.a, pair.b)
         assert pair.a.is_subgroup_of(fresh.ncl_a) and isinstance(fresh.a_normal, bool)
-        assert calls == ["normal_closure", "is_normal_in"]
+        assert calls == ["normal_closure"]
 
     def test_filled_normality_matches_a_fresh_pair(self):
         run = atlas_run(4)
@@ -274,7 +277,7 @@ class TestDegree4Atlas:
                 run.fill(filled, i, j)
                 fresh = SubgroupPair(a, b)
                 assert (filled.a_normal, filled.b_normal) == \
-                    (groups.is_normal_in(a, fresh.join), groups.is_normal_in(b, fresh.join)), (i, j)
+                    (is_normal_reference(a, fresh.join), is_normal_reference(b, fresh.join)), (i, j)
 
     def test_filled_orders_match_a_fresh_pair(self, monkeypatch):
         # fill assigns the join and both normal closures by name: the
@@ -311,8 +314,9 @@ class TestDegree4Atlas:
             assert len(asymmetric) == count, degree
             for r in asymmetric:
                 k = run._join(r.a_index, r.b_index)
-                a_normal = run._side(r.a_index, k)[1]
-                assert a_normal != run._side(r.b_index, k)[1], r.pair_id
+                a_normal, b_normal = (atlas_side(run, i, k).ncl is run.subs[i]
+                                      for i in (r.a_index, r.b_index))
+                assert a_normal != b_normal, r.pair_id
                 step3 = r.a_in_ncl_b if a_normal else r.b_in_ncl_a
                 assert step3 == "dependent", r.pair_id
 
@@ -341,9 +345,10 @@ class TestDegree4Atlas:
 
 class TestNormalClosureLookup:
     """The run looks each side's normal closure in its join up in the
-    lattice, and reads normality off it; groups.normal_closure closes
-    conjugates and groups.is_normal_in conjugates generators.  They must
-    agree on every (side, join) pair of the lattice."""
+    lattice; groups.normal_closure closes conjugates.  They must agree on
+    every (side, join) pair of the lattice, and the looked-up closure is
+    the side itself exactly when the definition says the side is
+    normal."""
 
     @staticmethod
     def _assert_lookup(run):
@@ -353,9 +358,10 @@ class TestNormalClosureLookup:
             for i, sub in enumerate(subs):
                 if not sub.is_subgroup_of(join):
                     continue
-                ncl, is_normal = run._side(i, k)[:2]
+                ncl = atlas_side(run, i, k).ncl
+                is_normal = ncl is sub
                 assert ncl.elements == groups.normal_closure(sub, join).elements, (i, k)
-                assert is_normal == groups.is_normal_in(sub, join), (i, k)
+                assert is_normal == is_normal_reference(sub, join), (i, k)
                 checked += 1
                 normal += is_normal
         # Both answers occur, and the closure is often a larger group.
@@ -383,7 +389,8 @@ class TestMergeByClassCounts:
                 if not sub.is_subgroup_of(join):
                     continue
                 dependent = first_conjugacy_merge(sub, join) is not None
-                assert run._side(i, k)[2] == ("dependent" if dependent else "inconclusive"), (sub, join)
+                assert atlas_side(run, i, k).merge == ("dependent" if dependent else "inconclusive"), \
+                    (sub, join)
                 merged += dependent
         return merged
 
@@ -418,10 +425,11 @@ class TestProductScanOracle:
             scan = brute_force_independent(pair, use_shortcuts=False)
             assert r.oracle == scan.verdict.value, r.pair_id
             join = run._join(i, j)
-            kept = (run._side(i, join)[3] & run._side(j, join)[3]).bit_count()
+            kept = (atlas_side(run, i, join).keeps & atlas_side(run, j, join).keeps).bit_count()
             assert kept <= scan.details["endo_a"] * scan.details["endo_b"], r.pair_id
             # Every endomorphism of the join maps the join into itself.
-            assert run._side(join, join)[3] == (1 << len(enumerate_endomorphisms(subs[join]))) - 1
+            assert atlas_side(run, join, join).keeps == \
+                (1 << len(enumerate_endomorphisms(subs[join]))) - 1
             checked += 1
         return checked
 
@@ -443,7 +451,7 @@ class TestProductScanOracle:
             for i, sub in enumerate(subs):
                 if sub.is_subgroup_of(join):
                     keeping = sum(all(phi[g] in sub for g in sub.generators) for phi in endos)
-                    assert run._side(i, k)[3].bit_count() == keeping, (sub, join)
+                    assert atlas_side(run, i, k).keeps.bit_count() == keeping, (sub, join)
 
 
 def nonidentity(group):

@@ -1,7 +1,8 @@
 import pytest
 
 from conftest import (
-    SHARED_POINT, ORDER_CLASH, SWAP_VS_DOUBLE, FAR_SWAPS, MERGE_PAIR, atlas_run, lattice_index, make_pair,
+    SHARED_POINT, ORDER_CLASH, SWAP_VS_DOUBLE, FAR_SWAPS, MERGE_PAIR, atlas_run, atlas_side, lattice_index,
+    make_pair,
 )
 from oracles import (
     all_subgroups,
@@ -148,7 +149,7 @@ class TestSeparated:
 def merge_column(sub, join) -> str:
     """The atlas's merge column for sub as a side whose join is join."""
     run = atlas_run(sub.degree)
-    return run._side(lattice_index(run, sub), lattice_index(run, join))[2]
+    return atlas_side(run, lattice_index(run, sub), lattice_index(run, join)).merge
 
 
 class TestConjugacyMerge:

@@ -12,7 +12,12 @@ import pytest
 from hypothesis import assume, find, given, settings, strategies as st
 
 from conftest import SHARED_POINT, ORDER_CLASH, SWAP_VS_DOUBLE, FAR_SWAPS, MERGE_PAIR, make_pair
-from oracles import endomorphisms_by_products, first_conjugacy_merge, independent_by_product_scan
+from oracles import (
+    endomorphisms_by_products,
+    first_conjugacy_merge,
+    independent_by_product_scan,
+    is_normal_reference,
+)
 from subindep.checks import (
     brute_force_independent,
     check_a_inside_ncl_b,
@@ -258,7 +263,9 @@ class TestDecisions:
         assert d.status == "Dependent" and d.step is Step.NORMAL_ASYM
         assert d.witness.normal_side == "B"
         assert d.stats.join_order == 8
-        assert d.stats.ncl_a_order is None  # step 3 never ran
+        # Normality is read off both closures: A's is the order-4 group
+        # <(1 2), (3 4)>, and B is its own.
+        assert (d.stats.ncl_a_order, d.stats.ncl_b_order) == (4, 4)
 
     def test_membership_stages_decide_in_wider_ambient(self):
         # A transposition against a coordinate double-swap group: every
@@ -267,7 +274,9 @@ class TestDecisions:
                     "B": ["(1 2)(3 4)", "(1 3)(2 4)"]})
         assert d.status == "Dependent" and d.step is Step.B_IN_NCL_A
         assert d.witness.region == "b_in_ncl_a"
-        assert d.stats.ncl_b_order is None  # Step3ii never ran
+        # Step3ii never ran, but NormalAsym built B's closure, A5, to
+        # find B not normal.
+        assert (d.stats.ncl_a_order, d.stats.ncl_b_order) == (120, 60)
         mirror = decide({"degree": 5, "A": ["(1 2)(3 4)", "(1 3)(2 4)"],
                          "B": ["(4 5)"]})
         assert mirror.status == "Dependent" and mirror.step is Step.A_IN_NCL_B
@@ -655,6 +664,28 @@ def join_order_at_most(spec: dict, limit: int) -> bool:
     return True
 
 
+def small_sides(spec: dict) -> dict:
+    """Each side cut before the first generator that takes its group past
+    TestVerdictFuzz.MAX_ENDOS elements or endomorphisms.  The product
+    scan counts End by spreading every choice of generator images, 76^3
+    of them on a side of order 720, so only small sides are compared; a
+    side cut to one involution has two of each, so no draw is rejected
+    for its sides."""
+    limit, out = TestVerdictFuzz.MAX_ENDOS, dict(spec)
+    for side in "AB":
+        gens, k = generators(spec, side), 1
+        while k < len(gens):
+            try:
+                group = closure(gens[:k + 1], spec["degree"], limit)
+            except BudgetExceeded:
+                break
+            if len(endomorphisms_by_products(group)) > limit:
+                break
+            k += 1
+        out[side] = spec[side][:k]
+    return out
+
+
 def conjugated(spec: dict, data) -> dict:
     """Both sides conjugated by one permutation."""
     t = Permutation(tuple(data.draw(st.permutations(range(spec["degree"])))))
@@ -729,18 +760,14 @@ class TestVerdictInvariants:
             assert one == two
 
     @settings(max_examples=60, deadline=None)
-    @given(involution_pair_specs())
+    @given(involution_pair_specs().map(small_sides))
     def test_decide_agrees_with_the_product_scan(self, spec):
         assume(join_order_at_most(spec, TestVerdictFuzz.MAX_JOIN))
         pair = parse_pair_spec(spec)
-        # The End count spreads every choice of generator images, 76^3 of
-        # them on a side of order 720, so only sides of at most MAX_ENDOS
-        # elements are counted.
-        assume(max(pair.a.order, pair.b.order) <= TestVerdictFuzz.MAX_ENDOS)
-        assume(len(endomorphisms_by_products(pair.a)) <= TestVerdictFuzz.MAX_ENDOS)
-        assume(len(endomorphisms_by_products(pair.b)) <= TestVerdictFuzz.MAX_ENDOS)
         d = within_alarm(20, decide, spec)
         assert d.status == ("Independent" if independent_by_product_scan(pair) else "Dependent")
+        assert (pair.a_normal, pair.b_normal) == \
+            (is_normal_reference(pair.a, pair.join), is_normal_reference(pair.b, pair.join))
 
 
 def strip_elapsed(doc: str) -> str:
