@@ -96,30 +96,6 @@ class OrderViolationWitness(NamedTuple):
                 f"{bad} does not divide |ab|={self.order_ab} (ab={cycle_string(self.ab)})")
 
 
-class NormalAsymmetryWitness(NamedTuple):
-    """Exactly one subgroup is normal in the join; carries evidence that
-    the other one is not."""
-
-    normal_side: str  # the side that IS normal in the join
-    moved_element: Permutation
-    conjugating_element: Permutation
-    conjugate: Permutation
-
-    def to_json(self) -> dict:
-        other = "B" if self.normal_side == "A" else "A"
-        return {"kind": "normal_asymmetry", "normal_side": self.normal_side,
-                "non_normal_side": other,
-                "moved_element": cycle_string(self.moved_element),
-                "conjugating_element": cycle_string(self.conjugating_element),
-                "conjugate": cycle_string(self.conjugate)}
-
-    def describe(self) -> str:
-        other = "B" if self.normal_side == "A" else "A"
-        return (f"{self.normal_side} is normal in the join but {other} is not: conjugating "
-                f"{cycle_string(self.moved_element)} by {cycle_string(self.conjugating_element)} "
-                f"gives {cycle_string(self.conjugate)}, outside {other}")
-
-
 class IncompatiblePairWitness(NamedTuple):
     """An endomorphism pair with no common extension to the join."""
 
@@ -270,24 +246,15 @@ def check_normal_asymmetry(pair: SubgroupPair) -> CheckOutcome:
     Step2i decides that case first, so there this stage only ever proves
     dependence.
 
-    Step3 subsumes this stage.  Let A be normal in J = ⟨A, B⟩ and B not.
-    Then J = AB and B ≤ ⟨Conj(B)⟩ ≤ AB, so by Dedekind's law
-    ⟨Conj(B)⟩ = (⟨Conj(B)⟩ ∩ A)B.  Were ⟨Conj(B)⟩ ∩ A = 1, B would be
-    the normal subgroup ⟨Conj(B)⟩.  So A ∩ ⟨Conj(B)⟩ ≠ 1, and Step3ii
-    fires; the mirror case gives Step3i."""
-    j = pair.join
+    The dependence is certified as Step3 certifies it.  Let A be normal
+    in J = ⟨A, B⟩ and B not.  Then J = AB and B ≤ ⟨Conj(B)⟩ ≤ AB, so by
+    Dedekind's law ⟨Conj(B)⟩ = (⟨Conj(B)⟩ ∩ A)B.  Were ⟨Conj(B)⟩ ∩ A = 1,
+    B would be the normal subgroup ⟨Conj(B)⟩.  So A ∩ ⟨Conj(B)⟩ ≠ 1, and
+    the outcome is check_a_inside_ncl_b's (Step3ii); the mirror case
+    returns check_b_inside_ncl_a's (Step3i)."""
     na, nb = pair.a_normal, pair.b_normal
     if na != nb:
-        normal_side = "A" if na else "B"
-        loose = pair.b if na else pair.a
-        for x in loose.elements[1:]:
-            for t in j.generators:
-                c = x.conjugated_by(t)
-                if c not in loose:
-                    return CheckOutcome(
-                        Verdict.DEPENDENT,
-                        NormalAsymmetryWitness(normal_side, x, t, c))
-        raise AssertionError("non-normal subgroup with no moved generator conjugate")
+        return check_a_inside_ncl_b(pair) if na else check_b_inside_ncl_a(pair)
     if na and pair.shared_element is None:
         return CheckOutcome(Verdict.INDEPENDENT, CommutingWitness())
     return _INCONCLUSIVE
@@ -387,19 +354,6 @@ def recheck_witness(pair: SubgroupPair, witness: object,
         return (witness.ab == ab
                 and (witness.order_a, witness.order_b, witness.order_ab) == (oa, ob, oab)
                 and (oab % oa != 0 or oab % ob != 0))
-    if isinstance(witness, NormalAsymmetryWitness):
-        j = pair.join
-        na, nb = pair.a_normal, pair.b_normal
-        if na == nb:
-            return False
-        if witness.normal_side != ("A" if na else "B"):
-            return False
-        loose = pair.b if na else pair.a
-        x, t = witness.moved_element, witness.conjugating_element
-        if x not in loose or t not in j:
-            return False
-        moved = x.conjugated_by(t)
-        return moved == witness.conjugate and moved not in loose
     if isinstance(witness, IncompatiblePairWitness):
         maps = (witness.alpha, witness.beta)
         if not all(map(_is_endomorphism, maps, (pair.a, pair.b), pair.generator_positions)):

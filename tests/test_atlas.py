@@ -307,18 +307,24 @@ class TestDegree4Atlas:
     def test_normal_asymmetry_is_subsumed_by_separation(self, s4_atlas, s5_atlas):
         # Why NormalAsym can go: with A normal in the join and B not,
         # A ∩ <Conj(B)> is not trivial (see check_normal_asymmetry), so
-        # the mirror Step3 column is dependent too.
+        # the mirror Step3 column is dependent too.  The rows are picked
+        # by normality, not by the normal_asymmetry column, which reads
+        # that Step3 check, and the column is dependent on those alone.
         for degree, (rows, _), count in ((4, s4_atlas, 240), (5, s5_atlas, 2832)):
             run = atlas_run(degree)
-            asymmetric = [r for r in rows if r.normal_asymmetry == "dependent"]
-            assert len(asymmetric) == count, degree
-            for r in asymmetric:
+            asymmetric = 0
+            for r in rows:
                 k = run._join(r.a_index, r.b_index)
                 a_normal, b_normal = (atlas_side(run, i, k).ncl is run.subs[i]
                                       for i in (r.a_index, r.b_index))
-                assert a_normal != b_normal, r.pair_id
+                if a_normal == b_normal:
+                    assert r.normal_asymmetry != "dependent", r.pair_id
+                    continue
+                asymmetric += 1
                 step3 = r.a_in_ncl_b if a_normal else r.b_in_ncl_a
                 assert step3 == "dependent", r.pair_id
+                assert r.normal_asymmetry == step3, r.pair_id
+            assert asymmetric == count, degree
 
     def test_merge_checks_are_subsumed_by_separation(self, s4_atlas):
         # Why the conjugacy-merge checks are atlas columns, not stages: a

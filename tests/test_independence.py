@@ -19,7 +19,6 @@ from subindep.checks import (
     ExhaustiveWitness,
     IncompatiblePairWitness,
     MembershipWitness,
-    NormalAsymmetryWitness,
     OrderViolationWitness,
     Verdict,
     brute_force_independent,
@@ -174,11 +173,13 @@ class TestNormalAsymmetry:
         pair = make_pair(3, ["(1 2 3)"], ["(1 2)"])
         out = check_normal_asymmetry(pair)
         assert out.verdict is Verdict.DEPENDENT
+        # A = A3 is normal in S3 and B = <(1 2)> is not, so A meets
+        # <Conj(B)> = S3: Step3ii's certificate.
         w = out.witness
-        assert isinstance(w, NormalAsymmetryWitness)
-        assert w.normal_side == "A"
-        assert w.conjugate == w.moved_element.conjugated_by(w.conjugating_element)
-        assert w.conjugate not in pair.b
+        assert isinstance(w, MembershipWitness)
+        assert w.region == "a_in_ncl_b"
+        assert recheck_witness(pair, w)
+        assert out == check_a_inside_ncl_b(pair)
 
     def test_main_example_neither_normal(self):
         assert check_normal_asymmetry(make_pair(*SWAP_VS_DOUBLE)).verdict is Verdict.INCONCLUSIVE
@@ -347,28 +348,6 @@ class TestWitnessRecheck:
         assert recheck_witness(pair, w)
         assert not recheck_witness(pair, w._replace(order_ab=w.order_ab + 5))
         assert not recheck_witness(pair, w._replace(order_a=w.order_b))
-
-    def test_normal_asymmetry_side_must_match(self):
-        pair = make_pair(3, ["(1 2 3)"], ["(1 2)"])
-        w = check_normal_asymmetry(pair).witness
-        assert w.normal_side == "A" and recheck_witness(pair, w)
-        assert not recheck_witness(pair, w._replace(normal_side="B"))
-
-    def test_normal_asymmetry_elements_must_lie_in_their_groups(self):
-        # A = V4 is normal in the join D4, B = <(1 2)> is not.
-        pair = make_pair(4, ["(1 2)(3 4)", "(1 3)(2 4)"], ["(1 2)"])
-        w = check_normal_asymmetry(pair).witness
-        assert w.normal_side == "A" and recheck_witness(pair, w)
-        e = Permutation.identity(4)
-        # (3 4) is not in B, so its conjugate leaving B proves nothing.
-        outside_b = NormalAsymmetryWitness("A", P("(3 4)", 4), e, P("(3 4)", 4))
-        assert not recheck_witness(pair, outside_b)
-        # (1 3) is not in the join, so it cannot witness non-normality.
-        t = P("(1 3)", 4)
-        x = P("(1 2)", 4)
-        outside_join = NormalAsymmetryWitness("A", x, t, x.conjugated_by(t))
-        assert x.conjugated_by(t) not in pair.b
-        assert not recheck_witness(pair, outside_join)
 
     def test_incompatible_pair_conflict_must_match(self):
         pair = make_pair(*SHARED_POINT)

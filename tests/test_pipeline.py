@@ -261,7 +261,7 @@ class TestDecisions:
         d = decide({"degree": 4, "A": ["(3 4)"],
                     "B": ["(1 2)(3 4)", "(1 3)(2 4)"]})
         assert d.status == "Dependent" and d.step is Step.NORMAL_ASYM
-        assert d.witness.normal_side == "B"
+        assert d.witness.region == "b_in_ncl_a"
         assert d.stats.join_order == 8
         # Normality is read off both closures: A's is the order-4 group
         # <(1 2), (3 4)>, and B is its own.
